@@ -15,12 +15,20 @@ small uncertainty bonus keeps the loop exploring.  Hypervolume is exact
 for one and two objectives (the common co-design cases) and a seeded
 Monte-Carlo estimate beyond that — again a pure function of the seed,
 via :class:`repro.rng.CounterRNG`.
+
+Scoring is whole-pool: :meth:`HypervolumeBox.improvements` takes every
+candidate's LCB vector as one array, and :func:`select_batch` ranks and
+spaces an aligned score array.  The array arithmetic repeats the
+one-candidate computation operation for operation, so a score does not
+depend on how many candidates were scored with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Union
+
+import numpy as np
 
 from ..errors import AnalysisError
 from ..rng import CounterRNG
@@ -40,6 +48,10 @@ POINT_OBJECTIVES = {
 
 #: default optimization direction per point objective
 _DEFAULT_DIRECTION = {"runtime": "min", "memory_fraction": "min"}
+
+#: elements per candidate-by-sample comparison block in the Monte-Carlo
+#: improvement, so peak memory does not grow with pool x samples
+_MC_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -158,14 +170,33 @@ def hypervolume(front: Sequence[Sequence[float]],
                           samples=samples).volume
 
 
+def _count_dominated(points: "np.ndarray",
+                     samples: "np.ndarray") -> "np.ndarray":
+    """For each row of ``points``, how many rows of ``samples`` it
+    weakly dominates (``<=`` in every objective).
+
+    For finite vectors that is exactly "dominates or equals".  Points
+    are compared in blocks of at most :data:`_MC_BLOCK` pairs."""
+    counts = np.zeros(len(points), dtype=np.int64)
+    step = max(1, _MC_BLOCK // max(len(samples), 1))
+    for start in range(0, len(points), step):
+        block = points[start:start + step]
+        hit = np.ones((len(block), len(samples)), dtype=bool)
+        for d in range(points.shape[1]):
+            hit &= block[:, d, None] <= samples[None, :, d]
+        counts[start:start + step] = hit.sum(axis=1)
+    return counts
+
+
 class HypervolumeBox:
-    """Hypervolume of a frontier, with cheap per-candidate improvement.
+    """Hypervolume of a frontier, with cheap whole-pool improvement.
 
     Improvement queries share the box's precomputation: in 2-D the
-    frontier staircase is walked once per query; in ≥3-D the same seeded
-    Monte-Carlo sample is classified once against the frontier and each
-    candidate only tests its own dominance over the not-yet-covered
-    samples.
+    frontier's own staircase walk is recorded once and every candidate
+    replays only where its step changes the walk; in ≥3-D the same
+    seeded Monte-Carlo sample is classified once against the frontier
+    and each candidate only counts the not-yet-covered samples it
+    dominates.
     """
 
     def __init__(self, front: Sequence[Sequence[float]],
@@ -178,110 +209,168 @@ class HypervolumeBox:
         self.front = [tuple(float(v) for v in point) for point in front
                       if all(v < r for v, r in zip(point,
                                                    self.reference))]
-        self._mc_points: Optional[List[Tuple[float, ...]]] = None
-        self._mc_uncovered: Optional[List[int]] = None
+        # the frontier in staircase (lexicographic) order
+        self._sorted = np.asarray(sorted(self.front),
+                                  dtype=np.float64).reshape(-1, self.dims)
+        self._samples = np.zeros((0, self.dims))
+        self._uncovered = np.zeros((0, self.dims))
         self._box_volume = 0.0
         if self.dims == 1:
-            best = min((p[0] for p in self.front),
-                       default=self.reference[0])
-            self.volume = self.reference[0] - best
+            self._best = min((p[0] for p in self.front),
+                             default=self.reference[0])
+            self.volume = self.reference[0] - self._best
         elif self.dims == 2:
-            self.volume = self._exact_2d(self.front)
+            self._walk_2d()
         else:
             self._setup_mc(seed, samples)
 
     # -- 2-D exact staircase --------------------------------------------
-    def _exact_2d(self, front: Sequence[Tuple[float, ...]]) -> float:
+    def _walk_2d(self) -> None:
+        """Walk the sorted frontier's staircase, recording the running
+        area and height before each step and each step's added area."""
         ref0, ref1 = self.reference
-        total = 0.0
-        upper1 = ref1
-        for p0, p1 in sorted(front):
+        total, upper1 = 0.0, ref1
+        totals, uppers, terms = [total], [upper1], []
+        for p0, p1 in self._sorted.tolist():
+            term = 0.0
             if p1 < upper1:
-                total += (ref0 - p0) * (upper1 - p1)
+                term = (ref0 - p0) * (upper1 - p1)
+                total += term
                 upper1 = p1
-        return total
+            totals.append(total)
+            uppers.append(upper1)
+            terms.append(term)
+        self.volume = total
+        self._walk_total = np.asarray(totals)
+        self._walk_upper = np.asarray(uppers)
+        self._walk_term = np.asarray(terms)
+
+    def _staircase(self, points: "np.ndarray") -> "np.ndarray":
+        """Area the frontier plus each row of ``points`` dominates, to
+        the bit of walking the merged staircase one step at a time.
+
+        A candidate joins the sorted frontier after every point that
+        sorts at or before it (where a stable sort of the frontier with
+        the candidate appended puts it).  Up to there its walk is the
+        frontier's; if it does not lower the staircase the rest is too.
+        Otherwise it adds its own step, the next frontier point below it
+        adds a step cut at the candidate's height, and from then on the
+        walk again adds the frontier's recorded steps — to a different
+        running area, so those additions are replayed in order, as one
+        sequential ``np.add.accumulate`` per candidate row (a step the
+        walk skips adds an exact ``0.0``)."""
+        ref0 = self.reference[0]
+        front0, front1 = self._sorted[:, 0], self._sorted[:, 1]
+        cand0, cand1 = points[:, 0], points[:, 1]
+        slot = ((front0 < cand0[:, None])
+                | ((front0 == cand0[:, None])
+                   & (front1 <= cand1[:, None]))).sum(axis=1)
+        upper1 = self._walk_upper[slot]
+        lowers = cand1 < upper1
+        # first frontier step at or after the slot that falls below the
+        # candidate (a sentinel column makes it len(front) if none does)
+        steps = np.arange(len(front0))
+        below = np.concatenate(
+            [(steps >= slot[:, None]) & (front1 < cand1[:, None]),
+             np.ones((len(points), 1), dtype=bool)], axis=1)
+        cut = below.argmax(axis=1)
+        added = np.where(steps > cut[:, None], self._walk_term, 0.0)
+        rows = np.flatnonzero(cut < len(front0))
+        at = cut[rows]
+        added[rows, at] = (ref0 - front0[at]) * (cand1[rows] - front1[at])
+        sequence = np.concatenate(
+            [self._walk_total[slot, None],
+             ((ref0 - cand0) * (upper1 - cand1))[:, None], added], axis=1)
+        total = np.add.accumulate(sequence, axis=1)[:, -1]
+        return np.where(lowers, total, self.volume)
 
     # -- ≥3-D seeded Monte-Carlo ----------------------------------------
     def _setup_mc(self, seed: int, samples: int) -> None:
         if not self.front:
             self.volume = 0.0
-            self._mc_points = []
-            self._mc_uncovered = []
-            self._box_volume = 0.0
             return
-        mins = [min(p[d] for p in self.front)
-                for d in range(self.dims)]
+        mins = self._sorted.min(axis=0)
         self._box_volume = 1.0
-        for low, ref in zip(mins, self.reference):
+        for low, ref in zip(mins.tolist(), self.reference):
             self._box_volume *= max(ref - low, 0.0)
         rng = CounterRNG("hypervolume", seed, self.dims)
-        self._mc_points = []
-        for _ in range(samples):
-            self._mc_points.append(tuple(
-                low + rng.fraction() * (ref - low)
-                for low, ref in zip(mins, self.reference)))
-        covered = 0
-        self._mc_uncovered = []
-        for index, sample in enumerate(self._mc_points):
-            if any(_dominates(p, sample) or p == sample
-                   for p in self.front):
-                covered += 1
-            else:
-                self._mc_uncovered.append(index)
-        self.volume = self._box_volume * covered / len(self._mc_points)
+        fractions = np.asarray([rng.fraction()
+                                for _ in range(samples * self.dims)])
+        self._samples = mins + fractions.reshape(samples, self.dims) \
+            * (np.asarray(self.reference) - mins)
+        # p <= s in every objective  <=>  -s <= -p in every objective
+        covered = _count_dominated(-self._samples, -self._sorted) > 0
+        self._uncovered = self._samples[~covered]
+        self.volume = (self._box_volume * int(covered.sum())
+                       / len(self._samples))
+
+    def improvements(self, candidates: Sequence[Sequence[float]],
+                     ) -> "np.ndarray":
+        """Hypervolume each row of ``candidates`` adds by joining the
+        frontier (0 for a candidate at or beyond the reference)."""
+        points = np.asarray(candidates, dtype=np.float64).reshape(
+            -1, self.dims)
+        reference = np.asarray(self.reference)
+        if self.dims == 1:
+            gains = self._best - points[:, 0]
+            gains = np.where(0.0 > gains, 0.0, gains)
+        elif self.dims == 2:
+            gains = self._staircase(points) - self.volume
+        elif not len(self._samples):
+            # empty frontier: the candidate's own box is the improvement
+            gains = np.ones(len(points))
+            for d in range(self.dims):
+                gains = gains * (reference[d] - points[:, d])
+        else:
+            gains = (self._box_volume
+                     * _count_dominated(points, self._uncovered)
+                     / len(self._samples))
+        inside = ~(points >= reference).any(axis=1)
+        return np.where(inside, gains, 0.0)
 
     def improvement(self, candidate: Sequence[float]) -> float:
         """Hypervolume added by ``candidate`` joining the frontier."""
-        point = tuple(float(v) for v in candidate)
-        if any(v >= r for v, r in zip(point, self.reference)):
-            return 0.0
-        if self.dims == 1:
-            best = min((p[0] for p in self.front),
-                       default=self.reference[0])
-            return max(best - point[0], 0.0)
-        if self.dims == 2:
-            return self._exact_2d(self.front + [point]) - self.volume
-        if not self._mc_points:
-            # empty frontier: the candidate's own box is the improvement
-            volume = 1.0
-            for v, r in zip(point, self.reference):
-                volume *= max(r - v, 0.0)
-            return volume
-        gained = sum(1 for index in self._mc_uncovered
-                     if _dominates(point, self._mc_points[index])
-                     or point == self._mc_points[index])
-        return self._box_volume * gained / len(self._mc_points)
+        return float(self.improvements([candidate])[0])
 
 
 # -- batch selection -----------------------------------------------------
 
 def select_batch(candidates: Sequence[int],
-                 scores: Dict[int, float],
-                 coords: Dict[int, Tuple[float, ...]],
+                 scores: Union[Sequence[float], Mapping[int, float]],
+                 coords: Union[Sequence[Sequence[float]],
+                               Mapping[int, Sequence[float]]],
                  batch: int,
                  spacing: float = 0.0) -> List[int]:
     """Pick up to ``batch`` candidate indices, best score first.
 
-    Ties break on the index itself (full determinism).  ``spacing``
-    enforces diversity: a candidate closer than this (L∞ over unit
-    coordinates) to an already-picked one is skipped on the first pass
-    and only admitted if the batch is still short afterwards.
+    ``scores`` and ``coords`` are aligned with ``candidates`` (arrays or
+    sequences) or mappings keyed by candidate index.  Ties break on the
+    index itself (full determinism).  ``spacing`` enforces diversity: a
+    candidate closer than this (L∞ over unit coordinates) to an
+    already-picked one is skipped on the first pass and only admitted if
+    the batch is still short afterwards.
     """
-    ranked = sorted(candidates, key=lambda i: (-scores[i], i))
+    indices = np.asarray(candidates, dtype=np.int64)
+    if not len(indices) or batch <= 0:
+        return []
+    if isinstance(scores, Mapping):
+        scores = [scores[index] for index in candidates]
+    if isinstance(coords, Mapping):
+        coords = [coords[index] for index in candidates]
+    points = np.asarray(coords, dtype=np.float64).reshape(len(indices), -1)
+    ranked = np.lexsort((indices, -np.asarray(scores, dtype=np.float64)))
     picked: List[int] = []
     skipped: List[int] = []
-    for index in ranked:
+    chosen = np.empty((min(batch, len(indices)), points.shape[1]))
+    for position in ranked.tolist():
         if len(picked) >= batch:
             break
-        if spacing > 0.0 and any(
-                max(abs(a - b) for a, b in zip(coords[index],
-                                               coords[other]))
-                < spacing for other in picked):
-            skipped.append(index)
+        if spacing > 0.0 and picked and (
+                np.abs(chosen[:len(picked)] - points[position]).max(axis=1)
+                < spacing).any():
+            skipped.append(position)
             continue
-        picked.append(index)
-    for index in skipped:
-        if len(picked) >= batch:
-            break
-        picked.append(index)
-    return picked
+        chosen[len(picked)] = points[position]
+        picked.append(position)
+    picked.extend(skipped[:batch - len(picked)])
+    return indices[picked].tolist()

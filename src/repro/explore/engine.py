@@ -40,7 +40,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import arrayops as _aops
+import numpy as np
+
 from ..analysis.sensitivity import project_with_model
 from ..bet.builder import build_bet
 from ..errors import AnalysisError
@@ -385,7 +386,7 @@ def explore(axes: Dict[str, Sequence[float]],
         # train one surrogate per model-derived objective on everything
         # exact so far (canonical orientation, so lower is better)
         order = list(evaluated_order)
-        features = [space.unit_coords(index) for index in order]
+        features = space.unit_coords_array(order)
         models: Dict[str, Any] = {}
         for objective in point_objectives:
             model = surrogate_by_name(surrogate, seed=seed)
@@ -412,7 +413,8 @@ def explore(axes: Dict[str, Sequence[float]],
         if not pool:
             break
 
-        # score: LCB hypervolume improvement + exploration bonus
+        # score the whole pool: LCB hypervolume improvement plus an
+        # exploration bonus, one array column per objective
         reference = _reference_point(vectors)
         box = HypervolumeBox([vectors[i] for i in front_local],
                              reference, seed=seed)
@@ -421,30 +423,22 @@ def explore(axes: Dict[str, Sequence[float]],
         span_volume = 1.0
         for span in spans:
             span_volume *= span
-        pool_coords = {index: space.unit_coords(index) for index in pool}
-        predictions: Dict[str, Tuple[List[float], List[float]]] = {
-            name: model.predict([pool_coords[index] for index in pool])
-            for name, model in models.items()}
-        scores: Dict[int, float] = {}
-        predicted_mean: Dict[int, Dict[str, float]] = {}
-        for position, index in enumerate(pool):
-            cell = space.cell(index)
-            lcb: List[float] = []
-            spread = 0.0
-            predicted_mean[index] = {}
-            for d, objective in enumerate(parsed):
-                if objective.name in models:
-                    means, stds = predictions[objective.name]
-                    mean, std = means[position], stds[position]
-                    predicted_mean[index][objective.name] = mean
-                    lcb.append(mean - _KAPPA * std)
-                    spread += std / spans[d]
-                else:
-                    lcb.append(objective.canonical(
-                        cell[objective.name]))
-            gain = box.improvement(lcb) / span_volume
-            scores[index] = gain + _EXPLORE_WEIGHT * spread / max(
-                len(models), 1)
+        pool_coords = space.unit_coords_array(pool)
+        lcb = np.empty((len(pool), len(parsed)))
+        spread = np.zeros(len(pool))
+        means: Dict[str, "np.ndarray"] = {}
+        for d, objective in enumerate(parsed):
+            if objective.name in models:
+                mean, std = models[objective.name].predict_array(
+                    pool_coords)
+                means[objective.name] = mean
+                lcb[:, d] = mean - _KAPPA * std
+                spread = spread + std / spans[d]
+            else:
+                lcb[:, d] = objective.sign * space.axis_values(
+                    pool, objective.name)
+        scores = box.improvements(lcb) / span_volume \
+            + _EXPLORE_WEIGHT * spread / max(len(models), 1)
 
         picked = select_batch(pool, scores, pool_coords, batch_size,
                               spacing=_BATCH_SPACING)
@@ -456,18 +450,17 @@ def explore(axes: Dict[str, Sequence[float]],
         rounds_run = round_number
 
         # surrogate-error trace: prediction vs exact on the fresh batch
+        positions = np.searchsorted(pool, picked)
         errors: Dict[str, float] = {"round": float(round_number),
                                     "evaluated": 0.0}
         for objective in point_objectives:
             total, count = 0.0, 0
-            for index in picked:
+            predicted = means[objective.name][positions].tolist()
+            for index, mean in zip(picked, predicted):
                 if index in before or index not in archive:
                     continue
                 actual = objective.canonical(
                     archive[index]["values"][objective.name])
-                mean = predicted_mean.get(index, {}).get(objective.name)
-                if mean is None:
-                    continue
                 total += abs(mean - actual) / max(abs(actual), 1e-300)
                 count += 1
             if count:
@@ -538,7 +531,7 @@ def verify_frontier(result: ExploreResult,
     **bit-identical** (``==``, not approximately) to what the explorer
     reported.  A second pass then re-evaluates the whole frontier as
     one :func:`~repro.parallel.evaluate_cells` batch through the
-    grouped vector path (when numpy and input axes allow), proving the
+    grouped vector path (when the space has input axes), proving the
     lane-batched dispatch agrees with the per-point scratch builds.
     Returns the number of points verified.
     """
@@ -585,8 +578,7 @@ def verify_frontier(result: ExploreResult,
                  for frontier_point in result.frontier]
         has_input_axes = any(name.startswith(INPUT_PREFIX)
                              for cell in cells for name in cell)
-        cross_backend = ("vector" if _aops.HAVE_NUMPY and has_input_axes
-                         else "scalar")
+        cross_backend = "vector" if has_input_axes else "scalar"
         batch_bet = bet
         if batch_bet is None and not has_input_axes:
             # machine-only cells need a built BET; the per-point pass

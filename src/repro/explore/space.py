@@ -7,7 +7,11 @@ index* in the same row-major order as :func:`~repro.parallel.sweep_grid`
 costs a few hundred bytes, and :meth:`GridSpace.cell` decodes any index
 into its override dict on demand.  That is what lets the explorer reason
 about spaces far beyond exhaustive reach while still evaluating the few
-cells it picks through the exact engine.
+cells it picks through the exact engine.  The explorer's acquisition
+step decodes whole candidate pools at once: :meth:`GridSpace.coords_array`,
+:meth:`~GridSpace.unit_coords_array` and :meth:`~GridSpace.axis_values`
+turn an index array into coordinate, unit-coordinate and axis-value
+arrays with the same arithmetic as the one-index accessors.
 
 Initial designs come from :meth:`GridSpace.sample_initial`: a shifted
 Halton sequence (one prime base per axis, with a per-axis SHA-256-seeded
@@ -21,6 +25,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import AnalysisError
 from ..rng import CounterRNG, unit_fraction
 
@@ -29,6 +35,9 @@ __all__ = ["GridSpace", "halton"]
 #: prime bases for the Halton sequence, one per axis (13 axes is far
 #: beyond any machine×input co-design space in this repo)
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: largest space whose flat indices fit the int64 index arrays
+_MAX_SIZE = np.iinfo(np.int64).max
 
 
 def halton(index: int, base: int) -> float:
@@ -74,6 +83,9 @@ class GridSpace:
         size = 1
         for extent in self.shape:
             size *= extent
+        if size > _MAX_SIZE:
+            raise AnalysisError(
+                f"GridSpace supports at most {_MAX_SIZE} cells")
         self.size: int = size
         # row-major strides, last axis fastest — matches sweep_grid
         strides: List[int] = [1] * len(self.shape)
@@ -84,11 +96,7 @@ class GridSpace:
     # -- addressing -----------------------------------------------------
     def coords(self, index: int) -> Tuple[int, ...]:
         """Per-axis value indices of flat ``index``."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside space of "
-                             f"{self.size} points")
-        return tuple((index // stride) % extent
-                     for stride, extent in zip(self.strides, self.shape))
+        return tuple(self.coords_array([index])[0].tolist())
 
     def index(self, coords: Sequence[int]) -> int:
         """Flat index of per-axis value indices ``coords``."""
@@ -114,9 +122,37 @@ class GridSpace:
     def unit_coords(self, index: int) -> Tuple[float, ...]:
         """Coordinates normalized to [0, 1] per axis — the surrogate
         feature vector for ``index`` (single-value axes map to 0)."""
-        return tuple(coord / (extent - 1) if extent > 1 else 0.0
-                     for coord, extent
-                     in zip(self.coords(index), self.shape))
+        return tuple(self.unit_coords_array([index])[0].tolist())
+
+    # -- whole-array addressing -----------------------------------------
+    def coords_array(self, indices: Sequence[int]) -> "np.ndarray":
+        """``(N, axes)`` int64 per-axis value indices of flat ``indices``
+        — :meth:`coords` for a whole index array."""
+        flat = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
+        if flat.size and (flat.min() < 0 or flat.max() >= self.size):
+            raise IndexError(f"index outside space of {self.size} "
+                             "points")
+        return (flat // np.asarray(self.strides, dtype=np.int64)) \
+            % np.asarray(self.shape, dtype=np.int64)
+
+    def unit_coords_array(self, indices: Sequence[int]) -> "np.ndarray":
+        """``(N, axes)`` surrogate feature matrix of flat ``indices``.
+
+        Each coordinate is divided by ``extent - 1`` as a correctly
+        rounded float64 quotient of two exact integers, so every entry
+        equals the Python ``coord / (extent - 1)``; single-value axes
+        map to 0."""
+        coords = self.coords_array(indices)
+        divisors = np.asarray([max(extent - 1, 1) for extent in self.shape],
+                              dtype=np.float64)
+        return coords / divisors
+
+    def axis_values(self, indices: Sequence[int],
+                    name: str) -> "np.ndarray":
+        """Float64 values of axis ``name`` at flat ``indices``."""
+        axis = self.names.index(name)
+        values = np.asarray(self.values[axis], dtype=np.float64)
+        return values[self.coords_array(indices)[:, axis]]
 
     def neighbors(self, index: int) -> List[int]:
         """Flat indices one lattice step away along each axis."""

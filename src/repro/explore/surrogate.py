@@ -1,10 +1,9 @@
 """Cheap surrogates with uncertainty for the exploration loop.
 
-Two families, both stdlib-only with an optional numpy fast path, both
-giving a *mean and an uncertainty* per prediction via bagging (an
-ensemble of models fit on bootstrap resamples; the spread of their
-predictions is the uncertainty estimate the acquisition function feeds
-on):
+Two numpy families, both giving a *mean and an uncertainty* per
+prediction via bagging (an ensemble of models fit on bootstrap
+resamples; the spread of their predictions is the uncertainty estimate
+the acquisition function feeds on):
 
 * :class:`RidgeSurrogate` — degree-2 polynomial ridge regression on the
   space's unit coordinates.  Smooth, extrapolates sanely, and the normal
@@ -12,6 +11,13 @@ on):
 * :class:`TreeSurrogate` — a bagged ensemble of small regression trees
   with binned threshold candidates.  Captures cliffs and interactions
   (cache-capacity walls, saturation knees) the polynomial smooths over.
+
+Both predict a whole ``(N, axes)`` feature matrix at once
+(``predict_array``); ``predict`` is the list-in, list-out form of the
+same code.  The array arithmetic keeps the operation order of a
+per-row Python evaluation — sums accumulate left to right from zero,
+and squared deviations use ``pow`` — so a prediction is the same double
+whichever form computed it.
 
 Everything is deterministic: bootstrap resamples come from
 :class:`repro.rng.CounterRNG` streams keyed by ``(seed, bag)``, so a
@@ -25,7 +31,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-from .. import arrayops as _aops
+import numpy as np
+
 from ..errors import AnalysisError
 from ..rng import CounterRNG
 
@@ -39,47 +46,51 @@ SURROGATE_NAMES = ("ridge", "tree")
 #: when every bag agrees exactly (e.g. a constant objective)
 _STD_FLOOR = 1e-12
 
-#: pure-python fallback cap on training points per fit (the numpy path
-#: has no cap; the fallback subsamples deterministically beyond this)
-_PUREPY_FIT_CAP = 1536
+#: elementwise Python ``pow``: C ``pow(x, 2.0)`` is not always the
+#: correctly rounded ``x * x``, and the variance is defined by the former
+_POW = np.frompyfunc(pow, 2, 1)
 
 
-def _poly_features(coords: Sequence[float]) -> List[float]:
-    """Degree-2 polynomial basis of one unit-coordinate vector."""
-    row = [1.0]
-    row.extend(coords)
-    count = len(coords)
-    for i in range(count):
-        for j in range(i, count):
-            row.append(coords[i] * coords[j])
-    return row
+def _feature_matrix(features: Sequence[Sequence[float]]) -> "np.ndarray":
+    """``features`` as an ``(N, axes)`` float64 matrix."""
+    matrix = np.asarray(features, dtype=np.float64)
+    # an empty feature list carries no axis count
+    return matrix if len(matrix) else matrix.reshape(0, 0)
 
 
-def _solve(matrix: List[List[float]], rhs: List[float]) -> List[float]:
-    """Gaussian elimination with partial pivoting (square, in-place)."""
-    size = len(matrix)
-    for col in range(size):
-        pivot = max(range(col, size), key=lambda r: abs(matrix[r][col]))
-        if abs(matrix[pivot][col]) < 1e-300:
-            raise AnalysisError("singular surrogate normal equations")
-        if pivot != col:
-            matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1.0 / matrix[col][col]
-        for row in range(col + 1, size):
-            factor = matrix[row][col] * inv
-            if factor == 0.0:
-                continue
-            for k in range(col, size):
-                matrix[row][k] -= factor * matrix[col][k]
-            rhs[row] -= factor * rhs[col]
-    weights = [0.0] * size
-    for row in range(size - 1, -1, -1):
-        acc = rhs[row]
-        for k in range(row + 1, size):
-            acc -= matrix[row][k] * weights[k]
-        weights[row] = acc / matrix[row][row]
-    return weights
+def _poly_basis(coords: "np.ndarray") -> "np.ndarray":
+    """Degree-2 polynomial basis, one row per unit-coordinate row.
+
+    Column order: the constant, each coordinate, then every product
+    ``coords[i] * coords[j]`` with ``i <= j`` in row-major order."""
+    count, axes = coords.shape
+    columns = [np.ones(count)]
+    columns.extend(coords[:, i] for i in range(axes))
+    for i in range(axes):
+        for j in range(i, axes):
+            columns.append(coords[:, i] * coords[:, j])
+    return np.stack(columns, axis=1)
+
+
+def _bagged_moments(votes: "np.ndarray") -> Tuple["np.ndarray",
+                                                  "np.ndarray"]:
+    """Per-column (mean, standard deviation) across the rows of
+    ``votes`` (one row per bag), accumulated bag by bag from zero."""
+    bags = len(votes)
+    total = np.zeros(votes.shape[1])
+    for vote in votes:
+        total = total + vote
+    mean = total / bags
+    squares = _POW(votes - mean, 2).astype(np.float64)
+    total = np.zeros(votes.shape[1])
+    for square in squares:
+        total = total + square
+    return mean, np.sqrt(total / bags)
+
+
+def _floored(stds: "np.ndarray") -> "np.ndarray":
+    """``max(std, _STD_FLOOR)`` elementwise, with Python ``max`` ties."""
+    return np.where(_STD_FLOOR > stds, _STD_FLOOR, stds)
 
 
 def _bootstrap(count: int, seed_parts: Tuple, cap: int) -> List[int]:
@@ -100,14 +111,14 @@ class RidgeSurrogate:
         self.alpha = alpha
         self.bags = bags
         self.seed = seed
-        self._weights: List[List[float]] = []
+        self._weights = np.zeros((0, 0))
         self._y_shift = 0.0
         self._y_scale = 1.0
 
     def fit(self, features: Sequence[Sequence[float]],
             targets: Sequence[float]) -> None:
-        rows = [_poly_features(coords) for coords in features]
-        count = len(rows)
+        basis = _poly_basis(_feature_matrix(features))
+        count = len(basis)
         if count == 0:
             raise AnalysisError("cannot fit a surrogate on zero points")
         # standardize targets for conditioning; undone at predict time
@@ -115,67 +126,50 @@ class RidgeSurrogate:
         spread = math.sqrt(sum((y - self._y_shift) ** 2
                                for y in targets) / count)
         self._y_scale = spread if spread > 0 else 1.0
-        scaled = [(y - self._y_shift) / self._y_scale for y in targets]
-        self._weights = []
+        scaled = np.asarray([(y - self._y_shift) / self._y_scale
+                             for y in targets], dtype=np.float64)
+        weights = []
         for bag in range(self.bags):
-            picks = _bootstrap(count, (self.seed, self.name, bag),
-                               cap=0 if _aops.HAVE_NUMPY
-                               else _PUREPY_FIT_CAP)
-            self._weights.append(self._fit_one(
-                [rows[i] for i in picks], [scaled[i] for i in picks]))
+            picks = _bootstrap(count, (self.seed, self.name, bag), cap=0)
+            weights.append(self._fit_one(basis[picks], scaled[picks]))
+        self._weights = np.stack(weights)
 
-    def _fit_one(self, rows: List[List[float]],
-                 targets: List[float]) -> List[float]:
-        width = len(rows[0])
-        if _aops.HAVE_NUMPY:
-            np = _aops.np
-            design = np.asarray(rows, dtype=float)
-            normal = design.T @ design + self.alpha * np.eye(width)
-            moment = design.T @ np.asarray(targets, dtype=float)
-            return [float(w) for w in np.linalg.solve(normal, moment)]
-        normal = [[self.alpha if r == c else 0.0 for c in range(width)]
-                  for r in range(width)]
-        moment = [0.0] * width
-        for row, target in zip(rows, targets):
-            for r in range(width):
-                value = row[r]
-                if value == 0.0:
-                    continue
-                moment[r] += value * target
-                normal_r = normal[r]
-                for c in range(width):
-                    normal_r[c] += value * row[c]
-        return _solve(normal, moment)
+    def _fit_one(self, design: "np.ndarray",
+                 targets: "np.ndarray") -> "np.ndarray":
+        """Ridge weights of one bag (``design`` is C-ordered)."""
+        width = design.shape[1]
+        normal = design.T @ design + self.alpha * np.eye(width)
+        moment = design.T @ targets
+        return np.linalg.solve(normal, moment)
+
+    def predict_array(self, features: Sequence[Sequence[float]],
+                      ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Per-row (mean, std-across-bags) arrays, un-standardized.
+
+        Every bag's vote accumulates its weighted basis columns left to
+        right from zero — the order of a per-row dot product."""
+        basis = _poly_basis(_feature_matrix(features))
+        votes = np.zeros((len(self._weights), len(basis)))
+        for column in range(basis.shape[1]):
+            votes += self._weights[:, column, None] * basis[:, column]
+        mean, std = _bagged_moments(votes)
+        return (mean * self._y_scale + self._y_shift,
+                _floored(std * self._y_scale))
 
     def predict(self, features: Sequence[Sequence[float]],
                 ) -> Tuple[List[float], List[float]]:
         """Per-point (mean, std-across-bags), un-standardized."""
-        rows = [_poly_features(coords) for coords in features]
-        means: List[float] = []
-        stds: List[float] = []
-        for row in rows:
-            votes = [sum(w * x for w, x in zip(weights, row))
-                     for weights in self._weights]
-            mean = sum(votes) / len(votes)
-            var = sum((v - mean) ** 2 for v in votes) / len(votes)
-            means.append(mean * self._y_scale + self._y_shift)
-            stds.append(max(math.sqrt(var) * self._y_scale, _STD_FLOOR))
-        return means, stds
-
-
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "low", "high", "value")
-
-    def __init__(self, value: float):
-        self.feature = -1
-        self.threshold = 0.0
-        self.low = None
-        self.high = None
-        self.value = value
+        means, stds = self.predict_array(features)
+        return means.tolist(), stds.tolist()
 
 
 class TreeSurrogate:
-    """A bagged ensemble of small binned regression trees."""
+    """A bagged ensemble of small binned regression trees.
+
+    A fitted tree is a node table: each row holds a split feature, a
+    threshold, the low/high child rows and the node's mean target.  A
+    leaf's children are the leaf itself, so walking ``depth`` levels
+    lands every point on its leaf whatever its path length."""
 
     name = "tree"
 
@@ -190,30 +184,45 @@ class TreeSurrogate:
         self.thresholds = thresholds
         self.seed = seed
         self.sample_cap = sample_cap
-        self._trees: List[_TreeNode] = []
+        # node tables of the fitted trees, one row per tree (see fit)
+        self._feature = self._low = self._high = np.zeros(
+            (0, 0), dtype=np.int64)
+        self._threshold = self._value = np.zeros((0, 0))
 
     def fit(self, features: Sequence[Sequence[float]],
             targets: Sequence[float]) -> None:
-        rows = [tuple(coords) for coords in features]
+        rows = [tuple(row) for row in _feature_matrix(features).tolist()]
         count = len(rows)
         if count == 0:
             raise AnalysisError("cannot fit a surrogate on zero points")
-        self._trees = []
+        tables: List[List[list]] = []
         for bag in range(self.bags):
             picks = _bootstrap(count, (self.seed, self.name, bag),
                                cap=self.sample_cap)
-            self._trees.append(self._grow(
-                [rows[i] for i in picks], [targets[i] for i in picks],
-                self.depth))
+            table: List[list] = []
+            self._grow([rows[i] for i in picks],
+                       [targets[i] for i in picks], self.depth, table)
+            tables.append(table)
+        # pad to the largest tree with rows no walk reaches; feature and
+        # child numbers are small integers, exact in float64
+        width = max(len(table) for table in tables)
+        nodes = np.asarray([table + [[0, 0.0, 0, 0, 0.0]]
+                            * (width - len(table)) for table in tables])
+        self._feature, self._low, self._high = (
+            nodes[:, :, column].astype(np.int64) for column in (0, 2, 3))
+        self._threshold, self._value = nodes[:, :, 1], nodes[:, :, 4]
 
-    def _grow(self, rows: List[Tuple[float, ...]],
-              targets: List[float], depth: int) -> _TreeNode:
-        node = _TreeNode(sum(targets) / len(targets))
+    def _grow(self, rows: List[Tuple[float, ...]], targets: List[float],
+              depth: int, table: List[list]) -> int:
+        """Append the subtree fit on ``rows`` to ``table``; return the
+        row of its root."""
+        slot = len(table)
+        table.append([0, 0.0, slot, slot, sum(targets) / len(targets)])
         if depth <= 0 or len(rows) < 2 * self.min_leaf:
-            return node
+            return slot
         best = self._best_split(rows, targets)
         if best is None:
-            return node
+            return slot
         feature, threshold = best
         low_r, low_t, high_r, high_t = [], [], [], []
         for row, target in zip(rows, targets):
@@ -223,11 +232,10 @@ class TreeSurrogate:
             else:
                 high_r.append(row)
                 high_t.append(target)
-        node.feature = feature
-        node.threshold = threshold
-        node.low = self._grow(low_r, low_t, depth - 1)
-        node.high = self._grow(high_r, high_t, depth - 1)
-        return node
+        low = self._grow(low_r, low_t, depth - 1, table)
+        high = self._grow(high_r, high_t, depth - 1, table)
+        table[slot][:4] = [feature, threshold, low, high]
+        return slot
 
     def _best_split(self, rows: List[Tuple[float, ...]],
                     targets: List[float]):
@@ -263,26 +271,27 @@ class TreeSurrogate:
                             (values[cut - 1] + values[cut]) / 2.0)
         return best
 
-    @staticmethod
-    def _eval(node: _TreeNode, coords: Tuple[float, ...]) -> float:
-        while node.feature >= 0:
-            node = node.low if coords[node.feature] <= node.threshold \
-                else node.high
-        return node.value
+    def predict_array(self, features: Sequence[Sequence[float]],
+                      ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Per-row (mean, std) arrays across the bagged trees; every
+        tree walks all rows down one level per step."""
+        coords = _feature_matrix(features)
+        rows = np.arange(len(coords))
+        trees = np.arange(len(self._feature))[:, None]
+        node = np.zeros((len(self._feature), len(coords)), dtype=np.int64)
+        for _ in range(self.depth):
+            low = coords[rows, self._feature[trees, node]] \
+                <= self._threshold[trees, node]
+            node = np.where(low, self._low[trees, node],
+                            self._high[trees, node])
+        mean, std = _bagged_moments(self._value[trees, node])
+        return mean, _floored(std)
 
     def predict(self, features: Sequence[Sequence[float]],
                 ) -> Tuple[List[float], List[float]]:
         """Per-point (mean, std) across the bagged trees."""
-        means: List[float] = []
-        stds: List[float] = []
-        for coords in features:
-            point = tuple(coords)
-            votes = [self._eval(tree, point) for tree in self._trees]
-            mean = sum(votes) / len(votes)
-            var = sum((v - mean) ** 2 for v in votes) / len(votes)
-            means.append(mean)
-            stds.append(max(math.sqrt(var), _STD_FLOOR))
-        return means, stds
+        means, stds = self.predict_array(features)
+        return means.tolist(), stds.tolist()
 
 
 def surrogate_by_name(name: str, seed: int = 0):

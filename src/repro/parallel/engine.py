@@ -351,8 +351,10 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
     backend:
         ``"scalar"``, ``"vector"``, or ``"auto"`` (default).  The vector
         backend batch-replays the input axes of each chunk (cells
-        grouped by machine overrides); ``auto`` selects it only for pure
-        input grids of at least :data:`VECTOR_MIN_POINTS` cells.
+        grouped by machine overrides); ``auto`` selects it for grids
+        with input axes of at least :data:`VECTOR_MIN_POINTS` cells and
+        then batch-replays only groups of at least
+        :data:`VECTOR_MIN_LANES` cells.
     executor / shards / topology / chaos:
         Sharded dispatch (DESIGN.md §12).  ``executor`` names a
         :class:`~repro.parallel.executors.SweepExecutor` (``"serial"`` /
@@ -388,6 +390,7 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
     base_inputs = dict(inputs or {})
     machine_axes = [name for name in grid
                     if not name.startswith(INPUT_PREFIX)]
+    min_lanes = _min_group_lanes(backend)
     backend = _resolve_backend(backend, len(cells),
                                has_machine_axes=bool(machine_axes),
                                has_input_axes=bool(input_axes))
@@ -421,7 +424,8 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         base_inputs=base_inputs, entry=entry, library=library,
         model_factory=model_factory, k=k, workers=workers, strict=strict,
         policy=policy, timeout=timeout, chunk_size=chunk_size,
-        backend=backend, resolved_executor=resolved_executor,
+        backend=backend, min_lanes=min_lanes,
+        resolved_executor=resolved_executor,
         shards=shards, shard_stats=shard_stats, ckpt=ckpt,
         started=started)
 
@@ -493,6 +497,7 @@ def evaluate_cells(base_machine: MachineModel,
         ensure_valid_machine(base_machine)
     started = time.perf_counter()
     base_inputs = dict(inputs or {})
+    min_lanes = _min_group_lanes(backend)
     backend = _resolve_backend(backend, len(cells),
                                has_machine_axes=bool(machine_names),
                                has_input_axes=bool(input_names))
@@ -534,7 +539,8 @@ def evaluate_cells(base_machine: MachineModel,
         base_inputs=base_inputs, entry=entry, library=library,
         model_factory=model_factory, k=k, workers=workers, strict=strict,
         policy=policy, timeout=timeout, chunk_size=chunk_size,
-        backend=backend, resolved_executor=resolved_executor,
+        backend=backend, min_lanes=min_lanes,
+        resolved_executor=resolved_executor,
         shards=shards, shard_stats=shard_stats, ckpt=ckpt,
         started=started)
 
@@ -556,6 +562,7 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                         timeout: Optional[float],
                         chunk_size: Optional[int],
                         backend: str,
+                        min_lanes: int,
                         resolved_executor: Optional[SweepExecutor],
                         shards: Optional[int],
                         shard_stats: Dict[str, float],
@@ -563,7 +570,9 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                         started: float) -> GridResult:
     """Shared evaluation core of :func:`sweep_grid` (cross products) and
     :func:`evaluate_cells` (explicit cell lists): checkpoint triage,
-    chunked/sharded dispatch, and result assembly."""
+    chunked/sharded dispatch, and result assembly.  On the vector
+    backend, lane groups of fewer than ``min_lanes`` cells run the
+    per-cell scalar loop (see :func:`_min_group_lanes`)."""
     prior: Dict[int, GridPoint] = {}
     pending_indices: List[int] = []
     pending_cells: List[Dict[str, float]] = []
@@ -611,7 +620,7 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
             if shipped is None:
                 shipped = list(chunk)
             return (sym, base_machine, shipped, base_inputs,
-                    model_factory, k, backend)
+                    model_factory, k, backend, min_lanes)
 
         try:
             computed, failures, stages = _run_chunked(
@@ -729,6 +738,14 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
 #: below it the batch-replay setup costs more than it saves
 VECTOR_MIN_POINTS = 64
 
+#: under ``backend="auto"``, a machine-signature lane group of a mixed
+#: cell list batch-replays only from this many lanes; smaller groups run
+#: the per-cell scalar loop.  Measured on BG/Q roofline over groups of
+#: 1-16 lanes: pedagogical, cfd and sord are 5-7x slower vectorized at
+#: 1 lane; cfd and sord are still slower at 6 lanes, and all three are
+#: faster from 7-8 lanes on.
+VECTOR_MIN_LANES = 8
+
 #: floor for the automatic chunk size: chunks smaller than this ship more
 #: pickle traffic than work (and starve the vector backend of lanes)
 _MIN_CHUNK_POINTS = 16
@@ -780,6 +797,15 @@ def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
             and points >= VECTOR_MIN_POINTS:
         return "vector"
     return "scalar"
+
+
+def _min_group_lanes(backend: str) -> int:
+    """Smallest lane group the vector backend batch-replays.
+
+    A backend that ``auto`` picks leaves groups below
+    :data:`VECTOR_MIN_LANES` to the scalar loop, where they are faster;
+    an explicit ``"vector"`` batches every group, however small."""
+    return VECTOR_MIN_LANES if backend == "auto" else 1
 
 
 def _checkpoint_settings(backend: str,
@@ -1430,7 +1456,8 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
 
 
 def _vector_grid_rows(sym: SymbolicBET, base_machine: MachineModel,
-                      cells, base_inputs, model_factory, k: int):
+                      cells, base_inputs, model_factory, k: int,
+                      min_lanes: int):
     """Batch-evaluate a chunk of grid cells, grouped by machine overrides.
 
     Cells sharing one set of machine overrides form an input batch
@@ -1439,8 +1466,9 @@ def _vector_grid_rows(sym: SymbolicBET, base_machine: MachineModel,
     Each group's lane array carries the group's slot positions as a
     non-contiguous lane index map, so :func:`project_batch` scatters
     results straight back into chunk order.  Returns ``(rows,
-    project_seconds, lane_groups)``; lanes that cannot be vectorized
-    fall back to the scalar per-cell path.
+    project_seconds, lane_groups)``; lanes that cannot be vectorized,
+    and groups of fewer than ``min_lanes`` cells, take the scalar
+    per-cell path.
     """
     groups: Dict[Tuple, List[int]] = {}
     order: List[Tuple] = []
@@ -1469,7 +1497,8 @@ def _vector_grid_rows(sym: SymbolicBET, base_machine: MachineModel,
                 rows[slot] = row
             continue
         vectorized = False
-        cols = _soa_columns(inputs_rows)
+        cols = _soa_columns(inputs_rows) if len(slots) >= min_lanes \
+            else None
         if cols is not None:
             try:
                 batch = sym.rebind_batch(cols, lane_index=slots)
@@ -1500,15 +1529,18 @@ def _vector_grid_rows(sym: SymbolicBET, base_machine: MachineModel,
 
 
 def _lane_pack_rows(sym: SymbolicBET, base_machine: MachineModel,
-                    pack: LanePack, base_inputs, model_factory, k: int):
+                    pack: LanePack, base_inputs, model_factory, k: int,
+                    min_lanes: int):
     """Batch-evaluate one packed lane-group slice (DESIGN.md §15).
 
     The pack is a single machine signature, so the whole chunk is one
     ``rebind_batch`` lane array against one timing model; per-lane
     failures (shape flips, domain errors, unsafe values) demote that
     lane to the scalar path — which reproduces the canonical per-cell
-    result or error — rather than failing the group.  Returns ``(rows,
-    project_seconds, lane_groups)`` in lane (= original chunk) order.
+    result or error — rather than failing the group.  A pack of fewer
+    than ``min_lanes`` lanes runs every lane on the scalar path.
+    Returns ``(rows, project_seconds, lane_groups)`` in lane (=
+    original chunk) order.
     """
     cells = pack.cells()
     try:
@@ -1520,14 +1552,15 @@ def _lane_pack_rows(sym: SymbolicBET, base_machine: MachineModel,
     project_seconds = 0.0
     lane_groups = 0
     projections: List[Optional[Dict]] = [None] * pack.count
-    try:
-        batch = sym.rebind_batch(pack.input_columns(base_inputs))
-        started = time.perf_counter()
-        projections = project_batch(batch, model, k)
-        project_seconds += time.perf_counter() - started
-        lane_groups = 1
-    except Exception:
-        projections = [None] * pack.count
+    if pack.count >= min_lanes:
+        try:
+            batch = sym.rebind_batch(pack.input_columns(base_inputs))
+            started = time.perf_counter()
+            projections = project_batch(batch, model, k)
+            project_seconds += time.perf_counter() - started
+            lane_groups = 1
+        except Exception:
+            projections = [None] * pack.count
     rows: List[Any] = []
     for lane, overrides in enumerate(cells):
         # per-cell machine: same physical fields as the group machine,
@@ -1567,17 +1600,20 @@ def _grid_chunk_task(payload):
     """
     sym, base_machine, cells, base_inputs, model_factory, k = payload[:6]
     backend = payload[6] if len(payload) > 6 else "scalar"
+    min_lanes = payload[7] if len(payload) > 7 else 1
     sym = _symbolic_for(sym)
     before = _stage_snapshot(sym)
     if isinstance(cells, LanePack):
         rows, project_seconds, lane_groups = _lane_pack_rows(
-            sym, base_machine, cells, base_inputs, model_factory, k)
+            sym, base_machine, cells, base_inputs, model_factory, k,
+            min_lanes)
         delta = _stage_delta(sym, before, project_seconds)
         delta["lane_groups"] = float(lane_groups)
         return rows, delta
     if backend == "vector":
         rows, project_seconds, lane_groups = _vector_grid_rows(
-            sym, base_machine, cells, base_inputs, model_factory, k)
+            sym, base_machine, cells, base_inputs, model_factory, k,
+            min_lanes)
         delta = _stage_delta(sym, before, project_seconds)
         delta["lane_groups"] = float(lane_groups)
         return rows, delta

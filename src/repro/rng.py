@@ -68,21 +68,33 @@ class CounterRNG:
     def __init__(self, *seed_parts: Any):
         self._seed = ":".join(str(part) for part in seed_parts)
         self._counter = 0
+        # every draw hashes ``<seed>:<counter>``; the shared prefix is
+        # absorbed once and each draw resumes from a copy of that state
+        self._prefix = hashlib.sha256((self._seed + ":").encode("utf-8"))
 
     @property
     def counter(self) -> int:
         """Number of draws consumed so far."""
         return self._counter
 
+    def _next(self) -> int:
+        """The next draw's 64-bit integer: the digest prefix of
+        ``<seed>:<counter>``, exactly as :func:`unit_fraction` and
+        :func:`integer` derive it."""
+        self._counter += 1
+        state = self._prefix.copy()
+        state.update(str(self._counter).encode("utf-8"))
+        return int.from_bytes(state.digest()[:8], "big")
+
     def fraction(self) -> float:
         """Next fraction in [0, 1)."""
-        self._counter += 1
-        return unit_fraction(self._seed, self._counter)
+        return self._next() / _SCALE
 
     def randint(self, modulus: int) -> int:
         """Next integer in [0, modulus)."""
-        self._counter += 1
-        return integer(modulus, self._seed, self._counter)
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        return self._next() % modulus
 
     def shuffle(self, items: List[Any]) -> None:
         """In-place Fisher–Yates shuffle driven by the stream."""

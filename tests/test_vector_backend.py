@@ -21,7 +21,8 @@ from repro.expressions import compile_expr, compile_expr_vector, parse_expr
 from repro.hardware.presets import machine_by_name
 from repro.parallel import clear_symbolic_cache, sweep_grid, sweep_inputs
 from repro.parallel.engine import (
-    VECTOR_MIN_POINTS, _auto_chunk_size, _resolve_backend,
+    VECTOR_MIN_LANES, VECTOR_MIN_POINTS, _auto_chunk_size,
+    _resolve_backend, evaluate_cells,
 )
 from repro.skeleton.parser import parse_skeleton
 
@@ -282,6 +283,43 @@ class TestSweepBackendEquality:
         result = sweep_inputs(program, machine, {"n": [16.0, 32.0]},
                               base_inputs={"m": 8.0, "pr": 0.3})
         assert result.backend == "scalar"
+
+    def test_auto_runs_tiny_lane_groups_scalar(self, program, machine):
+        # an explorer-style cell list: every cell is its own machine
+        # signature, so no lane group reaches VECTOR_MIN_LANES
+        cells = [{"bandwidth": machine.bandwidth * (1.0 + i / 64.0),
+                  "input:n": float(8 + i)}
+                 for i in range(VECTOR_MIN_POINTS)]
+        base = {"m": 8.0, "pr": 0.3}
+
+        def evaluate(backend):
+            clear_symbolic_cache()
+            return evaluate_cells(machine, cells, program=program,
+                                  inputs=base, backend=backend)
+
+        def rows(result):
+            return [(p.overrides, p.machine.name, p.runtime, p.ranking,
+                     p.top_label, p.memory_fraction, p.completeness)
+                    for p in result.points]
+
+        scalar, auto, vector = (evaluate("scalar"), evaluate("auto"),
+                                evaluate("vector"))
+        assert auto.backend == "vector"
+        assert auto.cache_stats["lanes_vectorized"] == 0
+        assert auto.cache_stats["lane_groups"] == 0
+        assert rows(auto) == rows(scalar)
+        # an explicit vector backend still batches every group
+        assert vector.cache_stats["lane_groups"] == len(cells)
+        assert rows(vector) == rows(scalar)
+        # groups at the floor batch under auto too
+        groups = VECTOR_MIN_POINTS // VECTOR_MIN_LANES
+        grouped = [{"bandwidth": machine.bandwidth * (1.0 + g / 8.0),
+                    "input:n": float(8 + i)}
+                   for g in range(groups) for i in range(VECTOR_MIN_LANES)]
+        clear_symbolic_cache()
+        result = evaluate_cells(machine, grouped, program=program,
+                                inputs=base)
+        assert result.cache_stats["lane_groups"] == groups
 
     def test_fallback_lanes_match_scalar(self, program, machine):
         # pr=0.0 / 1.0 lanes diverge in shape and re-run scalar; the
