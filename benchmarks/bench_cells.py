@@ -197,15 +197,6 @@ def main(argv=None):
                         default=str(REPO_ROOT / "BENCH_cells.json"))
     args = parser.parse_args(argv)
 
-    try:
-        from repro.arrayops import HAVE_NUMPY
-    except ImportError:                                # pragma: no cover
-        HAVE_NUMPY = False
-    if not HAVE_NUMPY:
-        print("numpy unavailable; the grouped path cannot run",
-              file=sys.stderr)
-        return 1
-
     repeats = 2 if args.quick else 3
     served_points = 40 if args.quick else 100    # x5 groups = cells
 

@@ -157,12 +157,7 @@ def main(argv=None):
 
     expressions = bench_expressions(iterations)
     rebind = bench_rebind(workloads, rounds)
-    try:
-        from repro.arrayops import HAVE_NUMPY
-    except ImportError:                                # pragma: no cover
-        HAVE_NUMPY = False
-    vector = (bench_vector_sweep(sweep_points, workloads)
-              if HAVE_NUMPY else {})
+    vector = bench_vector_sweep(sweep_points, workloads)
 
     total_interp = sum(r["interpreted_eval_per_s"] for r in expressions)
     total_compiled = sum(r["compiled_eval_per_s"] for r in expressions)
@@ -190,7 +185,6 @@ def main(argv=None):
     vector_report = {
         "mode": "quick" if args.quick else "full",
         "sweep_points": sweep_points,
-        "numpy_available": HAVE_NUMPY,
         "workloads": vector,
         "aggregate": {
             "scalar_s": sum(r["scalar_s"] for r in vector.values()),

@@ -145,10 +145,12 @@ def test_input_sweep_rebind_speedup(benchmark, save_artifact):
         return rows
 
     def fast():
-        # fresh recording each rep, so bind/replay counters stay exact
+        # fresh recording each rep, so bind/replay counters stay exact;
+        # scalar, because backend="auto" batch-replays 1000 points, and
+        # this measures per-point tape replay
         clear_symbolic_cache()
         return sweep_inputs(program, BGQ, {axis: values},
-                            base_inputs=base)
+                            base_inputs=base, backend="scalar")
 
     benchmark.pedantic(fast, rounds=1, iterations=1)  # table entry
 

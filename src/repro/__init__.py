@@ -60,9 +60,8 @@ from .multinode import (
 )
 from .parallel import (
     CacheStats, FaultInjector, GridPoint, GridResult, InputPoint,
-    InputSweepResult, LRUCache, MapOutcome, PointFailure, RetryPolicy,
-    SweepCheckpoint, analyze_matrix, build_bet_cached, resilient_map,
-    sweep_grid, sweep_inputs,
+    InputSweepResult, LRUCache, PointFailure, RetryPolicy, SweepCheckpoint,
+    analyze_matrix, build_bet_cached, sweep_grid, sweep_inputs,
 )
 from .validate import ensure_valid_inputs, preflight, validate_inputs
 from .workloads import load as load_workload
@@ -110,8 +109,7 @@ __all__ = [
     "InputPoint", "InputSweepResult",
     "build_bet_cached", "sweep_grid", "sweep_inputs", "analyze_matrix",
     # resilience layer
-    "PointFailure", "RetryPolicy", "MapOutcome", "resilient_map",
-    "SweepCheckpoint", "FaultInjector",
+    "PointFailure", "RetryPolicy", "SweepCheckpoint", "FaultInjector",
     # workloads
     "load_workload", "workload_names",
     "__version__",

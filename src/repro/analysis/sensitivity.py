@@ -16,13 +16,12 @@ the serial path.  For multi-parameter grids and batched full analyses see
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..bet.nodes import BETNode
 from ..errors import AnalysisError
-from ..hardware.machine import MachineModel, ensure_valid_machine
+from ..hardware.machine import MachineModel
 from ..hardware.roofline import RooflineModel
 from .block_metrics import characterize, total_time
 from .hotspots import group_blocks
@@ -144,47 +143,6 @@ def project_with_model(bet: BETNode, model, k: int = 10) -> Dict[str, object]:
     }
 
 
-def _sweep_one(bet: BETNode, base_machine: MachineModel, parameter: str,
-               value: float, model_factory: Optional[Callable],
-               k: int) -> SweepPoint:
-    machine = base_machine.with_overrides(
-        name=f"{base_machine.name}[{parameter}={value:g}]",
-        **{parameter: value})
-    projection = project_machine(bet, machine, model_factory, k)
-    return SweepPoint(value=value, machine=machine, **projection)
-
-
-def _sweep_point_task(payload) -> SweepPoint:
-    """Process-pool task: project one sweep value (per-point dispatch, so
-    a failing or hanging value is isolated to its own task)."""
-    bet, base_machine, parameter, value, model_factory, k = payload
-    return _sweep_one(bet, base_machine, parameter, value,
-                      model_factory, k)
-
-
-def _sweep_point_to_dict(point: SweepPoint) -> Dict:
-    """JSON-ready checkpoint payload for one completed sweep value."""
-    return {"value": point.value, "runtime": point.runtime,
-            "ranking": list(point.ranking), "top_label": point.top_label,
-            "memory_fraction": point.memory_fraction,
-            "completeness": point.completeness}
-
-
-def _sweep_point_from_dict(payload: Dict, base_machine: MachineModel,
-                           parameter: str) -> SweepPoint:
-    """Rebuild a checkpointed sweep value bit-identically."""
-    value = payload["value"]
-    machine = base_machine.with_overrides(
-        name=f"{base_machine.name}[{parameter}={value:g}]",
-        **{parameter: value})
-    return SweepPoint(value=value, machine=machine,
-                      runtime=payload["runtime"],
-                      ranking=list(payload["ranking"]),
-                      top_label=payload["top_label"],
-                      memory_fraction=payload["memory_fraction"],
-                      completeness=payload.get("completeness", 1.0))
-
-
 def sweep_machine(bet: BETNode,
                   base_machine: MachineModel,
                   parameter: str,
@@ -200,6 +158,10 @@ def sweep_machine(bet: BETNode,
                   checkpoint_key: Optional[str] = None,
                   validate: bool = True) -> SweepResult:
     """Re-project one BET across a machine-parameter sweep.
+
+    A thin wrapper over :func:`repro.parallel.evaluate_cells` with one
+    cell ``{parameter: value}`` per value: the cell key, machine name and
+    dispatch are the grid engine's.
 
     Parameters
     ----------
@@ -231,83 +193,42 @@ def sweep_machine(bet: BETNode,
         Pre-flight the base machine before any work.
     """
     from ..bet.nodes import render_tree
-    from ..parallel.engine import _perf_counters
-    from ..parallel.fault import (
-        SweepCheckpoint, factory_tag, resilient_map, sweep_key,
-    )
+    from ..parallel.engine import _perf_counters, evaluate_cells
+    from ..parallel.fault import sweep_key
     if not values:
         raise AnalysisError("sweep needs at least one value")
-    if not hasattr(base_machine, parameter):
-        raise AnalysisError(
-            f"machine has no parameter {parameter!r}")
-    if validate:
-        ensure_valid_machine(base_machine)
-    started = time.perf_counter()
-    perf_before = _perf_counters()
     values = list(values)
-
-    ckpt = None
-    if checkpoint:
-        key = checkpoint_key or sweep_key(
-            render_tree(bet), repr(base_machine), parameter,
-            tuple(values), k)
-        ckpt = SweepCheckpoint.load(
-            checkpoint, key, resume=resume,
-            settings={"cache_model": factory_tag(model_factory)})
-
-    prior: Dict[int, SweepPoint] = {}
-    pending_indices: List[int] = []
-    pending_values: List[float] = []
-    for index, value in enumerate(values):
-        stored = ckpt.get(f"{parameter}={value!r}") if ckpt else None
-        if stored is not None:
-            prior[index] = _sweep_point_from_dict(stored, base_machine,
-                                                  parameter)
-        else:
-            pending_indices.append(index)
-            pending_values.append(value)
-
-    payloads = [(bet, base_machine, parameter, value, model_factory, k)
-                for value in pending_values]
-
-    def checkpoint_point(local: int, point: SweepPoint) -> None:
-        if ckpt is not None:
-            ckpt.record(f"{parameter}={pending_values[local]!r}",
-                        _sweep_point_to_dict(point))
-
-    try:
-        outcome = resilient_map(
-            _sweep_point_task, payloads, workers=workers, policy=policy,
-            timeout=timeout, strict=strict, indices=pending_indices,
-            describe=lambda payload: f"{parameter}={payload[3]:g}",
-            on_point=checkpoint_point)
-    finally:
-        if ckpt is not None:
-            ckpt.flush()
-
-    computed = {pending_indices[local]: point
-                for local, point in enumerate(outcome.results)
-                if point is not None}
-    points = [prior.get(index) or computed.get(index)
-              for index in range(len(values))]
-    points = [point for point in points if point is not None]
-    elapsed = time.perf_counter() - started
+    if checkpoint and not checkpoint_key:
+        # this sweep's own key, not evaluate_cells' cell-list key: a
+        # checkpoint written under other settings must be refused with
+        # SKOP706, not mistaken for a different sweep
+        checkpoint_key = sweep_key(render_tree(bet), repr(base_machine),
+                                   parameter, tuple(values), k)
+    perf_before = _perf_counters()
+    grid = evaluate_cells(
+        base_machine, [{parameter: value} for value in values], bet=bet,
+        model_factory=model_factory, k=k, workers=workers, strict=strict,
+        policy=policy, timeout=timeout, checkpoint=checkpoint,
+        resume=resume, checkpoint_key=checkpoint_key, validate=validate)
     perf_after = _perf_counters()
-    # expression-layer counters (serial path; workers compile in their
-    # own processes) so `repro sweep --stats` sees the cache behaviour
+    # expression-layer counters (in-process runs; pool workers compile
+    # in their own processes) so `repro sweep --stats` sees the caches
     perf = {name: perf_after[name] - perf_before[name]
             for name in perf_after}
-    return SweepResult(parameter=parameter, points=points,
-                       timings={"project": elapsed, "total": elapsed,
-                                "workers": float(max(workers, 1)),
-                                "points": float(len(points)),
-                                "failed": float(len(outcome.failures)),
-                                "resumed": float(len(prior)),
-                                "compile": perf["compile_seconds"],
-                                "compile_cache_hits":
-                                    perf["compile_cache_hits"],
-                                "parse_cache_hits":
-                                    perf["parse_cache_hits"]},
-                       failures=outcome.failures,
-                       diagnostics=(list(ckpt.diagnostics)
-                                    if ckpt is not None else []))
+    timings = {name: grid.timings[name]
+               for name in ("project", "total", "workers", "points",
+                            "failed", "resumed")}
+    timings.update(compile=perf["compile_seconds"],
+                   compile_cache_hits=perf["compile_cache_hits"],
+                   parse_cache_hits=perf["parse_cache_hits"])
+    return SweepResult(
+        parameter=parameter,
+        points=[SweepPoint(value=point.overrides[parameter],
+                           machine=point.machine, runtime=point.runtime,
+                           ranking=point.ranking,
+                           top_label=point.top_label,
+                           memory_fraction=point.memory_fraction,
+                           completeness=point.completeness)
+                for point in grid.points],
+        timings=timings, failures=grid.failures,
+        diagnostics=grid.diagnostics)

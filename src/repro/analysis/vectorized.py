@@ -50,8 +50,6 @@ def project_batch(batch, model, k: int = 10,
     scatter to their own position.
     """
     np = _aops.np
-    if np is None:                                    # pragma: no cover
-        raise RuntimeError("project_batch requires numpy")
     lanes = batch.lanes
     machine = model.machine
 

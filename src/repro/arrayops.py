@@ -7,21 +7,11 @@ scalars (input-independent values, identical across lanes) or 1-D
 replay code treat both uniformly while keeping the scalar code path
 bit-identical to the interpreter: when no array is involved they defer to
 the exact builtins the scalar builder uses.
-
-NumPy is an optional dependency: everything degrades to the scalar path
-when it is missing (``HAVE_NUMPY`` is ``False`` and the sweep engine never
-selects the vector backend).
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:                            # pragma: no cover
-    np = None
-
-#: whether the vector backend is available at all
-HAVE_NUMPY = np is not None
+import numpy as np
 
 #: magnitude at which float64 stops representing every integer exactly.
 #: The scalar interpreter coerces exact-integer floats back to ``int`` and
@@ -33,7 +23,7 @@ UNSAFE_LIMIT = float(2 ** 53)
 
 def is_array(value) -> bool:
     """True when ``value`` is a NumPy array (lane-varying register)."""
-    return np is not None and isinstance(value, np.ndarray)
+    return isinstance(value, np.ndarray)
 
 
 def vmin(a, b):

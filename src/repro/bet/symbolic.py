@@ -1469,8 +1469,6 @@ class SymbolicBET:
         arithmetic itself.
         """
         np = _aops.np
-        if np is None:
-            raise ValueError("the vector backend requires numpy")
         if self.budget is not None:
             raise ValueError("batch replay does not enforce build "
                              "budgets; bind points individually instead")

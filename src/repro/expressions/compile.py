@@ -241,7 +241,7 @@ def clear_compile_cache(reset_stats: bool = False) -> None:
 # so constant subtrees stay bit-identical by construction.
 
 _np = _aops.np
-_nd = _np.ndarray if _np is not None else ()
+_nd = _np.ndarray
 
 _ARITH_OP = {"+": operator.add, "-": operator.sub, "*": operator.mul,
              "/": operator.truediv}
@@ -254,10 +254,8 @@ _CMP_OP = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 #: for every finite float64 (sqrt is IEEE correctly rounded; ceil/floor
 #: are exact).  log/log2/exp stay lane-wise: NumPy's SIMD paths may differ
 #: from libm by an ulp, which would break bit-identity.
-_UFUNC_INTRINSICS = {}
-if _np is not None:
-    _UFUNC_INTRINSICS = {"sqrt": _np.sqrt, "ceil": _np.ceil,
-                         "floor": _np.floor}
+_UFUNC_INTRINSICS = {"sqrt": _np.sqrt, "ceil": _np.ceil,
+                     "floor": _np.floor}
 _LANEWISE_INTRINSICS = {"log": math.log, "log2": math.log2,
                         "exp": math.exp}
 
@@ -475,8 +473,6 @@ def compile_expr_vector(expr: Expr) -> Callable:
     Expressions the vector target cannot handle compile to a closure that
     flags every lane — never an error.
     """
-    if _np is None:
-        raise ExpressionError("the vector expression target requires numpy")
     cached = _VCACHE.get(expr)
     if cached is not None:
         _STATS["vector_cache_hits"] += 1

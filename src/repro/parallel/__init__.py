@@ -3,18 +3,21 @@
 The BET is machine independent, so co-design is a batch workload: one
 tree, thousands of hardware points.  This package supplies the batch
 machinery — a bounded LRU cache with observable statistics
-(:class:`LRUCache`), a deterministic process-pool map
-(:func:`parallel_map`), memoized BET construction
+(:class:`LRUCache`), memoized BET construction
 (:func:`build_bet_cached`), N-dimensional machine grids
-(:func:`sweep_grid`), and fanned-out full analyses
+(:func:`sweep_grid`), explicit cell lists (:func:`evaluate_cells`),
+input sweeps (:func:`sweep_inputs`), and fanned-out full analyses
 (:func:`analyze_matrix`).  See DESIGN.md §6.
 
-The resilience layer (DESIGN.md §7) rides on the same engine: failing
-points become structured :class:`PointFailure` records instead of
-aborting the batch, :class:`RetryPolicy` retries transient faults with
-deterministic backoff, :class:`SweepCheckpoint` makes long sweeps
-resumable, and :class:`FaultInjector` / :class:`CallRecorder` provide the
-deterministic fault-injection harness the tests are built on.
+All of them dispatch one way: chunks of points as shards on the
+:class:`ShardScheduler`, onto a :class:`SweepExecutor` (in-process or a
+process pool when none is named; DESIGN.md §12).  The resilience layer
+(DESIGN.md §7) rides on that route: failing points become structured
+:class:`PointFailure` records instead of aborting the batch,
+:class:`RetryPolicy` retries transient faults with deterministic
+backoff, :class:`SweepCheckpoint` makes long sweeps resumable, and
+:class:`FaultInjector` / :class:`CallRecorder` provide the deterministic
+fault-injection harness the tests are built on.
 """
 
 from .cache import CacheStats, LRUCache
@@ -29,13 +32,10 @@ from .executors import (
     SweepExecutor, resolve_executor,
 )
 from .fault import (
-    NO_RETRY, CallRecorder, FaultInjector, MapOutcome, PointFailure,
-    RetryPolicy, SweepCheckpoint, factory_tag, overrides_key,
-    resilient_map, run_point, sweep_key,
+    NO_RETRY, CallRecorder, FaultInjector, PointFailure, RetryPolicy,
+    SweepCheckpoint, factory_tag, overrides_key, run_point, sweep_key,
 )
-from .pool import (
-    abandon_pool, chunk, default_workers, parallel_map, reap_abandoned,
-)
+from .pool import abandon_pool, default_workers, reap_abandoned
 from .shard import (
     Shard, ShardEnvelope, ShardRunResult, ShardScheduler, SupervisionLog,
     plan_shards,
@@ -57,15 +57,11 @@ __all__ = [
     "InputPoint",
     "InputSweepResult",
     "INPUT_PREFIX",
-    "chunk",
     "default_workers",
-    "parallel_map",
     # resilience layer
     "PointFailure",
     "RetryPolicy",
     "NO_RETRY",
-    "MapOutcome",
-    "resilient_map",
     "run_point",
     "SweepCheckpoint",
     "sweep_key",

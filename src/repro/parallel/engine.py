@@ -22,40 +22,48 @@ layer:
   warmup) across its whole chunk; ``input:``-prefixed axes mix the same
   machinery into :func:`sweep_grid`.
 
-Every result carries per-stage wall seconds and cache statistics so the
-performance trajectory is observable (``timings`` / ``cache_stats``).
-``workers=1`` always takes the plain serial path; parallel results are
-bit-identical to it.
+Every entry point dispatches the same way (:func:`_run_chunked`): its
+points ship in chunks as shards on the
+:class:`~repro.parallel.shard.ShardScheduler`, onto the named executor
+or — with none named — an in-process
+:class:`~repro.parallel.executors.SerialExecutor` (``workers=1``) or a
+:class:`~repro.parallel.executors.PoolExecutor`.  Each chunk task runs
+its points through one per-point attempt loop, so retries, timeouts and
+``strict`` mean the same on every route; parallel results are
+bit-identical to the serial ones.  Every result carries per-stage wall
+seconds and cache statistics so the performance trajectory is
+observable (``timings`` / ``cache_stats``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import pickle
 import time
-import traceback as _tb
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import arrayops as _aops
 from ..analysis.sensitivity import project_machine, project_with_model
 from ..analysis.vectorized import project_batch
 from ..bet import SymbolicBET, build_bet
 from ..bet.nodes import BETNode, render_tree
-from ..errors import AnalysisError
+from ..errors import AnalysisError, RetryExhaustedError, TaskTimeoutError
 from ..hardware.machine import MachineModel, ensure_valid_machine
 from ..hardware.roofline import RooflineModel
 from ..skeleton.bst import Program
 from .cache import CacheStats, LRUCache
-from .executors import SweepExecutor, resolve_executor
+from .executors import (
+    PoolExecutor, SerialExecutor, SweepExecutor, resolve_executor,
+)
 from .lanes import (
     INPUT_PREFIX, LanePack, pack_cells, plan_lane_chunks, split_overrides,
 )
 from .fault import (
-    MapOutcome, PointFailure, RetryPolicy, SweepCheckpoint, factory_tag,
-    overrides_key, resilient_map, sweep_key,
+    _ITEM_REPR_LIMIT, PointFailure, RetryPolicy, SweepCheckpoint,
+    factory_tag, overrides_key, run_point, sweep_key,
 )
-from .pool import parallel_map
-from .shard import ShardScheduler
+from .shard import INFRA_FAULTS, ShardScheduler
 
 # -- BET-build memoization ----------------------------------------------------
 
@@ -125,7 +133,7 @@ class GridResult:
     cache_stats: Dict[str, float] = field(default_factory=dict)
     failures: List[PointFailure] = field(default_factory=list)
     backend: str = "scalar"        #: resolved evaluation backend
-    executor: str = ""             #: executor name ("" = legacy dispatch)
+    executor: str = ""             #: executor name ("" = none named)
     shard_stats: Dict[str, float] = field(default_factory=dict)
     diagnostics: List[Any] = field(default_factory=list)
 
@@ -214,29 +222,34 @@ def _grid_one(bet: BETNode, base_machine: MachineModel,
                      **projection)
 
 
-def _grid_point_task(payload) -> GridPoint:
-    """Process-pool task: project one grid cell (per-point dispatch, so a
-    failing or hanging cell is isolated to its own task)."""
-    bet, base_machine, overrides, model_factory, k = payload
-    return _grid_one(bet, base_machine, overrides, model_factory, k)
+def _attempt_rows(evaluate: Callable, items: Sequence,
+                  indices: Sequence[int], policy: Optional[RetryPolicy],
+                  strict: bool, done: Optional[Sequence] = None) -> List:
+    """The rows a chunk task returns: one per point, in chunk order.
+
+    A point whose value ``done`` already holds (a batch replay computed
+    it) is ``("ok", value, 1)``; every other point runs ``evaluate``
+    through :func:`~repro.parallel.fault.run_point`, its attempt loop
+    keyed by the point's global index.  Under ``strict`` the chunk stops
+    at its first exhausted point, so nothing after it is evaluated.
+    """
+    rows: List = []
+    for slot, (item, index) in enumerate(zip(items, indices)):
+        value = done[slot] if done is not None else None
+        row = (("ok", value, 1) if value is not None
+               else run_point(evaluate, item, index, policy))
+        rows.append(row)
+        if strict and row[0] == "fail":
+            break
+    return rows
 
 
 def _point_chunk_task(payload):
-    """Executor shard task: a batch of independent per-point payloads.
-
-    Wraps any per-point task into the chunked ``(rows, stats)`` protocol
-    so machine-only grids shard exactly like input sweeps: per-point
-    errors become fail rows (phase-2 territory), never shard faults.
-    """
-    task, point_payloads = payload
-    rows = []
-    for point_payload in point_payloads:
-        try:
-            rows.append(("ok", task(point_payload)))
-        except Exception as exc:
-            rows.append(("fail", type(exc).__name__, str(exc),
-                         _tb.format_exc()))
-    return rows, {}
+    """Shard task for per-item work — machine-only grid cells and matrix
+    analyses, whose points share no setup: ``fn`` over the chunk's items,
+    each through its attempt loop."""
+    (fn, chunk), indices, policy, strict = payload
+    return _attempt_rows(fn, chunk, indices, policy, strict), {}
 
 
 def _grid_point_to_dict(point: GridPoint) -> Dict[str, Any]:
@@ -328,12 +341,14 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         :class:`~repro.parallel.PointFailure` on ``result.failures`` while
         every healthy cell completes.  ``True`` restores fail-fast
         (:class:`~repro.errors.RetryExhaustedError` /
-        :class:`~repro.errors.TaskTimeoutError`).
+        :class:`~repro.errors.TaskTimeoutError` for the first exhausted
+        cell).
     policy:
         :class:`~repro.parallel.RetryPolicy` for transient faults
-        (default: no retries).
+        (default: no retries — each cell runs exactly once).
     timeout:
-        Per-cell bound in seconds, enforced on the parallel path.
+        Per-cell bound in seconds, enforced by executors that can
+        pre-empt a worker (the process pool; in-process runs cannot).
     checkpoint / resume / checkpoint_key:
         Path for periodic JSON checkpoints of completed cells;
         ``resume=True`` skips cells already checkpointed (the key —
@@ -364,8 +379,10 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         supervision, and poison-shard quarantine.  ``topology`` selects
         the simulated cluster for ``"multinode"``; ``chaos`` injects a
         :class:`~repro.parallel.chaos.ChaosSchedule` of executor-layer
-        faults.  ``executor=None`` (default) keeps the legacy dispatch
-        path, bit-identically.
+        faults.  ``executor=None`` (default) dispatches through the same
+        scheduler in-process for ``workers=1`` and on a process pool of
+        ``workers`` otherwise (in-process when the work does not
+        pickle); it reports ``executor == ""`` and no shard stats.
     """
     if not grid or any(len(list(values)) == 0 for values in grid.values()):
         raise AnalysisError("grid needs at least one value per parameter")
@@ -585,15 +602,8 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
             pending_indices.append(index)
             pending_cells.append(overrides)
 
-    stages: Dict[str, float] = {}
     if has_input_axes:
         sym = SymbolicBET(program, entry=entry, library=library)
-
-        def record(global_index: int, point: GridPoint) -> None:
-            if ckpt is not None:
-                ckpt.record(overrides_key(cells[global_index]),
-                            _grid_point_to_dict(point))
-
         lane_chunks: Optional[List[List[int]]] = None
         if backend == "vector" and pending_cells:
             # grouped dispatch (DESIGN.md §15): partition the pending
@@ -613,7 +623,7 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                                               vector=True)
             lane_chunks = plan_lane_chunks(pending_cells, group_size)
 
-        def grid_chunk_payload(chunk):
+        def chunk_payload(chunk):
             shipped: Any = None
             if backend == "vector":
                 shipped = pack_cells(chunk)
@@ -622,75 +632,36 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
             return (sym, base_machine, shipped, base_inputs,
                     model_factory, k, backend, min_lanes)
 
-        try:
-            computed, failures, stages = _run_chunked(
-                pending_cells, pending_indices,
-                chunk_payload=grid_chunk_payload,
-                point_payload=lambda overrides: (sym, base_machine,
-                                                 overrides, base_inputs,
-                                                 model_factory, k),
-                chunk_task=_grid_chunk_task,
-                point_task=_grid_input_point_task,
-                describe=overrides_key, record=record,
-                workers=workers, strict=strict, policy=policy,
-                timeout=timeout, chunk_size=chunk_size,
-                executor=resolved_executor, shards=shards,
-                shard_stats=shard_stats, chunks=lane_chunks,
-                vector=(backend == "vector"))
-        finally:
-            if ckpt is not None:
-                ckpt.flush()
-    elif resolved_executor is not None:
-        # machine-only grid on an executor: per-point payloads batched
-        # into shards through the generic chunk wrapper
-
-        def record_cell(global_index: int, point: GridPoint) -> None:
-            if ckpt is not None:
-                ckpt.record(overrides_key(cells[global_index]),
-                            _grid_point_to_dict(point))
-
-        try:
-            computed, failures, stages = _run_chunked(
-                pending_cells, pending_indices,
-                chunk_payload=lambda chunk: (
-                    _grid_point_task,
-                    [(bet, base_machine, overrides, model_factory, k)
-                     for overrides in chunk]),
-                point_payload=lambda overrides: (bet, base_machine,
-                                                 overrides, model_factory,
-                                                 k),
-                chunk_task=_point_chunk_task,
-                point_task=_grid_point_task,
-                describe=overrides_key, record=record_cell,
-                workers=workers, strict=strict, policy=policy,
-                timeout=timeout, chunk_size=chunk_size,
-                executor=resolved_executor, shards=shards,
-                shard_stats=shard_stats)
-        finally:
-            if ckpt is not None:
-                ckpt.flush()
+        chunk_task = _grid_chunk_task
+        floor = (VECTOR_MIN_POINTS if backend == "vector"
+                 else _MIN_CHUNK_POINTS)
     else:
-        payloads = [(bet, base_machine, overrides, model_factory, k)
-                    for overrides in pending_cells]
+        # machine-only cells share nothing but the BET: per-item chunks
+        cell_point = functools.partial(_grid_one, bet, base_machine,
+                                       model_factory=model_factory, k=k)
 
-        def checkpoint_point(local: int, point: GridPoint) -> None:
-            if ckpt is not None:
-                ckpt.record(overrides_key(pending_cells[local]),
-                            _grid_point_to_dict(point))
+        def chunk_payload(chunk):
+            return (cell_point, list(chunk))
 
-        try:
-            outcome = resilient_map(
-                _grid_point_task, payloads, workers=workers, policy=policy,
-                timeout=timeout, strict=strict, indices=pending_indices,
-                describe=lambda payload: overrides_key(payload[2]),
-                on_point=checkpoint_point)
-        finally:
-            if ckpt is not None:
-                ckpt.flush()
-        computed = {pending_indices[local]: point
-                    for local, point in enumerate(outcome.results)
-                    if point is not None}
-        failures = outcome.failures
+        chunk_task, floor, lane_chunks = _point_chunk_task, 1, None
+
+    def record(global_index: int, point: GridPoint) -> None:
+        if ckpt is not None:
+            ckpt.record(overrides_key(cells[global_index]),
+                        _grid_point_to_dict(point))
+
+    try:
+        computed, failures, stages = _run_chunked(
+            pending_cells, pending_indices, chunk_payload=chunk_payload,
+            chunk_task=chunk_task, describe=overrides_key, record=record,
+            workers=workers, strict=strict, policy=policy,
+            timeout=timeout, chunk_size=chunk_size,
+            executor=resolved_executor, shards=shards,
+            shard_stats=shard_stats if resolved_executor else None,
+            chunks=lane_chunks, floor=floor)
+    finally:
+        if ckpt is not None:
+            ckpt.flush()
 
     points = [prior.get(index) or computed.get(index)
               for index in range(len(cells))]
@@ -751,10 +722,12 @@ VECTOR_MIN_LANES = 8
 _MIN_CHUNK_POINTS = 16
 
 
-def _auto_chunk_size(total: int, workers: int,
-                     vector: bool = False) -> int:
-    """Points per chunk: about four chunks per worker, floored so tiny
-    sweeps on many workers do not degenerate into one-point chunks.
+def _auto_chunk_size(total: int, workers: int, vector: bool = False,
+                     floor: int = _MIN_CHUNK_POINTS) -> int:
+    """Points per chunk: about four chunks per worker, floored at
+    ``floor`` so tiny input sweeps on many workers do not degenerate
+    into one-point chunks.  Per-item routes (machine-only cells, matrix
+    analyses) share no per-chunk setup and pass ``floor=1``.
 
     On a vector-backend sweep (``vector=True``) the floor rises to
     :data:`VECTOR_MIN_POINTS`: a chunk is one ``rebind_batch`` lane
@@ -766,7 +739,8 @@ def _auto_chunk_size(total: int, workers: int,
         return 1
     if workers <= 1:
         return total
-    floor = VECTOR_MIN_POINTS if vector else _MIN_CHUNK_POINTS
+    if vector:
+        floor = VECTOR_MIN_POINTS
     per_worker = -(-total // (workers * 4))
     return max(1, min(total, max(per_worker, floor)))
 
@@ -775,9 +749,9 @@ def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
                      has_input_axes: bool = True) -> str:
     """Validate and resolve a sweep's ``backend`` choice.
 
-    ``auto`` picks ``vector`` when it is a clear win: numpy present,
-    input axes to batch over, and at least :data:`VECTOR_MIN_POINTS`
-    points to amortize the batch setup.  Mixed machine×input cell lists
+    ``auto`` picks ``vector`` when it is a clear win: input axes to
+    batch over, and at least :data:`VECTOR_MIN_POINTS` points to
+    amortize the batch setup.  Mixed machine×input cell lists
     qualify too — the grouped dispatch path partitions them into
     machine-signature lane groups (DESIGN.md §15) so each group replays
     as one lane array.
@@ -787,13 +761,11 @@ def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
             f"unknown sweep backend {backend!r}; expected 'scalar', "
             f"'vector', or 'auto'")
     if backend == "vector":
-        if not _aops.HAVE_NUMPY:
-            raise AnalysisError("backend='vector' requires numpy")
         if not has_input_axes:
             raise AnalysisError("the vector backend batches over input "
                                 "axes; this sweep has none")
         return "vector"
-    if backend == "auto" and _aops.HAVE_NUMPY and has_input_axes \
+    if backend == "auto" and has_input_axes \
             and points >= VECTOR_MIN_POINTS:
         return "vector"
     return "scalar"
@@ -892,12 +864,38 @@ def _stage_delta(sym: SymbolicBET, before: Dict[str, float],
 _split_overrides = split_overrides
 
 
+def _default_executor(workers: int, task: Callable,
+                      payloads: Sequence) -> SweepExecutor:
+    """The executor behind ``executor=None``.
+
+    In-process for ``workers <= 1`` or a single chunk; otherwise a
+    process pool of up to ``workers`` — unless the work does not pickle
+    (probed with the first payload only, since the pool pickles each
+    one again at submit time), which degrades to in-process.
+    """
+    if workers <= 1 or len(payloads) < 2:
+        return SerialExecutor()
+    try:
+        pickle.dumps((task, payloads[0]))
+    except Exception:
+        return SerialExecutor()
+    return PoolExecutor(workers=min(workers, len(payloads)))
+
+
+def _raise_strict(failure: PointFailure, timeout: Optional[float]) -> None:
+    """Fail fast for an exhausted point (``strict=True``)."""
+    if failure.error_type == "TaskTimeoutError":
+        raise TaskTimeoutError(failure.index, timeout or 0.0, failure.item)
+    raise RetryExhaustedError(
+        failure.index, failure.attempts, failure.error_type,
+        failure.message, failure.traceback,
+    ) from failure.exception
+
+
 def _run_chunked(items: Sequence,
                  indices: Sequence[int],
                  chunk_payload: Callable[[Sequence], Any],
-                 point_payload: Callable[[Any], Any],
                  chunk_task: Callable,
-                 point_task: Callable,
                  describe: Callable[[Any], str],
                  record: Callable[[int, Any], None],
                  workers: int,
@@ -909,42 +907,45 @@ def _run_chunked(items: Sequence,
                  shards: Optional[int] = None,
                  shard_stats: Optional[Dict[str, float]] = None,
                  chunks: Optional[List[List[int]]] = None,
-                 vector: bool = False):
-    """Chunked two-phase dispatch shared by the input-sweep paths.
+                 floor: int = _MIN_CHUNK_POINTS):
+    """The engine's one dispatch route: chunks of points as shards on the
+    :class:`~repro.parallel.shard.ShardScheduler`.
 
-    Phase 1 ships contiguous chunks so each worker amortizes one symbolic
-    build (and the expression-compile warmup) across its whole chunk; the
-    chunk task traps per-point errors, so one bad point never poisons its
-    chunk-mates.  Phase 2 re-dispatches only the failed points one at a
-    time through :func:`resilient_map` whenever retry / timeout / strict
-    semantics are configured — exactly PR 2's per-point fault model —
-    and otherwise converts the captured errors straight into
-    :class:`PointFailure` records.
+    Contiguous chunks let each worker amortize its setup (one symbolic
+    build, the expression-compile warmup, one timing model) across the
+    whole chunk.  Chunk ``c`` ships to ``chunk_task`` as
+    ``(chunk_payload(c), global indices, policy, strict)``; the task runs
+    every point through its attempt loop (:func:`_attempt_rows`) and
+    returns ``(rows, stats)``.  So every route and executor share one
+    per-point fault contract:
 
-    ``chunks`` overrides the default contiguous slicing with explicit
-    position lists into ``items`` (they must form a partition) — the
-    grouped vector path passes lane-group-aligned chunks so each shipped
-    chunk is one lane-group slice; results still scatter back through
-    the caller's ``indices``, bit-identically to contiguous dispatch.
-    ``vector=True`` only raises the automatic chunk-size floor to
-    :data:`VECTOR_MIN_POINTS` (lane-group slices should not be starved
-    below the batching threshold).
+    * a point's run inside its chunk is attempt 1, and later attempts
+      happen only while ``policy.should_retry`` allows, with backoff
+      keyed by the point's global index (``policy=None``: exactly one
+      execution, whatever ``timeout`` or ``strict`` say);
+    * a chunk that timed out (``timeout`` × its size) or raised as a
+      whole is resubmitted as shards of one under the per-point
+      ``timeout``; a shard of one that does so again fails its point;
+    * ``strict`` raises :class:`~repro.errors.RetryExhaustedError` /
+      :class:`~repro.errors.TaskTimeoutError` for the first exhausted
+      point — a chunk stops at it, so in a serial run nothing after it
+      is evaluated or recorded;
+    * infrastructure faults (crash, heartbeat loss, corrupt envelope)
+      are the scheduler's to reassign; a shard it quarantines for them
+      turns into one "quarantined" :class:`PointFailure` per point
+      (``strict``: the :class:`~repro.errors.ShardQuarantinedError`).
 
-    With an ``executor``, phase 1 routes through the
-    :class:`~repro.parallel.shard.ShardScheduler` instead of
-    :func:`resilient_map`: each chunk becomes one shard (``shards``
-    overrides the chunk count), dispatched with work-stealing and
-    supervised for crashes, heartbeat loss, timeouts, and envelope
-    corruption.  A shard the scheduler quarantines is terminal — its
-    points become :class:`PointFailure` records directly (phase 2 never
-    sees them), preserving the sweep's completeness accounting.  Points
-    that fail *inside* a healthy shard keep the normal phase-2 per-point
-    semantics, so results are bit-identical to the executor-less path.
+    ``executor=None`` resolves through :func:`_default_executor`.
+    ``chunks`` overrides contiguous slicing with explicit position lists
+    into ``items`` (a partition) — the grouped vector path passes
+    lane-group slices; results still scatter back through the caller's
+    ``indices``.  ``floor`` is the automatic chunk size's floor (see
+    :func:`_auto_chunk_size`).
 
     Returns ``(computed, failures, stages)`` where ``computed`` maps the
     caller's global index to the point value and ``stages`` accumulates
     per-stage seconds and cache counters across every chunk; scheduler
-    counters are merged into the caller's ``shard_stats`` dict.
+    counters are summed into ``shard_stats`` when given.
     """
     total = len(items)
     if chunks is None:
@@ -953,7 +954,7 @@ def _run_chunked(items: Sequence,
         elif chunk_size is None:
             chunk_size = _auto_chunk_size(
                 total, executor.width if executor is not None else workers,
-                vector=vector)
+                floor=floor)
         chunk_size = max(1, chunk_size)
         chunks = [list(range(start, min(start + chunk_size, total)))
                   for start in range(0, total, chunk_size)]
@@ -961,99 +962,90 @@ def _run_chunked(items: Sequence,
         chunks = [list(positions) for positions in chunks if positions]
         chunk_size = max((len(positions) for positions in chunks),
                          default=1)
-    chunk_items = [[items[position] for position in positions]
-                   for positions in chunks]
-    payloads = [chunk_payload(chunk) for chunk in chunk_items]
+
+    def payload(positions: List[int]):
+        return (chunk_payload([items[position] for position in positions]),
+                [indices[position] for position in positions],
+                policy, strict)
+
+    payloads = [payload(positions) for positions in chunks]
+    if executor is None:
+        executor = _default_executor(workers, chunk_task, payloads)
 
     computed: Dict[int, Any] = {}
-    fail_rows: Dict[int, Any] = {}
+    failures: List[PointFailure] = []
     stages: Dict[str, float] = {}
+    counts: Dict[str, float] = {}
 
-    def on_chunk(local: int, result) -> None:
-        rows, stats = result
-        for name, value in stats.items():
-            stages[name] = stages.get(name, 0.0) + value
-        for offset, row in enumerate(rows):
-            global_index = indices[chunks[local][offset]]
-            if row[0] == "ok":
-                computed[global_index] = row[1]
-                record(global_index, row[1])
-            else:
-                fail_rows[global_index] = row
+    def fail(failure: PointFailure, position: int) -> None:
+        failure.index = indices[position]
+        failure.item = str(describe(items[position]))[:_ITEM_REPR_LIMIT]
+        if strict:
+            _raise_strict(failure, timeout)
+        failures.append(failure)
 
-    quarantine_failures: List[PointFailure] = []
-    if executor is not None:
-        scheduler = ShardScheduler(
-            executor, policy=policy,
-            timeout=(timeout * chunk_size if timeout else None))
-        run = scheduler.run(chunk_task, payloads,
-                            sizes=[len(chunk) for chunk in chunk_items],
-                            on_result=on_chunk)
-        if shard_stats is not None:
-            shard_stats.update(run.stats)
+    def dispatch(plan: List[List[int]], plan_payloads: List,
+                 shard_timeout: Optional[float]):
+        def on_chunk(shard_id: int, result) -> None:
+            rows, stats = result
+            for name, value in stats.items():
+                stages[name] = stages.get(name, 0.0) + value
+            for position, row in zip(plan[shard_id], rows):
+                if row[0] == "ok":
+                    computed[indices[position]] = row[1]
+                    record(indices[position], row[1])
+                else:
+                    fail(row[1], position)
+
+        run = ShardScheduler(executor, timeout=shard_timeout).run(
+            chunk_task, plan_payloads,
+            sizes=[len(positions) for positions in plan],
+            on_result=on_chunk)
+        for name, value in run.stats.items():
+            counts[name] = counts.get(name, 0.0) + value
+        return run
+
+    def settle(run, plan: List[List[int]]) -> List[List[int]]:
+        """Turn quarantined shards into point failures, except multi-point
+        chunks a task fault took down: those are returned, to resubmit."""
+        split: List[List[int]] = []
         for shard_id in sorted(run.quarantined):
             error = run.quarantined[shard_id]
-            if strict:
-                raise error
-            for position in chunks[shard_id]:
-                quarantine_failures.append(PointFailure(
-                    index=indices[position],
-                    error_type=error.error_type,
-                    message=(f"shard {shard_id} quarantined after "
-                             f"{error.attempts} attempts: "
-                             f"{error.message}"),
-                    traceback="", attempts=error.attempts,
-                    item=describe(items[position])))
-    else:
-        outcome = resilient_map(
-            chunk_task, payloads, workers=workers, policy=None,
-            timeout=(timeout * chunk_size if timeout else None),
-            strict=False,
-            describe=lambda payload: f"chunk[{len(payload[2])} points]",
-            on_point=on_chunk)
-        for failure in outcome.failures:
-            for position in chunks[failure.index]:
-                fail_rows[indices[position]] = failure
+            positions = plan[shard_id]
+            message, attempts = error.message, 1
+            if error.error_type in INFRA_FAULTS:
+                if strict:
+                    raise error
+                message = (f"shard {shard_id} quarantined after "
+                           f"{error.attempts} attempts: {error.message}")
+                attempts = error.attempts
+            elif len(positions) > 1:
+                split.append(positions)
+                continue
+            elif error.error_type == "TaskTimeoutError" and timeout:
+                message = (f"no result within the {timeout:g}s "
+                           "per-point timeout")
+            for position in positions:
+                fail(PointFailure(index=indices[position],
+                                  error_type=error.error_type,
+                                  message=message, traceback="",
+                                  attempts=attempts), position)
+        return split
 
-    failures: List[PointFailure] = []
-    if fail_rows:
-        position = {global_index: local
-                    for local, global_index in enumerate(indices)}
-        targets = sorted(fail_rows)
-        if policy is not None or timeout is not None or strict:
-            # phase 2: the failed points get PR 2's full per-point
-            # semantics — retries with backoff, exact timeouts, fail-fast
-            retry_payloads = [point_payload(items[position[g]])
-                              for g in targets]
-
-            def on_retry(local: int, value) -> None:
-                computed[targets[local]] = value
-                record(targets[local], value)
-
-            retried = resilient_map(
-                point_task, retry_payloads, workers=workers,
-                policy=policy, timeout=timeout, strict=strict,
-                indices=targets,
-                describe=lambda payload: describe(payload[2]),
-                on_point=on_retry)
-            failures = retried.failures
-        else:
-            for global_index in targets:
-                row = fail_rows[global_index]
-                item = describe(items[position[global_index]])
-                if isinstance(row, PointFailure):
-                    failures.append(PointFailure(
-                        index=global_index, error_type=row.error_type,
-                        message=row.message, traceback=row.traceback,
-                        attempts=row.attempts, item=item))
-                else:
-                    failures.append(PointFailure(
-                        index=global_index, error_type=row[1],
-                        message=row[2], traceback=row[3],
-                        attempts=1, item=item))
-    if quarantine_failures:
-        failures = sorted(failures + quarantine_failures,
-                          key=lambda failure: failure.index)
+    split = settle(dispatch(chunks, payloads,
+                            timeout * chunk_size if timeout else None),
+                   chunks)
+    if split:
+        alone = [[position] for positions in split
+                 for position in positions]
+        settle(dispatch(alone, [payload(positions) for positions in alone],
+                        timeout), alone)
+        # a chunk resubmitted as shards of one is not a quarantine: only
+        # shards whose points failed for good count
+        counts["shards_quarantined"] -= len(split)
+    if shard_stats is not None:
+        shard_stats.update(counts)
+    failures.sort(key=lambda failure: failure.index)
     return computed, failures, stages
 
 
@@ -1087,7 +1079,7 @@ class InputSweepResult:
     cache_stats: Dict[str, float] = field(default_factory=dict)
     failures: List[PointFailure] = field(default_factory=list)
     backend: str = "scalar"        #: resolved evaluation backend
-    executor: str = ""             #: executor name ("" = legacy dispatch)
+    executor: str = ""             #: executor name ("" = none named)
     shard_stats: Dict[str, float] = field(default_factory=dict)
     diagnostics: List[Any] = field(default_factory=list)
 
@@ -1184,90 +1176,72 @@ def _soa_columns(points: List[Dict[str, float]]
     return cols
 
 
-def _vector_input_rows(sym: SymbolicBET, model, combos, base_inputs,
-                       k: int):
+def _vector_input_batch(sym: SymbolicBET, model, combos, base_inputs,
+                        k: int):
     """Batch-evaluate a chunk of input points through the vector backend.
 
-    Returns ``(rows, project_seconds)`` — one row per combo, in order —
-    or ``None`` when the chunk cannot be batched at all (the caller runs
-    the scalar loop instead).  Lanes the batch masks out are transparently
-    re-routed through scalar rebinds, reproducing the canonical per-point
-    result or error.
+    Returns ``(projections, project_seconds)`` — one projection per
+    combo, in order, ``None`` for a lane the batch masked out (the
+    caller's scalar attempt loop reproduces that lane's canonical result
+    or error) — or ``None`` when the chunk cannot be batched at all.
     """
-    points = [{**base_inputs, **combo} for combo in combos]
-    cols = _soa_columns(points)
+    cols = _soa_columns([{**base_inputs, **combo} for combo in combos])
     if cols is None:
         return None
     try:
         batch = sym.rebind_batch(cols)
         started = time.perf_counter()
         projections = project_batch(batch, model, k)
-        project_seconds = time.perf_counter() - started
     except Exception:
         return None
-    rows = []
-    for lane, projection in enumerate(projections):
-        if projection is None:
-            # fallback lane: the scalar path is the source of truth for
-            # both the value and the canonical error
-            try:
-                bet = sym.bind(points[lane])
-                started = time.perf_counter()
-                projection = project_with_model(bet, model, k)
-                project_seconds += time.perf_counter() - started
-            except Exception as exc:
-                rows.append(("fail", type(exc).__name__, str(exc),
-                             _tb.format_exc()))
-                continue
-        rows.append(("ok", projection))
-    return rows, project_seconds
+    return projections, time.perf_counter() - started
 
 
 def _input_chunk_task(payload):
-    """Process-pool task: bind + project a whole chunk of input points.
+    """Shard task: bind + project a whole chunk of input points.
 
     One symbolic build (first chunk per worker; replays after) amortizes
-    across every point; per-point errors are captured as rows, never
-    raised, so chunk-mates always complete.  With ``backend="vector"``
-    the whole chunk is evaluated as one batch replay (arrays serialized
-    once per chunk), falling back to the scalar loop when batching is
-    impossible.
+    across every point, and the machine is fixed across an input sweep,
+    so the timing model is built (and validated) once per chunk, by the
+    first point that needs it.  Each point runs through its attempt loop,
+    errors captured as rows, so chunk-mates always complete.  With
+    ``backend="vector"`` the whole chunk is evaluated as one batch replay
+    (arrays serialized once per chunk); points the batch cannot produce
+    take the scalar loop.
     """
-    sym, machine, combos, base_inputs, model_factory, k = payload[:6]
-    backend = payload[6] if len(payload) > 6 else "scalar"
+    body, indices, policy, strict = payload
+    sym, machine, combos, base_inputs, model_factory, k, backend = body
     sym = _symbolic_for(sym)
     before = _stage_snapshot(sym)
-    # the machine is fixed across an input sweep: build (and validate)
-    # the timing model once per chunk, not once per point
-    model = (model_factory or RooflineModel)(machine)
-    if backend == "vector":
-        vectored = _vector_input_rows(sym, model, combos, base_inputs, k)
-        if vectored is not None:
-            rows, project_seconds = vectored
-            delta = _stage_delta(sym, before, project_seconds)
-            delta["lane_groups"] = 1.0   # one lane array per input chunk
-            return rows, delta
+    factory = model_factory or RooflineModel
+    model = None
+    done = None
     project_seconds = 0.0
-    rows = []
-    for combo in combos:
+    if backend == "vector":
         try:
-            bet = sym.bind({**base_inputs, **combo})
-            started = time.perf_counter()
-            projection = project_with_model(bet, model, k)
-            project_seconds += time.perf_counter() - started
-            rows.append(("ok", projection))
-        except Exception as exc:              # captured, re-raised in phase 2
-            rows.append(("fail", type(exc).__name__, str(exc),
-                         _tb.format_exc()))
-    return rows, _stage_delta(sym, before, project_seconds)
+            model = factory(machine)
+        except Exception:
+            model = None          # each point's attempt loop retries it
+        batched = (_vector_input_batch(sym, model, combos, base_inputs, k)
+                   if model is not None else None)
+        if batched is not None:
+            done, project_seconds = batched
 
+    def evaluate(combo):
+        nonlocal model, project_seconds
+        if model is None:
+            model = factory(machine)
+        bet = sym.bind({**base_inputs, **combo})
+        started = time.perf_counter()
+        projection = project_with_model(bet, model, k)
+        project_seconds += time.perf_counter() - started
+        return projection
 
-def _input_point_task(payload):
-    """Process-pool task: one input point (phase-2 / retry dispatch)."""
-    sym, machine, combo, base_inputs, model_factory, k = payload
-    sym = _symbolic_for(sym)
-    bet = sym.bind({**base_inputs, **combo})
-    return project_machine(bet, machine, model_factory, k)
+    rows = _attempt_rows(evaluate, combos, indices, policy, strict, done)
+    delta = _stage_delta(sym, before, project_seconds)
+    if done is not None:
+        delta["lane_groups"] = 1.0   # one lane array per input chunk
+    return rows, delta
 
 
 def _input_point_to_dict(projection: Dict[str, Any]) -> Dict[str, Any]:
@@ -1332,18 +1306,20 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
         Points per shipped chunk (default: spread pending points about
         four chunks per worker; serial runs use one chunk).
     strict / policy / timeout / checkpoint / resume / checkpoint_key:
-        PR 2's fault semantics, preserved per *point*: failed points are
-        retried individually under ``policy`` with exact per-point
-        ``timeout``; ``strict=True`` fail-fasts with the canonical error;
-        completed points checkpoint by their input bindings and are
-        skipped on ``resume=True``.
+        The per-*point* fault contract of every sweep (see
+        :func:`_run_chunked`): a failing point is retried individually
+        under ``policy``, a chunk that hangs past ``timeout`` × its size
+        is resubmitted point by point under ``timeout``, and
+        ``strict=True`` fail-fasts with the canonical error; completed
+        points checkpoint by their input bindings and are skipped on
+        ``resume=True``.
     backend:
         ``"scalar"`` binds and projects point by point; ``"vector"``
         evaluates each chunk as one array-batched tape replay plus a
         batched model projection (bit-identical results; lanes the batch
         cannot vectorize transparently take the scalar path);
         ``"auto"`` (default) picks vector for sweeps of at least
-        :data:`VECTOR_MIN_POINTS` points when numpy is available.
+        :data:`VECTOR_MIN_POINTS` points.
     executor / shards / topology / chaos:
         Sharded dispatch with supervision and quarantine — see
         :func:`sweep_grid`; semantics are identical here, with each
@@ -1394,14 +1370,14 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
             pending_combos, pending_indices,
             chunk_payload=lambda chunk: (sym, machine, list(chunk), base,
                                          model_factory, k, backend),
-            point_payload=lambda combo: (sym, machine, combo, base,
-                                         model_factory, k),
-            chunk_task=_input_chunk_task, point_task=_input_point_task,
+            chunk_task=_input_chunk_task,
             describe=overrides_key, record=record,
             workers=workers, strict=strict, policy=policy,
             timeout=timeout, chunk_size=chunk_size,
             executor=resolved_executor, shards=shards,
-            shard_stats=shard_stats, vector=(backend == "vector"))
+            shard_stats=shard_stats if resolved_executor else None,
+            floor=(VECTOR_MIN_POINTS if backend == "vector"
+                   else _MIN_CHUNK_POINTS))
     finally:
         if ckpt is not None:
             ckpt.flush()
@@ -1455,9 +1431,9 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
         diagnostics=list(ckpt.diagnostics) if ckpt is not None else [])
 
 
-def _vector_grid_rows(sym: SymbolicBET, base_machine: MachineModel,
-                      cells, base_inputs, model_factory, k: int,
-                      min_lanes: int):
+def _vector_grid_batch(sym: SymbolicBET, base_machine: MachineModel,
+                       cells, base_inputs, model_factory, k: int,
+                       min_lanes: int):
     """Batch-evaluate a chunk of grid cells, grouped by machine overrides.
 
     Cells sharing one set of machine overrides form an input batch
@@ -1465,130 +1441,91 @@ def _vector_grid_rows(sym: SymbolicBET, base_machine: MachineModel,
     machine's numeric fields, which are identical across a group).
     Each group's lane array carries the group's slot positions as a
     non-contiguous lane index map, so :func:`project_batch` scatters
-    results straight back into chunk order.  Returns ``(rows,
-    project_seconds, lane_groups)``; lanes that cannot be vectorized,
-    and groups of fewer than ``min_lanes`` cells, take the scalar
-    per-cell path.
+    results straight back into chunk order.  Returns ``(points,
+    project_seconds, lane_groups)`` with ``points`` in chunk order;
+    ``None`` marks a cell for the scalar attempt loop — a lane the batch
+    could not vectorize, a group of fewer than ``min_lanes`` cells, or
+    a group whose timing model failed to build.
     """
     groups: Dict[Tuple, List[int]] = {}
-    order: List[Tuple] = []
     for slot, overrides in enumerate(cells):
         machine_part, _ = _split_overrides(overrides)
-        key = tuple(sorted(machine_part.items()))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(slot)
-    rows: List[Any] = [None] * len(cells)
+        groups.setdefault(tuple(sorted(machine_part.items())),
+                          []).append(slot)
     scattered: List[Optional[Dict]] = [None] * len(cells)
     project_seconds = 0.0
     lane_groups = 0
-    for key in order:
-        slots = groups[key]
-        machines = [_cell_machine(base_machine, cells[slot])
-                    for slot in slots]
-        inputs_rows = [{**base_inputs, **_split_overrides(cells[slot])[1]}
-                       for slot in slots]
-        try:
-            model = (model_factory or RooflineModel)(machines[0])
-        except Exception as exc:
-            row = ("fail", type(exc).__name__, str(exc), _tb.format_exc())
-            for slot in slots:
-                rows[slot] = row
+    for slots in groups.values():
+        cols = _soa_columns(
+            [{**base_inputs, **_split_overrides(cells[slot])[1]}
+             for slot in slots]) if len(slots) >= min_lanes else None
+        if cols is None:
             continue
-        vectorized = False
-        cols = _soa_columns(inputs_rows) if len(slots) >= min_lanes \
-            else None
-        if cols is not None:
-            try:
-                batch = sym.rebind_batch(cols, lane_index=slots)
-                started = time.perf_counter()
-                project_batch(batch, model, k, out=scattered)
-                project_seconds += time.perf_counter() - started
-                vectorized = True
-                lane_groups += 1
-            except Exception:
-                vectorized = False
-        for local, slot in enumerate(slots):
-            projection = scattered[slot] if vectorized else None
-            machine = machines[local]
-            if projection is None:
-                try:
-                    bet = sym.bind(inputs_rows[local])
-                    started = time.perf_counter()
-                    projection = project_machine(bet, machine,
-                                                 model_factory, k)
-                    project_seconds += time.perf_counter() - started
-                except Exception as exc:
-                    rows[slot] = ("fail", type(exc).__name__, str(exc),
-                                  _tb.format_exc())
-                    continue
-            rows[slot] = ("ok", GridPoint(overrides=dict(cells[slot]),
-                                          machine=machine, **projection))
-    return rows, project_seconds, lane_groups
+        try:
+            model = (model_factory or RooflineModel)(
+                _cell_machine(base_machine, cells[slots[0]]))
+            batch = sym.rebind_batch(cols, lane_index=slots)
+            started = time.perf_counter()
+            project_batch(batch, model, k, out=scattered)
+            project_seconds += time.perf_counter() - started
+            lane_groups += 1
+        except Exception:
+            for slot in slots:
+                scattered[slot] = None
+    return (_batched_points(base_machine, cells, scattered),
+            project_seconds, lane_groups)
 
 
-def _lane_pack_rows(sym: SymbolicBET, base_machine: MachineModel,
-                    pack: LanePack, base_inputs, model_factory, k: int,
-                    min_lanes: int):
+def _lane_pack_batch(sym: SymbolicBET, base_machine: MachineModel,
+                     pack: LanePack, base_inputs, model_factory, k: int,
+                     min_lanes: int):
     """Batch-evaluate one packed lane-group slice (DESIGN.md §15).
 
     The pack is a single machine signature, so the whole chunk is one
-    ``rebind_batch`` lane array against one timing model; per-lane
-    failures (shape flips, domain errors, unsafe values) demote that
-    lane to the scalar path — which reproduces the canonical per-cell
-    result or error — rather than failing the group.  A pack of fewer
-    than ``min_lanes`` lanes runs every lane on the scalar path.
-    Returns ``(rows, project_seconds, lane_groups)`` in lane (=
-    original chunk) order.
+    ``rebind_batch`` lane array against one timing model.  Returns
+    ``(points, project_seconds, lane_groups)`` in lane (= original
+    chunk) order; ``None`` marks a lane for the scalar attempt loop,
+    which reproduces the canonical per-cell result or error — every
+    lane of a pack smaller than ``min_lanes`` or whose model failed to
+    build, and lanes the batch demoted (shape flips, domain errors,
+    unsafe values).
     """
-    cells = pack.cells()
-    try:
-        machine = _cell_machine(base_machine, pack.machine_part())
-        model = (model_factory or RooflineModel)(machine)
-    except Exception as exc:
-        row = ("fail", type(exc).__name__, str(exc), _tb.format_exc())
-        return [row] * len(cells), 0.0, 0
+    projections: List[Optional[Dict]] = [None] * pack.count
     project_seconds = 0.0
     lane_groups = 0
-    projections: List[Optional[Dict]] = [None] * pack.count
     if pack.count >= min_lanes:
         try:
+            model = (model_factory or RooflineModel)(
+                _cell_machine(base_machine, pack.machine_part()))
             batch = sym.rebind_batch(pack.input_columns(base_inputs))
             started = time.perf_counter()
             projections = project_batch(batch, model, k)
-            project_seconds += time.perf_counter() - started
+            project_seconds = time.perf_counter() - started
             lane_groups = 1
         except Exception:
             projections = [None] * pack.count
-    rows: List[Any] = []
-    for lane, overrides in enumerate(cells):
-        # per-cell machine: same physical fields as the group machine,
-        # but the name tag carries the full overrides (incl. ``input:``
-        # axes) exactly like the scalar path, so exported points are
-        # byte-for-byte interchangeable
-        point_machine = _cell_machine(base_machine, overrides)
-        projection = projections[lane]
-        if projection is None:
-            try:
-                inputs = {**base_inputs, **_split_overrides(overrides)[1]}
-                bet = sym.bind(inputs)
-                started = time.perf_counter()
-                projection = project_machine(bet, point_machine,
-                                             model_factory, k)
-                project_seconds += time.perf_counter() - started
-            except Exception as exc:
-                rows.append(("fail", type(exc).__name__, str(exc),
-                             _tb.format_exc()))
-                continue
-        rows.append(("ok", GridPoint(overrides=dict(overrides),
-                                     machine=point_machine,
-                                     **projection)))
-    return rows, project_seconds, lane_groups
+    return (_batched_points(base_machine, pack.cells(), projections),
+            project_seconds, lane_groups)
+
+
+def _batched_points(base_machine: MachineModel, cells,
+                    projections) -> List[Optional[GridPoint]]:
+    """Wrap batch projections as grid points (``None`` stays ``None``).
+
+    Each point gets its own cell machine: the same physical fields as
+    its group's model, but a name tag carrying the full overrides
+    (including ``input:`` axes) exactly like the scalar path, so
+    exported points are byte-for-byte interchangeable.
+    """
+    return [None if projection is None else
+            GridPoint(overrides=dict(overrides),
+                      machine=_cell_machine(base_machine, overrides),
+                      **projection)
+            for overrides, projection in zip(cells, projections)]
 
 
 def _grid_chunk_task(payload):
-    """Process-pool task: a chunk of mixed machine x input grid cells.
+    """Shard task: a chunk of mixed machine x input grid cells.
 
     Consecutive cells with identical input bindings reuse the current
     tree without a rebind (row-major order makes runs of equal bindings
@@ -1597,67 +1534,51 @@ def _grid_chunk_task(payload):
     overrides and each group is batch-replayed in one pass; a chunk
     shipped as a :class:`~repro.parallel.lanes.LanePack` (one machine
     signature, columnar inputs) is a single pre-planned lane group.
+    Cells a batch does not produce run the scalar attempt loop.
     """
-    sym, base_machine, cells, base_inputs, model_factory, k = payload[:6]
-    backend = payload[6] if len(payload) > 6 else "scalar"
-    min_lanes = payload[7] if len(payload) > 7 else 1
+    body, indices, policy, strict = payload
+    sym, base_machine, cells, base_inputs, model_factory, k, backend, \
+        min_lanes = body
     sym = _symbolic_for(sym)
     before = _stage_snapshot(sym)
-    if isinstance(cells, LanePack):
-        rows, project_seconds, lane_groups = _lane_pack_rows(
-            sym, base_machine, cells, base_inputs, model_factory, k,
-            min_lanes)
-        delta = _stage_delta(sym, before, project_seconds)
-        delta["lane_groups"] = float(lane_groups)
-        return rows, delta
-    if backend == "vector":
-        rows, project_seconds, lane_groups = _vector_grid_rows(
-            sym, base_machine, cells, base_inputs, model_factory, k,
-            min_lanes)
-        delta = _stage_delta(sym, before, project_seconds)
-        delta["lane_groups"] = float(lane_groups)
-        return rows, delta
+    done = None
     project_seconds = 0.0
-    rows = []
-    bound_key: Any = None
-    bet: Optional[BETNode] = None
-    for overrides in cells:
-        machine_part, input_part = _split_overrides(overrides)
-        try:
-            machine = _cell_machine(base_machine, overrides)
-            inputs = {**base_inputs, **input_part}
-            key = tuple(sorted(inputs.items()))
-            if bet is None or key != bound_key:
-                bet = sym.bind(inputs)
-                bound_key = key
-            started = time.perf_counter()
-            projection = project_machine(bet, machine, model_factory, k)
-            project_seconds += time.perf_counter() - started
-            rows.append(("ok", GridPoint(overrides=dict(overrides),
-                                         machine=machine, **projection)))
-        except Exception as exc:
-            rows.append(("fail", type(exc).__name__, str(exc),
-                         _tb.format_exc()))
-            bet, bound_key = None, None   # bind state unknown after a fault
-    return rows, _stage_delta(sym, before, project_seconds)
+    if isinstance(cells, LanePack):
+        done, project_seconds, lane_groups = _lane_pack_batch(
+            sym, base_machine, cells, base_inputs, model_factory, k,
+            min_lanes)
+        cells = cells.cells()
+    elif backend == "vector":
+        done, project_seconds, lane_groups = _vector_grid_batch(
+            sym, base_machine, cells, base_inputs, model_factory, k,
+            min_lanes)
+    bound: List[Any] = [None, None]   # (bindings key, tree) last bound
 
+    def evaluate(overrides):
+        nonlocal project_seconds
+        machine = _cell_machine(base_machine, overrides)
+        inputs = {**base_inputs, **_split_overrides(overrides)[1]}
+        key = tuple(sorted(inputs.items()))
+        if bound[1] is None or key != bound[0]:
+            bound[:] = [None, None]   # bind state unknown until it lands
+            bound[:] = [key, sym.bind(inputs)]
+        started = time.perf_counter()
+        projection = project_machine(bound[1], machine, model_factory, k)
+        project_seconds += time.perf_counter() - started
+        return GridPoint(overrides=dict(overrides), machine=machine,
+                         **projection)
 
-def _grid_input_point_task(payload) -> GridPoint:
-    """Process-pool task: one mixed grid cell (phase-2 / retry dispatch)."""
-    sym, base_machine, overrides, base_inputs, model_factory, k = payload
-    sym = _symbolic_for(sym)
-    _, input_part = _split_overrides(overrides)
-    machine = _cell_machine(base_machine, overrides)
-    bet = sym.bind({**base_inputs, **input_part})
-    projection = project_machine(bet, machine, model_factory, k)
-    return GridPoint(overrides=dict(overrides), machine=machine,
-                     **projection)
+    rows = _attempt_rows(evaluate, cells, indices, policy, strict, done)
+    delta = _stage_delta(sym, before, project_seconds)
+    if done is not None:
+        delta["lane_groups"] = float(lane_groups)
+    return rows, delta
 
 
 # -- batched full analyses ----------------------------------------------------
 
 def _analyze_task(payload):
-    """Process-pool task: one full Prof-vs-Modl pipeline run."""
+    """One matrix point: a full Prof-vs-Modl pipeline run."""
     from ..experiments import pipeline
     name, machine, options = payload
     return pipeline.analyze(name, machine, **dict(options))
@@ -1679,10 +1600,15 @@ def analyze_matrix(workloads: Sequence[str],
     worker count, and are inserted into the shared bounded pipeline cache
     so subsequent slicing (figures, tables) hits instead of re-running.
 
-    With ``strict=False`` a failing matrix point (after any retries per
-    ``policy``, or exceeding ``timeout`` on the parallel path) occupies
-    its slot as a :class:`~repro.parallel.PointFailure` record instead of
-    aborting the batch; healthy points are unaffected.
+    Analyses are dispatched like every sweep's points (chunks of about
+    four per worker, each analysis one point), so ``strict``, ``policy``
+    and ``timeout`` follow the same per-point contract: with
+    ``strict=False`` a failing matrix point (after any retries per
+    ``policy``, or exceeding ``timeout`` on a process pool) occupies its
+    slot as a :class:`~repro.parallel.PointFailure` record instead of
+    aborting the batch, while ``strict=True`` (the default) raises
+    :class:`~repro.errors.RetryExhaustedError` /
+    :class:`~repro.errors.TaskTimeoutError` for it.
     """
     from ..experiments import pipeline
     option_sets = [dict(options) for options in (ablations or [{}])]
@@ -1691,28 +1617,20 @@ def analyze_matrix(workloads: Sequence[str],
              for machine in machines
              for options in option_sets]
     started = time.perf_counter()
-    if strict and policy is None and timeout is None:
-        if workers > 1 and len(tasks) > 1:
-            results = parallel_map(_analyze_task, tasks, workers=workers)
-            for analysis, (name, machine, options) in zip(results, tasks):
-                pipeline.remember(analysis, **dict(options))
-        else:
-            results = [_analyze_task(task) for task in tasks]
-    else:
-        outcome = resilient_map(
-            _analyze_task, tasks, workers=workers, policy=policy,
-            timeout=timeout, strict=strict,
-            describe=lambda task: f"{task[0]}@{getattr(task[1], 'name', task[1])}")
-        results = []
-        for slot, (value, task) in enumerate(zip(outcome.results, tasks)):
-            if value is None:
-                failure = next(f for f in outcome.failures
-                               if f.index == slot)
-                results.append(failure)
-                continue
-            if workers > 1:
-                pipeline.remember(value, **dict(task[2]))
-            results.append(value)
+    computed, failures, _ = _run_chunked(
+        tasks, range(len(tasks)),
+        chunk_payload=lambda chunk: (_analyze_task, list(chunk)),
+        chunk_task=_point_chunk_task,
+        describe=lambda task: (f"{task[0]}@"
+                               f"{getattr(task[1], 'name', task[1])}"),
+        # seed the parent's cache (results from pool workers miss it)
+        record=lambda index, analysis: pipeline.remember(
+            analysis, **dict(tasks[index][2])),
+        workers=workers, strict=strict, policy=policy, timeout=timeout,
+        chunk_size=None, floor=1)
+    failed = {failure.index: failure for failure in failures}
+    results = [computed[index] if index in computed else failed[index]
+               for index in range(len(tasks))]
     elapsed = time.perf_counter() - started
     for analysis in results:
         if hasattr(analysis, "timings"):

@@ -5,12 +5,16 @@ A :class:`SweepExecutor` is the substrate the
 Three implementations ship:
 
 * :class:`SerialExecutor` — one in-process worker; the reference
-  semantics every other executor must match bit-for-bit, and the
-  cheapest host for the chaos harness;
-* :class:`PoolExecutor` — the existing :class:`ProcessPoolExecutor`
-  machinery behind worker slots, with real crash detection (a broken
-  pool becomes crash events and a fresh pool), per-shard deadlines, and
-  hung-worker reaping via :func:`~repro.parallel.pool.abandon_pool`;
+  semantics every other executor must match bit-for-bit, the cheapest
+  host for the chaos harness, and what a sweep run without an executor
+  uses for ``workers <= 1``.  Its results never leave the process, so
+  they are carried unsealed unless a chaos schedule could corrupt them;
+* :class:`PoolExecutor` — a :class:`ProcessPoolExecutor` behind worker
+  slots (the only one in the package), with real crash detection (a
+  broken pool becomes crash events and a fresh pool), per-shard
+  deadlines, and hung-worker reaping via
+  :func:`~repro.parallel.pool.abandon_pool`; a sweep run without an
+  executor uses it for ``workers > 1``;
 * :class:`MultinodeExecutor` — a simulated cluster over a
   :class:`~repro.multinode.cluster.ClusterTopology`: shard tasks are
   pure, so they execute in-process while a deterministic virtual clock
@@ -22,7 +26,7 @@ The executor protocol is event-based: the scheduler calls
 ``(kind, shard_id, worker, detail)`` events::
 
     ("result",  shard_id, worker, ShardEnvelope)
-    ("failed",  shard_id, worker, (error_type, message))
+    ("failed",  shard_id, worker, exception)
     ("timeout", shard_id, worker, None)
     ("crash",   -1,       worker, [lost shard ids])
     ("dead",    -1,       worker, [lost shard ids])
@@ -35,6 +39,7 @@ chaos suite proves are the paths production faults take.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor
@@ -97,7 +102,9 @@ class SerialExecutor(SweepExecutor):
     Chaos faults are honored by *withholding* the shard's work — a
     killed or partitioned worker never produces its result, exactly as a
     real one would not — and reporting the matching event, so the
-    scheduler's recovery logic is exercised for real.
+    scheduler's recovery logic is exercised for real.  Results are sealed
+    in a checksummed envelope only when a chaos schedule is attached (so
+    ``corrupt`` has bytes to damage); otherwise they are carried as is.
     """
 
     name = "serial"
@@ -137,12 +144,15 @@ class SerialExecutor(SweepExecutor):
         try:
             value = self._task(payload)
         except Exception as exc:
-            return [("failed", shard_id, worker,
-                     (type(exc).__name__, str(exc)))]
+            return [("failed", shard_id, worker, exc)]
         self.stats["executed"] += 1
+        if self.chaos is None:
+            # nothing between here and the scheduler can damage it
+            return [("result", shard_id, worker,
+                     ShardEnvelope.carry(shard_id, attempt, worker,
+                                         value))]
         envelope = ShardEnvelope.pack(shard_id, attempt, worker, value)
-        if self.chaos is not None and self.chaos.take(
-                "corrupt", shard_id, attempt, worker):
+        if self.chaos.take("corrupt", shard_id, attempt, worker):
             envelope = envelope.corrupted()
         return [("result", shard_id, worker, envelope)]
 
@@ -158,6 +168,26 @@ def _pool_shard_task(task: Callable[[Any], Any], shard_id: int,
     """Worker-side shard runner: execute and seal (module-level, so it
     pickles)."""
     return ShardEnvelope.pack(shard_id, attempt, worker, task(payload))
+
+
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers are forked from a fresh thread.
+
+    A forked worker keeps the interpreter frame stack of the thread that
+    forked it, and CPython maps and unmaps a frame-stack chunk each time
+    a recursion crosses a chunk's end.  Forked deep inside a sweep, a
+    worker running a recursive task (the simulator behind
+    :func:`~repro.parallel.analyze_matrix`) took ~20x the page faults and
+    ~2.5x the time per task (CPython 3.11, 2-vCPU x86-64); forked from a
+    fresh thread, every worker starts from the same shallow stack,
+    whatever depth the sweep was called from.  With ``fork``, the first
+    submit starts every worker.
+    """
+    pool = ProcessPoolExecutor(max_workers=workers)
+    starter = threading.Thread(target=pool.submit, args=(int,))
+    starter.start()
+    starter.join()
+    return pool
 
 
 class _Slot:
@@ -180,9 +210,12 @@ class PoolExecutor(SweepExecutor):
     segfaulted or was OOM-killed) becomes one crash event per in-flight
     shard and a fresh pool; a shard that outlives its deadline becomes a
     timeout event while its slot is quarantined as a zombie until the
-    hung future resolves (the pool cannot pre-empt one worker).  On
-    close, a pool holding zombies is abandoned —
-    workers terminated and reaped — instead of waited on.
+    hung future resolves (the pool cannot pre-empt one worker).  When
+    every slot is a zombie, the pool is abandoned and replaced so the
+    remaining shards still run; on close, a pool holding zombies is
+    abandoned — workers terminated and reaped — instead of waited on,
+    so no child process outlives the sweep.  Workers are started by
+    :func:`_start_pool`.
     """
 
     name = "pool"
@@ -206,7 +239,7 @@ class PoolExecutor(SweepExecutor):
 
     def open(self, task):
         self._task = task
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pool = _start_pool(self.workers)
         self._slots = {f"pool-{index}": None
                        for index in range(self.workers)}
         self._events = []
@@ -214,8 +247,14 @@ class PoolExecutor(SweepExecutor):
                       "timeouts": 0.0, "crashes": 0.0}
 
     def idle_workers(self):
-        return [worker for worker, slot in self._slots.items()
+        idle = [worker for worker, slot in self._slots.items()
                 if slot is None]
+        if not idle and all(slot.zombie for slot in self._slots.values()):
+            # every worker is stuck in a timed-out task: a fresh pool
+            # serves the remaining shards instead of waiting on the hangs
+            self._rebuild(crashed=False)
+            idle = list(self._slots)
+        return idle
 
     def dispatch(self, shard_id, attempt, payload, worker, timeout=None):
         if self._slots.get(worker) is not None:
@@ -247,25 +286,41 @@ class PoolExecutor(SweepExecutor):
             return
         self._slots[worker] = _Slot(shard_id, attempt, future, deadline)
 
-    def _rebuild(self):
-        """Replace a broken pool; every live slot's shard is lost."""
+    def _rebuild(self, crashed: bool = True):
+        """Replace a broken (or wholly hung) pool; every live slot's
+        shard is lost."""
         self.stats["pool_rebuilds"] += 1
-        self.stats["crashes"] += 1
+        self.stats["crashes"] += float(crashed)
         if self._pool is not None:
             abandon_pool(self._pool)
             reap_abandoned()
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pool = _start_pool(self.workers)
         for worker in self._slots:
             self._slots[worker] = None
 
     def wait(self):
+        """Events of the next completion, deadline or crash.
+
+        Blocks until one happens, so a long shard is never mistaken for
+        a stalled executor; returns early (possibly with no events) only
+        when a slot frees up or every running slot is a zombie, so the
+        scheduler can dispatch again or replace the pool.
+        """
         if self._events:
             events, self._events = self._events, []
             return events
-        live = {worker: slot for worker, slot in self._slots.items()
-                if slot is not None}
-        if not live:
-            return []
+        while True:
+            live = {worker: slot for worker, slot in self._slots.items()
+                    if slot is not None}
+            if all(slot.zombie for slot in live.values()):
+                return []
+            events, freed = self._poll(live)
+            if events or freed:
+                return events
+
+    def _poll(self, live: Dict[str, _Slot]) -> Tuple[List[Event], bool]:
+        """One bounded wait on the live slots: their events, and whether a
+        zombie slot came free."""
         now = time.monotonic()
         horizon = self.TICK
         deadlines = [slot.deadline - now for slot in live.values()
@@ -275,12 +330,14 @@ class PoolExecutor(SweepExecutor):
         _futures_wait([slot.future for slot in live.values()],
                       timeout=horizon, return_when=FIRST_COMPLETED)
         events: List[Event] = []
+        freed = False
         now = time.monotonic()
         lost: List[Tuple[str, int]] = []
         for worker, slot in live.items():
             if slot.future.done():
                 self._slots[worker] = None
                 if slot.zombie:
+                    freed = True
                     continue      # already reported as a timeout
                 try:
                     envelope = slot.future.result()
@@ -289,8 +346,7 @@ class PoolExecutor(SweepExecutor):
                     lost.append((worker, slot.shard_id))
                     continue
                 except Exception as exc:
-                    events.append(("failed", slot.shard_id, worker,
-                                   (type(exc).__name__, str(exc))))
+                    events.append(("failed", slot.shard_id, worker, exc))
                     continue
                 if self.chaos is not None and self.chaos.take(
                         "corrupt", slot.shard_id, slot.attempt, worker):
@@ -311,7 +367,7 @@ class PoolExecutor(SweepExecutor):
             events.extend(("crash", -1, worker, [shard_id])
                           for worker, shard_id in lost)
             self._rebuild()
-        return events
+        return events, freed
 
     def close(self):
         if self._pool is None:

@@ -3,20 +3,22 @@
 The sweep engine's value is cheap exploration of *large* co-design spaces,
 and large batch jobs meet faults: a degenerate machine config that blows up
 deep in the math, a worker that hangs, a transient pickling hiccup.  This
-module makes the pipeline degrade gracefully instead of aborting:
+module holds the pieces the engine's one dispatch route
+(:func:`repro.parallel.engine._run_chunked` on the
+:class:`~repro.parallel.ShardScheduler`) uses to degrade gracefully
+instead of aborting:
 
-* **failure isolation** — :func:`resilient_map` turns a failing point into
-  a structured :class:`PointFailure` record (exception type, message,
-  captured traceback, attempt count) while every healthy point completes;
-  ``strict=True`` restores fail-fast via
+* **failure isolation** — :func:`run_point`, the per-point attempt loop
+  every chunk task runs, turns a failing point into a structured
+  :class:`PointFailure` record (exception type, message, captured
+  traceback, attempt count) while every healthy point completes;
+  ``strict=True`` sweeps restore fail-fast via
   :class:`~repro.errors.RetryExhaustedError` /
   :class:`~repro.errors.TaskTimeoutError`;
 * **retry with deterministic backoff** — :class:`RetryPolicy` computes an
   exponential schedule with jitter seeded by the point index, so retry
   behaviour is reproducible (no RNG state, no wall-clock dependence in
   tests: the ``sleep`` callable is injectable);
-* **per-point timeouts** — a hung worker fails its own point within the
-  configured bound instead of stalling the whole sweep;
 * **checkpoint/resume** — :class:`SweepCheckpoint` persists completed
   points as JSON keyed by a sweep fingerprint, so an interrupted grid
   restarts where it left off (``repro sweep --checkpoint PATH --resume``);
@@ -24,7 +26,9 @@ module makes the pipeline degrade gracefully instead of aborting:
   deterministically fail or hang the Nth call of any wrapped callable, so
   the tests exercise every failure path without flaky sleeps.
 
-See DESIGN.md section 7 for the failure model and the checkpoint format.
+Per-point timeouts are enforced by the executor the scheduler dispatches
+to (see DESIGN.md section 7 for the failure model and the checkpoint
+format).
 """
 
 from __future__ import annotations
@@ -32,21 +36,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import time
 import traceback as _traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar,
 )
 
-from ..errors import (
-    CheckpointError, RetryExhaustedError, TaskTimeoutError,
-)
+from ..errors import CheckpointError
 from ..rng import unit_fraction as _unit_fraction
-from .pool import abandon_pool, reap_abandoned
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -182,9 +180,12 @@ def run_point(fn: Callable[[T], R], item: T, index: int,
     """Run one point with retry; never raises.
 
     Returns ``("ok", value, attempts)`` or ``("fail", PointFailure)``.
-    This is the unit of work shipped to pool workers (retries happen in
-    the worker, so a transient fault costs one re-dispatch, not a round
-    trip through the parent).
+    This is the per-point attempt loop of every chunk task: the point's
+    run inside its chunk is attempt 1, and later attempts happen only
+    while ``policy.should_retry`` allows, after a backoff keyed by the
+    point's global ``index``.  Retries happen where the chunk runs (in
+    the worker), so a transient fault costs no round trip through the
+    parent.
     """
     policy = policy or NO_RETRY
     attempts = 0
@@ -197,190 +198,6 @@ def run_point(fn: Callable[[T], R], item: T, index: int,
                 return ("fail", PointFailure.from_exception(
                     index, exc, attempts))
             sleep(policy.delay(attempts, index))
-
-
-class _ResilientTask:
-    """Picklable pool task wrapping ``fn`` with in-worker retry."""
-
-    def __init__(self, fn: Callable, policy: Optional[RetryPolicy]):
-        self.fn = fn
-        self.policy = policy
-
-    def __call__(self, payload: Tuple[int, Any]) -> Tuple:
-        index, item = payload
-        return run_point(self.fn, item, index, self.policy)
-
-
-@dataclass
-class MapOutcome:
-    """Everything :func:`resilient_map` learned about a batch.
-
-    ``results`` is aligned with the input items (``None`` where a point
-    failed); ``failures`` holds one :class:`PointFailure` per failed point;
-    ``attempts[i]`` counts the tries point ``i`` took (success or not).
-    """
-
-    results: List[Optional[Any]]
-    failures: List[PointFailure] = field(default_factory=list)
-    attempts: List[int] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every point succeeded."""
-        return not self.failures
-
-    def successes(self) -> List[Any]:
-        """The successful results, in order, with failures dropped."""
-        return [value for value in self.results if value is not None]
-
-
-def resilient_map(fn: Callable[[T], R], items: Sequence[T],
-                  workers: int = 1,
-                  policy: Optional[RetryPolicy] = None,
-                  timeout: Optional[float] = None,
-                  strict: bool = False,
-                  sleep: Callable[[float], None] = time.sleep,
-                  indices: Optional[Sequence[int]] = None,
-                  describe: Optional[Callable[[T], str]] = None,
-                  on_point: Optional[Callable[[int, R], None]] = None,
-                  ) -> MapOutcome:
-    """Fault-tolerant, order-preserving map over ``items``.
-
-    The resilient sibling of :func:`~repro.parallel.pool.parallel_map`:
-    instead of letting the first exception abort the batch, each point is
-    retried per ``policy`` and, if it still fails, recorded as a
-    :class:`PointFailure` while the remaining points complete.  Healthy
-    results are bit-identical between ``workers=1`` and ``workers=N``.
-
-    Parameters
-    ----------
-    workers:
-        Process-pool width; ``<= 1`` runs serially in-process.
-    policy:
-        Retry policy (default: no retries).  Retries run inside the
-        worker, with real sleeps; tests inject ``sleep`` on the serial
-        path to keep schedules wall-clock free.
-    timeout:
-        Per-point bound in seconds, enforced on the parallel path while
-        collecting results in order (a point that exceeds it fails with a
-        ``TaskTimeoutError``-typed failure and its worker is abandoned).
-        The serial path cannot pre-empt a running call and ignores it.
-    strict:
-        Fail fast: raise :class:`~repro.errors.RetryExhaustedError` (or
-        :class:`~repro.errors.TaskTimeoutError`) for the first failing
-        point instead of recording it.
-    indices:
-        Global point numbers for labels/jitter when ``items`` is a
-        filtered subset of a larger run (checkpoint resume); defaults to
-        ``0..len(items)-1``.
-    describe:
-        Renders an item into the short ``PointFailure.item`` label
-        (parent-side only, so it need not pickle).
-    on_point:
-        ``(local_index, value)`` callback fired in the parent, in item
-        order, as each successful result is accepted — the checkpoint
-        hook.
-    """
-    items = list(items)
-    count = len(items)
-    if indices is None:
-        indices = list(range(count))
-    indices = list(indices)
-    if len(indices) != count:
-        raise ValueError("indices must align with items")
-
-    results: List[Optional[R]] = [None] * count
-    failures: List[PointFailure] = []
-    attempts: List[int] = [0] * count
-
-    def handle(local: int, outcome: Tuple) -> None:
-        if outcome[0] == "ok":
-            _, value, tries = outcome
-            results[local] = value
-            attempts[local] = tries
-            if on_point is not None:
-                on_point(local, value)
-            return
-        failure = outcome[1]
-        failure.index = indices[local]
-        if describe is not None and not failure.item:
-            failure.item = str(describe(items[local]))[:_ITEM_REPR_LIMIT]
-        attempts[local] = failure.attempts
-        if strict:
-            if failure.error_type == "TaskTimeoutError":
-                raise TaskTimeoutError(failure.index, timeout or 0.0,
-                                       failure.item)
-            raise RetryExhaustedError(
-                failure.index, failure.attempts, failure.error_type,
-                failure.message, failure.traceback,
-            ) from failure.exception
-        failures.append(failure)
-
-    if workers <= 1 or count < 2:
-        for local, item in enumerate(items):
-            handle(local, run_point(fn, item, indices[local], policy,
-                                    sleep=sleep))
-        return MapOutcome(results, failures, attempts)
-
-    task = _ResilientTask(fn, policy)
-    payloads = [(indices[local], item) for local, item in enumerate(items)]
-    try:
-        pickle.dumps((task, payloads[0]))
-    except Exception:
-        # unpicklable work: the whole batch degrades to the serial path
-        for local, item in enumerate(items):
-            handle(local, run_point(fn, item, indices[local], policy,
-                                    sleep=sleep))
-        return MapOutcome(results, failures, attempts)
-
-    pool: Optional[ProcessPoolExecutor] = None
-    collected: Dict[int, Tuple] = {}
-    timed_out = False
-    try:
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(workers, count))
-            futures = [pool.submit(task, payload) for payload in payloads]
-        except (OSError, PermissionError):
-            futures = []          # cannot spawn: finish serially below
-        broken = False
-        for local, future in enumerate(futures):
-            if broken:
-                break
-            try:
-                collected[local] = future.result(timeout=timeout)
-            except _FuturesTimeout:
-                timed_out = True
-                collected[local] = ("fail", PointFailure(
-                    index=indices[local], error_type="TaskTimeoutError",
-                    message=(f"no result within the {timeout:g}s "
-                             "per-point timeout"),
-                    traceback="", attempts=1))
-            except pickle.PicklingError:
-                # this one item refused to pickle; compute it in-process
-                collected[local] = run_point(fn, items[local],
-                                             indices[local], policy,
-                                             sleep=sleep)
-            except (BrokenExecutor, OSError, PermissionError):
-                broken = True     # pool died; keep what already finished
-        for local in range(count):
-            outcome = collected.get(local)
-            if outcome is None:   # never dispatched or lost with the pool
-                outcome = run_point(fn, items[local], indices[local],
-                                    policy, sleep=sleep)
-            handle(local, outcome)
-    finally:
-        if pool is not None:
-            if timed_out:
-                # a worker is hung inside its task: terminate the whole
-                # pool and join the corpses, or the child outlives the
-                # sweep as a leaked, CPU-holding process
-                abandon_pool(pool)
-                reap_abandoned()
-            else:
-                # never block on a healthy pool; workers exit on their
-                # own once their (bounded) task returns
-                pool.shutdown(wait=False, cancel_futures=True)
-    return MapOutcome(results, failures, attempts)
 
 
 # -- checkpoint / resume ------------------------------------------------------
@@ -672,12 +489,12 @@ class FaultInjector:
 
     ``fail_on`` / ``hang_on`` are 1-based call indices at which the
     wrapped callable raises ``error`` / sleeps ``hang_seconds`` before
-    proceeding.  The counter lives on the instance, so under the sweep
-    engine's per-point parallel dispatch (each submit pickles a fresh
-    copy into the worker) call indices count *attempts of one point*,
-    while on the serial path they count calls across the whole run — both
-    documented, both deterministic.  An optional :class:`CallRecorder`
-    counts calls across processes.
+    proceeding.  The counter lives on the instance, so on a process
+    pool (each shipped chunk pickles a fresh copy into its worker) call
+    indices count calls *within one chunk*, while on an in-process
+    executor they count calls across the whole run — both documented,
+    both deterministic.  An optional :class:`CallRecorder` counts calls
+    across processes.
     """
 
     def __init__(self, fn: Callable,

@@ -1,28 +1,22 @@
-"""Deterministic process-pool fan-out.
+"""Process-pool housekeeping for the pool executor.
 
-:func:`parallel_map` is the engine's single concurrency primitive: an
-order-preserving map that fans work out to a process pool when asked for
-more than one worker and degrades to a plain serial loop otherwise.  The
-serial path is byte-for-byte the same computation, which is what lets the
-equivalence tests assert bit-identical results between ``workers=1`` and
-``workers=N``.
-
-Exceptions raised by ``fn`` itself propagate (fail-fast semantics); for
-failure isolation, retries, and per-point timeouts use the resilient
-sibling :func:`repro.parallel.fault.resilient_map`.
+The engine dispatches every sweep through the
+:class:`~repro.parallel.shard.ShardScheduler`; its
+:class:`~repro.parallel.executors.PoolExecutor` owns the package's only
+process pool.  This module holds what that executor needs around the
+pool: :func:`default_workers` (an affinity-aware width),
+:func:`abandon_pool` for a pool with a hung worker, and
+:func:`reap_abandoned`, which joins the terminated workers so no child
+process outlives the sweep.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import pickle
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Callable, Dict, List, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from concurrent.futures import ProcessPoolExecutor
+from typing import List
 
 #: worker processes of pools abandoned because a worker hung; reaped
 #: lazily and at exit (the processes, not the pools: ``shutdown`` nulls
@@ -93,60 +87,3 @@ def default_workers() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return os.cpu_count() or 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T],
-                 workers: int = 1) -> List[R]:
-    """Map ``fn`` over ``items`` preserving order.
-
-    ``workers <= 1`` (or fewer than two items) runs serially in-process.
-    Otherwise items are dispatched to a :class:`ProcessPoolExecutor`;
-    ``fn`` must be a module-level callable and every item picklable.  When
-    the host cannot spawn processes (sandboxed environments) or a payload
-    refuses to pickle, the map transparently falls back to the serial
-    path — results are identical either way, only the wall clock differs.
-
-    Pickling is probed with *one representative item* (not the whole
-    payload — the executor already pickles each item exactly once at
-    submit time, and pre-pickling a large grid a second time doubled the
-    serialization bill).  If the pool dies midway, only the items without
-    a completed result are recomputed serially; completed results are
-    kept, so ``fn`` runs at most once per item on the fallback path (an
-    item whose future was lost *with* the pool is the one exception, and
-    it simply runs again — ``fn`` is pure in every engine use).
-    """
-    items = list(items)
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    try:
-        pickle.dumps((fn, items[0]))
-    except Exception:
-        return [fn(item) for item in items]
-    done: Dict[int, R] = {}
-    try:
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(items))) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            for index, future in enumerate(futures):
-                done[index] = future.result()
-    except (BrokenExecutor, OSError, PermissionError):
-        pass          # pool died: recompute only what is missing below
-    except pickle.PicklingError:
-        pass          # an item beyond the probe refused to pickle
-    return [done[index] if index in done else fn(item)
-            for index, item in enumerate(items)]
-
-
-def chunk(items: Sequence[T], pieces: int) -> List[List[T]]:
-    """Split ``items`` into at most ``pieces`` contiguous runs of
-    near-equal length (never empty), preserving order."""
-    items = list(items)
-    pieces = max(1, min(pieces, len(items)))
-    size, extra = divmod(len(items), pieces)
-    out: List[List[T]] = []
-    start = 0
-    for index in range(pieces):
-        stop = start + size + (1 if index < extra else 0)
-        out.append(items[start:stop])
-        start = stop
-    return out

@@ -7,13 +7,15 @@ transit.  This module splits a sweep's pending points into **shards**
 :class:`~repro.parallel.executors.SweepExecutor` with work-stealing
 (idle workers pull the next pending shard), and supervises the run:
 
-* **integrity** — shard results travel in a :class:`ShardEnvelope`
-  (pickled rows + SHA-256 checksum); a damaged envelope is detected at
-  merge time and the shard is recomputed, never silently merged;
+* **integrity** — shard results travel in a :class:`ShardEnvelope`;
+  one that crosses a process or the simulated network is sealed
+  (pickled rows + SHA-256 checksum), so a damaged envelope is detected
+  at merge time and the shard is recomputed, never silently merged,
+  while an in-process result is carried as is (nothing can damage it);
 * **supervision** — worker crashes and heartbeat losses reported by the
   executor turn into shard **reassignment** to the surviving workers;
-* **quarantine** — a shard that keeps failing after the configured
-  :class:`~repro.parallel.RetryPolicy` is exhausted is quarantined: its
+* **quarantine** — a shard whose fault the configured
+  :class:`~repro.parallel.RetryPolicy` does not retry is quarantined: its
   points become :class:`~repro.parallel.PointFailure` records on the
   sweep result (flowing into the degraded-mode completeness accounting)
   while every healthy shard completes;
@@ -22,9 +24,10 @@ transit.  This module splits a sweep's pending points into **shards**
   humans) can audit exactly how a chaotic run unfolded.
 
 Because shards are merged by their global indices and every shard task
-is pure, results are **bit-identical** to the single-node path for any
-executor, shard count, and fault schedule — the chaos suite asserts
-exactly that.
+is pure, results are **bit-identical** for any executor, shard count,
+and fault schedule — the chaos suite asserts exactly that.  The scheduler
+is the engine's only dispatcher: every sweep, including one run without
+an executor, reaches its executor through it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     EnvelopeCorruptError, ExecutorError, ShardQuarantinedError,
+    TaskTimeoutError,
 )
 from .fault import RetryPolicy
 
@@ -62,18 +66,28 @@ def _checksum(data: bytes) -> str:
 class ShardEnvelope:
     """One shard's result in transit: payload bytes plus integrity data.
 
-    The checksum is computed where the result is produced (inside the
-    worker), so any damage on the way back — a truncated pipe, a bad
-    serializer, an injected chaos fault — is caught at
-    :meth:`unpack` time instead of silently merging garbage into the
-    sweep.
+    A sealed envelope (:meth:`pack`) has its checksum computed where the
+    result is produced (inside the worker), so any damage on the way
+    back — a truncated pipe, a bad serializer, an injected chaos fault —
+    is caught at :meth:`unpack` time instead of silently merging garbage
+    into the sweep.  A result that never leaves the process is
+    :meth:`carry`-ed unsealed instead: it has no transit to survive.
     """
 
     shard_id: int
     attempt: int        #: 1-based dispatch attempt that produced this
     worker: str         #: producing worker's identifier
-    data: bytes         #: pickled result value
+    data: bytes         #: pickled result value (empty when unsealed)
     checksum: str       #: SHA-256 hex digest of ``data``
+    value: Any = None   #: the result itself, when carried unsealed
+
+    @classmethod
+    def carry(cls, shard_id: int, attempt: int, worker: str,
+              value: Any) -> "ShardEnvelope":
+        """Hand an in-process ``value`` over without pickling or hashing
+        it."""
+        return cls(shard_id=shard_id, attempt=attempt, worker=worker,
+                   data=b"", checksum="", value=value)
 
     @classmethod
     def pack(cls, shard_id: int, attempt: int, worker: str,
@@ -90,6 +104,8 @@ class ShardEnvelope:
         payload does not match its checksum (the scheduler treats that
         as an infrastructure fault and recomputes the shard).
         """
+        if not self.data:
+            return self.value
         actual = _checksum(self.data)
         if actual != self.checksum:
             raise EnvelopeCorruptError(self.shard_id, self.checksum,
@@ -112,23 +128,6 @@ class ShardEnvelope:
                    + self.data[index + 1:])
         return ShardEnvelope(self.shard_id, self.attempt, self.worker,
                              mutated, self.checksum)
-
-
-class _EnvelopeTask:
-    """Picklable worker-side wrapper: run the shard task, seal the result.
-
-    Shipping this (instead of the bare task) means the checksum is
-    computed in the worker process, covering the whole return path.
-    """
-
-    def __init__(self, task: Callable[[Any], Any], worker: str):
-        self.task = task
-        self.worker = worker
-
-    def __call__(self, payload: Tuple[int, int, Any]) -> ShardEnvelope:
-        shard_id, attempt, item = payload
-        return ShardEnvelope.pack(shard_id, attempt, self.worker,
-                                  self.task(item))
 
 
 # -- shard bookkeeping --------------------------------------------------------
@@ -239,10 +238,12 @@ class ShardScheduler:
       reassigned to a surviving worker, up to ``reassign_limit`` times,
       regardless of the retry policy;
     * **task faults** (the shard task raised, or exceeded ``timeout``)
-      follow the configured :class:`~repro.parallel.RetryPolicy` — and
-      when it is exhausted the shard is **quarantined**: recorded as a
-      terminal :class:`~repro.errors.ShardQuarantinedError`, its points
-      surfacing as failure records while every other shard completes.
+      are re-dispatched only while the configured
+      :class:`~repro.parallel.RetryPolicy`'s ``should_retry`` allows
+      (so ``retry_on`` is honoured) — otherwise the shard is
+      **quarantined**: recorded as a terminal
+      :class:`~repro.errors.ShardQuarantinedError`, its points surfacing
+      as failure records while every other shard completes.
     """
 
     def __init__(self, executor,
@@ -394,24 +395,31 @@ class ShardScheduler:
                        f"shard timeout")
             self.log.note("fault", shard_id, worker, "TaskTimeoutError")
             self._fault(shard, "TaskTimeoutError", message,
-                        pending, inflight, quarantined)
+                        pending, inflight, quarantined,
+                        error=TaskTimeoutError(shard_id,
+                                               self.timeout or 0.0))
             return
         if kind == "failed":
             shard = inflight.get(shard_id)
             if shard is None:
                 return
-            error_type, message = detail
+            # detail is the exception the shard task raised
+            error_type, message = type(detail).__name__, str(detail)
             self.log.note("fault", shard_id, worker,
                           f"{error_type}: {message}")
             self._fault(shard, error_type, message, pending, inflight,
-                        quarantined)
+                        quarantined, error=detail)
             return
         raise ExecutorError(f"unknown executor event kind {kind!r}")
 
     def _fault(self, shard: Shard, error_type: str, message: str,
                pending: deque, inflight: Dict[int, Shard],
-               quarantined: Dict[int, ShardQuarantinedError]) -> None:
-        """Route one shard fault: reassign, retry, or quarantine."""
+               quarantined: Dict[int, ShardQuarantinedError],
+               error: Optional[BaseException] = None) -> None:
+        """Route one shard fault: reassign, retry, or quarantine.
+
+        ``error`` is the task fault's exception, which the retry policy
+        judges; infrastructure faults pass none."""
         inflight.pop(shard.id, None)
         shard.last_error = f"{error_type}: {message}"
         if error_type in INFRA_FAULTS:
@@ -426,7 +434,7 @@ class ShardScheduler:
         else:
             task_attempts = shard.attempts - shard.infra_faults
             if self.policy is not None \
-                    and task_attempts < self.policy.max_attempts:
+                    and self.policy.should_retry(error, task_attempts):
                 self.sleep(self.policy.delay(task_attempts, shard.id))
                 shard.state = PENDING
                 pending.append(shard)

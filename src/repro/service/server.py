@@ -45,7 +45,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import arrayops as _aops
 from ..analysis.sensitivity import project_machine
 from ..bet import build_bet
 from ..diagnostics import Diagnostic, DiagnosticSink
@@ -939,7 +938,7 @@ class AnalysisService:
         """
         cfg = self.config
         step = max(1, cfg.chunk_cells)
-        if plan.backend == "scalar" or not _aops.HAVE_NUMPY:
+        if plan.backend == "scalar":
             return step
         total = len(cells)
         if total < VECTOR_MIN_POINTS:

@@ -9,10 +9,10 @@ sweep factories, and the CLI ``--cache-model`` switch.
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.analysis.cachevalidate import validate_workload
-from repro.arrayops import HAVE_NUMPY
 from repro.bet import SymbolicBET, build_bet
 from repro.cli import main as cli_main
 from repro.errors import HardwareModelError, ReproError
@@ -28,12 +28,6 @@ from repro.hardware.roofline import BlockTime
 from repro.simulate import profile
 from repro.skeleton import format_skeleton
 from repro.skeleton.parser import parse_skeleton
-
-if HAVE_NUMPY:
-    import numpy as np
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not available")
 
 MACHINE = machine_by_name("bgq")
 
@@ -131,7 +125,6 @@ class TestAnalyticCacheModel:
         with pytest.raises(HardwareModelError):
             AnalyticCacheModel(llc_size=-1.0)
 
-    @needs_numpy
     def test_lane_array_capacity_sweep(self):
         # sweep the LLC size across the streaming cliff as a lane axis
         nbytes = float(1 << 24)
@@ -142,7 +135,6 @@ class TestAnalyticCacheModel:
         assert list(f_dram) == [1.0, 0.0, 0.0]
         assert not np.any(f_l1)
 
-    @needs_numpy
     def test_lane_array_metrics(self):
         # lane-shaped metrics (vector sweep backend): one window per lane
         footprints = np.array([MACHINE.l1_size / 2.0,
@@ -188,7 +180,6 @@ class TestBlockTimeBound:
         assert BlockTime(2.0, 1.0, 0.5, 2.5).bound == "compute"
         assert BlockTime(1.0, 2.0, 0.5, 2.5).bound == "memory"
 
-    @needs_numpy
     def test_lane_shaped(self):
         # regression: lane-shaped compute/memory used to raise the
         # ambiguous-truth-value error inside the scalar comparison
@@ -208,7 +199,6 @@ class TestAttainableGflops:
         assert model.attainable_gflops(1e9) \
             == MACHINE.peak_scalar_gflops
 
-    @needs_numpy
     def test_lane_poisons_negative(self):
         model = RooflineModel(MACHINE)
         out = model.attainable_gflops(np.array([0.5, -1.0, 1e9]))
@@ -299,7 +289,6 @@ class TestSymbolicClauses:
                 assert gm.reuse_bytes == rm.reuse_bytes
                 assert gm.reuse_traffic == rm.reuse_traffic
 
-    @needs_numpy
     def test_batch_lanes_match_fresh_builds(self):
         program = parse_skeleton(ANNOTATED)
         sym = SymbolicBET(program)

@@ -12,14 +12,11 @@ import pytest
 
 from repro.analysis.sensitivity import sweep_machine
 from repro.bet import build_bet
-from repro.errors import (
-    CheckpointError, ReproError, RetryExhaustedError, TaskTimeoutError,
-)
+from repro.errors import CheckpointError, ReproError, RetryExhaustedError
 from repro.hardware import BGQ, RooflineModel
 from repro.parallel import (
-    NO_RETRY, CallRecorder, FaultInjector, MapOutcome, PointFailure,
-    RetryPolicy, SweepCheckpoint, overrides_key, resilient_map, run_point,
-    sweep_grid, sweep_key,
+    NO_RETRY, CallRecorder, FaultInjector, PointFailure, RetryPolicy,
+    SweepCheckpoint, overrides_key, run_point, sweep_grid, sweep_key,
 )
 from repro.workloads import load
 
@@ -40,18 +37,6 @@ def _fail_on_three(x):
     if x == 3:
         raise ValueError(f"bad item {x}")
     return x * x
-
-
-def _hang_on_one(x):
-    if x == 1:
-        time.sleep(1.5)
-    return x * x
-
-
-def _hang_long(x):
-    if x == 1:
-        time.sleep(60.0)   # far past any test deadline: only a reap
-    return x * x           # can get rid of the worker holding this
 
 
 # -- RetryPolicy ---------------------------------------------------------------
@@ -177,143 +162,6 @@ class TestPointFailure:
         assert "bandwidth=0.0" in text
         assert "ValueError: boom" in text
         assert "3 attempts" in text
-
-
-# -- resilient_map: serial path ------------------------------------------------
-
-class TestResilientMapSerial:
-    def test_healthy_batch(self):
-        outcome = resilient_map(_square, [1, 2, 3])
-        assert outcome.results == [1, 4, 9]
-        assert outcome.ok
-        assert outcome.attempts == [1, 1, 1]
-
-    def test_failure_is_isolated_to_its_point(self):
-        outcome = resilient_map(_fail_on_three, [1, 2, 3, 4])
-        assert outcome.results == [1, 4, None, 16]
-        assert not outcome.ok
-        assert len(outcome.failures) == 1
-        failure = outcome.failures[0]
-        assert failure.index == 2 and failure.error_type == "ValueError"
-        assert outcome.successes() == [1, 4, 16]
-
-    def test_strict_raises_with_cause(self):
-        with pytest.raises(RetryExhaustedError) as info:
-            resilient_map(_fail_on_three, [1, 2, 3], strict=True)
-        assert info.value.index == 2
-        assert info.value.error_type == "ValueError"
-        assert isinstance(info.value.__cause__, ValueError)
-        assert isinstance(info.value, ReproError)
-
-    def test_retry_schedule_is_wall_clock_free(self):
-        injector = FaultInjector(_square, fail_on={2})  # first call of x=2
-        policy = RetryPolicy(max_attempts=2, base_delay=0.1, jitter=1.0)
-        sleeps = []
-        outcome = resilient_map(injector, [1, 2, 3], policy=policy,
-                                sleep=sleeps.append)
-        assert outcome.results == [1, 4, 9]
-        assert outcome.attempts == [1, 2, 1]
-        assert sleeps == policy.schedule(index=1)
-
-    def test_indices_and_describe_label_failures(self):
-        outcome = resilient_map(_fail_on_three, [3, 5], indices=[40, 41],
-                                describe=lambda item: f"item={item}")
-        assert outcome.failures[0].index == 40
-        assert outcome.failures[0].item == "item=3"
-
-    def test_misaligned_indices_rejected(self):
-        with pytest.raises(ValueError):
-            resilient_map(_square, [1, 2], indices=[0])
-
-    def test_on_point_fires_in_order_for_successes_only(self):
-        seen = []
-        resilient_map(_fail_on_three, [1, 3, 4],
-                      on_point=lambda local, value: seen.append(
-                          (local, value)))
-        assert seen == [(0, 1), (2, 16)]
-
-
-# -- resilient_map: parallel path ----------------------------------------------
-
-class TestResilientMapParallel:
-    def test_matches_serial_results(self):
-        items = list(range(8))
-        serial = resilient_map(_square, items)
-        fanned = resilient_map(_square, items, workers=2)
-        assert fanned.results == serial.results
-        assert fanned.attempts == serial.attempts
-
-    def test_failure_isolated_across_processes(self):
-        outcome = resilient_map(_fail_on_three, [1, 2, 3, 4, 5],
-                                workers=2)
-        assert outcome.results == [1, 4, None, 16, 25]
-        assert len(outcome.failures) == 1
-        failure = outcome.failures[0]
-        assert failure.index == 2
-        assert failure.error_type == "ValueError"
-        assert "bad item 3" in failure.traceback
-        assert failure.exception is None     # crossed a process boundary
-
-    def test_retry_happens_inside_worker(self):
-        # each submit pickles a fresh injector copy, so fail_on={1} makes
-        # the first attempt of *every* point fail; one retry fixes each
-        injector = FaultInjector(_square, fail_on={1})
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
-        outcome = resilient_map(injector, [2, 3, 4], workers=2,
-                                policy=policy)
-        assert outcome.results == [4, 9, 16]
-        assert outcome.attempts == [2, 2, 2]
-
-    def test_timeout_fails_only_the_hung_point(self):
-        started = time.perf_counter()
-        outcome = resilient_map(_hang_on_one, [0, 1, 2], workers=2,
-                                timeout=0.3)
-        elapsed = time.perf_counter() - started
-        assert outcome.results[0] == 0
-        assert outcome.results[1] is None
-        assert outcome.results[2] == 4
-        assert len(outcome.failures) == 1
-        assert outcome.failures[0].error_type == "TaskTimeoutError"
-        assert "0.3" in outcome.failures[0].message
-        assert elapsed < 10.0
-
-    def test_strict_timeout_raises_task_timeout_error(self):
-        with pytest.raises(TaskTimeoutError) as info:
-            resilient_map(_hang_on_one, [0, 1], workers=2, timeout=0.3,
-                          strict=True)
-        assert info.value.index == 1
-        assert info.value.timeout == 0.3
-
-    def test_timeout_abandonment_leaks_no_worker_processes(self):
-        # regression: the timeout path used to shut the pool down with
-        # wait=False and walk away, stranding a live child holding the
-        # hung task for its whole (here: 60s) nap; abandon_pool/
-        # reap_abandoned must terminate it within moments instead
-        import multiprocessing
-        baseline = len(multiprocessing.active_children())
-        outcome = resilient_map(_hang_long, [0, 1, 2], workers=2,
-                                timeout=0.3)
-        assert outcome.failures  # the hung point timed out
-        deadline = time.perf_counter() + 10.0
-        leaked = multiprocessing.active_children()
-        while time.perf_counter() < deadline:
-            leaked = [child for child in
-                      multiprocessing.active_children()
-                      if child.is_alive()]
-            if len(leaked) <= baseline:
-                break
-            time.sleep(0.1)
-        assert len(leaked) <= baseline, leaked
-
-    def test_unpicklable_work_degrades_to_serial(self):
-        outcome = resilient_map(lambda x: x * x, [1, 2, 3], workers=2)
-        assert outcome.results == [1, 4, 9]
-
-    def test_strict_failure_raises_across_processes(self):
-        with pytest.raises(RetryExhaustedError) as info:
-            resilient_map(_fail_on_three, [1, 2, 3, 4], workers=2,
-                          strict=True)
-        assert info.value.index == 2
 
 
 # -- fault-injection harness ---------------------------------------------------
@@ -803,17 +651,3 @@ class TestSweepCommandResilience:
         failure = payload["failures"][0]
         assert failure["error_type"] == "HardwareModelError"
         assert failure["index"] == 1 and failure["traceback"]
-
-
-# -- MapOutcome ----------------------------------------------------------------
-
-class TestMapOutcome:
-    def test_ok_and_successes(self):
-        outcome = MapOutcome(results=[1, None, 3],
-                             failures=[PointFailure(
-                                 index=1, error_type="ValueError",
-                                 message="x", traceback="", attempts=1)],
-                             attempts=[1, 1, 1])
-        assert not outcome.ok
-        assert outcome.successes() == [1, 3]
-        assert MapOutcome(results=[1], attempts=[1]).ok

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.arrayops import HAVE_NUMPY
 from repro.parallel import ChaosSchedule, clear_symbolic_cache
 from repro.parallel.engine import (
     VECTOR_MIN_POINTS, _auto_chunk_size, evaluate_cells,
@@ -24,9 +23,6 @@ from repro.parallel.lanes import (
 )
 from repro.hardware import machine_by_name
 from repro.skeleton.parser import parse_skeleton
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
-                                reason="vector backend requires numpy")
 
 SOURCE = """
 param n = 64

@@ -5,16 +5,11 @@ batch keeps, and the canonical scalar result (value or error) for lanes
 it routes to the fallback path.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arrayops import HAVE_NUMPY
 from repro.bet import SymbolicBET, build_bet
 from repro.skeleton.parser import parse_skeleton
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
-                                reason="vector backend requires numpy")
 
 SOURCE = """
 param n = 64

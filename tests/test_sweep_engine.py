@@ -15,7 +15,6 @@ from repro.parallel import (
     CacheStats, LRUCache, analyze_matrix, bet_cache_stats,
     build_bet_cached, clear_bet_cache, sweep_grid,
 )
-from repro.parallel.pool import chunk, parallel_map
 from repro.workloads import load
 
 
@@ -159,117 +158,6 @@ class TestLRUCache:
             cache.put(index, index)
             assert len(cache) <= 3
         assert cache.stats.evictions == 7
-
-
-# -- process-pool primitives --------------------------------------------------
-
-def _double(x):
-    return 2 * x
-
-
-class _PickleCounter:
-    """Counts parent-side pickles of every instance (class-level tally);
-    the double-serialization regression test reads ``events``."""
-
-    events = 0
-
-    def __init__(self, value):
-        self.value = value
-
-    def __getstate__(self):
-        type(self).events += 1
-        return {"value": self.value}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-
-def _unwrap_double(item):
-    return 2 * item.value
-
-
-_CALL_LOG = []
-
-
-def _record_call(x):
-    _CALL_LOG.append(x)
-    return 10 * x
-
-
-class _FakeFuture:
-    def __init__(self, fn, item, fail):
-        self._fn, self._item, self._fail = fn, item, fail
-
-    def result(self):
-        from concurrent.futures import BrokenExecutor
-        if self._fail:
-            raise BrokenExecutor("pool died")
-        return self._fn(self._item)
-
-
-class _DyingPool:
-    """Stand-in executor: runs work lazily in-process and dies (raises
-    BrokenExecutor) from the third future on."""
-
-    def __init__(self, max_workers):
-        self._submitted = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, item):
-        self._submitted += 1
-        return _FakeFuture(fn, item, fail=self._submitted >= 3)
-
-
-class TestPool:
-    def test_serial_map(self):
-        assert parallel_map(_double, [1, 2, 3], workers=1) == [2, 4, 6]
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(16))
-        assert parallel_map(_double, items, workers=2) == \
-            [2 * x for x in items]
-
-    def test_unpicklable_payload_falls_back_to_serial(self):
-        items = [1, 2, 3]
-        assert parallel_map(lambda x: 2 * x, items, workers=2) == [2, 4, 6]
-
-    def test_chunk_contiguous_and_complete(self):
-        items = list(range(10))
-        pieces = chunk(items, 3)
-        assert [x for piece in pieces for x in piece] == items
-        assert len(pieces) == 3
-        assert max(len(p) for p in pieces) - \
-            min(len(p) for p in pieces) <= 1
-
-    def test_chunk_never_makes_empty_pieces(self):
-        assert chunk([1, 2], 5) == [[1], [2]]
-        assert chunk([], 3) == [[]]
-
-    def test_items_are_not_pickled_twice(self):
-        # regression: the pickle probe used to serialize the *entire*
-        # payload up front, doubling the bill the executor pays again at
-        # submit time — a large grid is now probed with one item only
-        _PickleCounter.events = 0
-        items = [_PickleCounter(i) for i in range(6)]
-        assert parallel_map(_unwrap_double, items, workers=2) == \
-            [0, 2, 4, 6, 8, 10]
-        assert _PickleCounter.events == len(items) + 1  # probe + submits
-
-    def test_dead_pool_keeps_completed_results(self, monkeypatch):
-        # regression: the broken-pool fallback used to recompute every
-        # item; now only items without a completed result run again
-        from repro.parallel import pool as pool_module
-        _CALL_LOG.clear()
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
-                            _DyingPool)
-        result = parallel_map(_record_call, [1, 2, 3, 4], workers=2)
-        assert result == [10, 20, 30, 40]
-        assert sorted(_CALL_LOG) == [1, 2, 3, 4]   # each exactly once
 
 
 # -- BET-build memoization ----------------------------------------------------

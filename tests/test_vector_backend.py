@@ -12,9 +12,9 @@ fall back to the scalar path so end-to-end results never differ from
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.arrayops import HAVE_NUMPY
 from repro.bet import SymbolicBET, build_bet
 from repro.errors import AnalysisError
 from repro.expressions import compile_expr, compile_expr_vector, parse_expr
@@ -25,10 +25,6 @@ from repro.parallel.engine import (
     _resolve_backend, evaluate_cells,
 )
 from repro.skeleton.parser import parse_skeleton
-
-np = pytest.importorskip("numpy") if HAVE_NUMPY else None
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
-                                reason="vector backend requires numpy")
 
 
 SOURCE = """
