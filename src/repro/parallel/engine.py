@@ -361,8 +361,10 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         The workload behind ``input:`` axes: per-cell bindings are
         ``inputs`` overlaid with the cell's input-axis values.
     chunk_size:
-        Cells per shipped chunk on the input-axis path (default: about
-        four chunks per worker, floored at 16 cells).
+        Cells per shipped chunk (default: about four chunks per worker;
+        grids with input axes floor it at 16 cells, while machine-only
+        grids have no floor and ship one cell per chunk on one worker,
+        so each cell is checkpointed as it finishes).
     backend:
         ``"scalar"``, ``"vector"``, or ``"auto"`` (default).  The vector
         backend batch-replays the input axes of each chunk (cells
@@ -726,8 +728,11 @@ def _auto_chunk_size(total: int, workers: int, vector: bool = False,
                      floor: int = _MIN_CHUNK_POINTS) -> int:
     """Points per chunk: about four chunks per worker, floored at
     ``floor`` so tiny input sweeps on many workers do not degenerate
-    into one-point chunks.  Per-item routes (machine-only cells, matrix
-    analyses) share no per-chunk setup and pass ``floor=1``.
+    into one-point chunks.  One worker gets one chunk, except on the
+    per-item routes (machine-only cells, matrix analyses), which share
+    no per-chunk setup and pass ``floor=1``: there every chunk holds one
+    point, so each result reaches the checkpoint as soon as it is
+    computed.
 
     On a vector-backend sweep (``vector=True``) the floor rises to
     :data:`VECTOR_MIN_POINTS`: a chunk is one ``rebind_batch`` lane
@@ -738,7 +743,7 @@ def _auto_chunk_size(total: int, workers: int, vector: bool = False,
     if total <= 0:
         return 1
     if workers <= 1:
-        return total
+        return 1 if floor == 1 else total
     if vector:
         floor = VECTOR_MIN_POINTS
     per_worker = -(-total // (workers * 4))
@@ -871,7 +876,9 @@ def _default_executor(workers: int, task: Callable,
     In-process for ``workers <= 1`` or a single chunk; otherwise a
     process pool of up to ``workers`` — unless the work does not pickle
     (probed with the first payload only, since the pool pickles each
-    one again at submit time), which degrades to in-process.
+    one again at submit time), which degrades to in-process.  A pool
+    that cannot start its workers degrades the same way (see
+    :func:`_run_chunked`).
     """
     if workers <= 1 or len(payloads) < 2:
         return SerialExecutor()
@@ -935,11 +942,13 @@ def _run_chunked(items: Sequence,
       turns into one "quarantined" :class:`PointFailure` per point
       (``strict``: the :class:`~repro.errors.ShardQuarantinedError`).
 
-    ``executor=None`` resolves through :func:`_default_executor`.
-    ``chunks`` overrides contiguous slicing with explicit position lists
-    into ``items`` (a partition) — the grouped vector path passes
-    lane-group slices; results still scatter back through the caller's
-    ``indices``.  ``floor`` is the automatic chunk size's floor (see
+    ``executor=None`` resolves through :func:`_default_executor`; if the
+    pool it picks raises ``OSError`` before any shard settled (the host
+    cannot start worker processes), the run restarts on a
+    :class:`SerialExecutor`.  ``chunks`` overrides contiguous slicing
+    with explicit position lists into ``items`` (a partition) — the
+    grouped vector path passes lane-group slices; results still scatter
+    back through the caller's ``indices``.  ``floor`` is the automatic chunk size's floor (see
     :func:`_auto_chunk_size`).
 
     Returns ``(computed, failures, stages)`` where ``computed`` maps the
@@ -969,7 +978,8 @@ def _run_chunked(items: Sequence,
                 policy, strict)
 
     payloads = [payload(positions) for positions in chunks]
-    if executor is None:
+    default = executor is None
+    if default:
         executor = _default_executor(workers, chunk_task, payloads)
 
     computed: Dict[int, Any] = {}
@@ -986,6 +996,8 @@ def _run_chunked(items: Sequence,
 
     def dispatch(plan: List[List[int]], plan_payloads: List,
                  shard_timeout: Optional[float]):
+        nonlocal executor
+
         def on_chunk(shard_id: int, result) -> None:
             rows, stats = result
             for name, value in stats.items():
@@ -997,10 +1009,21 @@ def _run_chunked(items: Sequence,
                 else:
                     fail(row[1], position)
 
-        run = ShardScheduler(executor, timeout=shard_timeout).run(
-            chunk_task, plan_payloads,
-            sizes=[len(positions) for positions in plan],
-            on_result=on_chunk)
+        scheduler = ShardScheduler(executor, timeout=shard_timeout)
+        try:
+            run = scheduler.run(chunk_task, plan_payloads,
+                                sizes=[len(positions) for positions in plan],
+                                on_result=on_chunk)
+        except OSError:
+            # the default pool could not start its workers (fork refused
+            # by a sandbox, EAGAIN, ENOMEM): before any shard settled,
+            # the plan reruns in-process, as it would for one worker
+            if not (default and isinstance(executor, PoolExecutor)) \
+                    or scheduler.log.count("result") \
+                    or scheduler.log.count("quarantine"):
+                raise
+            executor = SerialExecutor()
+            return dispatch(plan, plan_payloads, shard_timeout)
         for name, value in run.stats.items():
             counts[name] = counts.get(name, 0.0) + value
         return run
@@ -1552,18 +1575,20 @@ def _grid_chunk_task(payload):
         done, project_seconds, lane_groups = _vector_grid_batch(
             sym, base_machine, cells, base_inputs, model_factory, k,
             min_lanes)
-    bound: List[Any] = [None, None]   # (bindings key, tree) last bound
+    bound_key: Any = None     # the input bindings ``bet`` was bound to
+    bet = None
 
     def evaluate(overrides):
-        nonlocal project_seconds
+        nonlocal bound_key, bet, project_seconds
         machine = _cell_machine(base_machine, overrides)
         inputs = {**base_inputs, **_split_overrides(overrides)[1]}
         key = tuple(sorted(inputs.items()))
-        if bound[1] is None or key != bound[0]:
-            bound[:] = [None, None]   # bind state unknown until it lands
-            bound[:] = [key, sym.bind(inputs)]
+        if bet is None or key != bound_key:
+            bet = None                # bind state unknown until it lands
+            bet = sym.bind(inputs)
+            bound_key = key
         started = time.perf_counter()
-        projection = project_machine(bound[1], machine, model_factory, k)
+        projection = project_machine(bet, machine, model_factory, k)
         project_seconds += time.perf_counter() - started
         return GridPoint(overrides=dict(overrides), machine=machine,
                          **projection)
@@ -1601,8 +1626,9 @@ def analyze_matrix(workloads: Sequence[str],
     so subsequent slicing (figures, tables) hits instead of re-running.
 
     Analyses are dispatched like every sweep's points (chunks of about
-    four per worker, each analysis one point), so ``strict``, ``policy``
-    and ``timeout`` follow the same per-point contract: with
+    four per worker, or one analysis per chunk on one worker; each
+    analysis is one point), so ``strict``, ``policy`` and ``timeout``
+    follow the same per-point contract: with
     ``strict=False`` a failing matrix point (after any retries per
     ``policy``, or exceeding ``timeout`` on a process pool) occupies its
     slot as a :class:`~repro.parallel.PointFailure` record instead of

@@ -182,11 +182,34 @@ def _start_pool(workers: int) -> ProcessPoolExecutor:
     fresh thread, every worker starts from the same shallow stack,
     whatever depth the sweep was called from.  With ``fork``, the first
     submit starts every worker.
+
+    On CPython 3.12+ that fork emits a ``DeprecationWarning`` ("process
+    is multi-threaded, use of fork() may lead to deadlocks"), because the
+    caller's thread is alive while the starter forks.  The hazard it
+    names is a lock held by another thread at the fork, left locked in
+    the child; the caller holds none, as it is blocked in ``join``, and
+    any other thread would be there for a fork from the caller too.
+
+    A failure to start the workers (``fork`` refused by a sandbox, or
+    failing with ``EAGAIN`` or ``ENOMEM``) is raised here, in the caller,
+    after the half-started pool is torn down.
     """
     pool = ProcessPoolExecutor(max_workers=workers)
-    starter = threading.Thread(target=pool.submit, args=(int,))
+    failure: List[BaseException] = []
+
+    def start() -> None:
+        try:
+            pool.submit(int)
+        except BaseException as exc:
+            failure.append(exc)
+
+    starter = threading.Thread(target=start)
     starter.start()
     starter.join()
+    if failure:
+        abandon_pool(pool)
+        reap_abandoned()
+        raise failure[0]
     return pool
 
 
@@ -215,7 +238,8 @@ class PoolExecutor(SweepExecutor):
     remaining shards still run; on close, a pool holding zombies is
     abandoned — workers terminated and reaped — instead of waited on,
     so no child process outlives the sweep.  Workers are started by
-    :func:`_start_pool`.
+    :func:`_start_pool`; when they cannot be, :meth:`open` (or a pool
+    replacement) raises its ``OSError``.
     """
 
     name = "pool"
@@ -294,6 +318,7 @@ class PoolExecutor(SweepExecutor):
         if self._pool is not None:
             abandon_pool(self._pool)
             reap_abandoned()
+            self._pool = None     # close() must not touch it again
         self._pool = _start_pool(self.workers)
         for worker in self._slots:
             self._slots[worker] = None

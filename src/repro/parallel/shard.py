@@ -102,9 +102,11 @@ class ShardEnvelope:
 
         Raises :class:`~repro.errors.EnvelopeCorruptError` when the
         payload does not match its checksum (the scheduler treats that
-        as an infrastructure fault and recomputes the shard).
+        as an infrastructure fault and recomputes the shard).  Only an
+        envelope without a checksum (:meth:`carry`) skips the check, so
+        a sealed one whose payload arrives empty still fails it.
         """
-        if not self.data:
+        if not self.checksum:
             return self.value
         actual = _checksum(self.data)
         if actual != self.checksum:

@@ -8,12 +8,15 @@ a point's fault means the same on every route and executor.
   fails fast in point order);
 * the default executor (`workers=2`, none named): hung cells, strict
   timeouts, hung-worker reaping, pickling fallbacks, cross-process
-  retries;
+  retries, and hosts that cannot start worker processes;
+* per-item serial runs checkpoint each cell as it finishes;
 * checkpoints written by the earlier `resilient_map`-based engine
   (commit d5cc2b2) under `tests/fixtures/legacy_checkpoints/`, made by
   running each sweep below once with `checkpoint=` on that commit.
 """
 
+import dataclasses
+import errno
 import multiprocessing
 import os
 import shutil
@@ -25,14 +28,16 @@ import pytest
 from repro.analysis.sensitivity import sweep_machine
 from repro.bet import build_bet
 from repro.errors import (
-    CheckpointError, RetryExhaustedError, TaskTimeoutError,
+    CheckpointError, EnvelopeCorruptError, RetryExhaustedError,
+    TaskTimeoutError,
 )
 from repro.hardware import BGQ, RooflineModel
 from repro.parallel import (
     CallRecorder, FaultInjector, PoolExecutor, RetryPolicy, SerialExecutor,
-    ShardScheduler, SweepCheckpoint, analyze_matrix, evaluate_cells,
-    sweep_grid, sweep_inputs,
+    ShardEnvelope, ShardScheduler, SweepCheckpoint, analyze_matrix,
+    evaluate_cells, sweep_grid, sweep_inputs,
 )
+from repro.parallel import executors
 from repro.parallel.engine import _auto_chunk_size
 from repro.workloads import load
 
@@ -89,6 +94,43 @@ class _PickleCounter:
 
     def __setstate__(self, state):
         pass
+
+
+class _InterruptAt:
+    """Model factory that notes how many cells the checkpoint file holds,
+    then interrupts the sweep (Ctrl-C), at the cell with one bandwidth."""
+
+    def __init__(self, bandwidth, path):
+        self.bandwidth = bandwidth
+        self.path = path
+        self.on_disk = None
+
+    def __call__(self, machine):
+        if machine.bandwidth == self.bandwidth:
+            self.on_disk = len(SweepCheckpoint.load(self.path, "k",
+                                                    resume=True))
+            raise KeyboardInterrupt
+        return RooflineModel(machine)
+
+
+class _ForkRefused:
+    """Stands in for `ProcessPoolExecutor` on a host that refuses to fork:
+    the pool object builds, but starting its workers fails."""
+
+    def __init__(self, max_workers=None):
+        self._processes = {}
+
+    def submit(self, *args, **kwargs):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _pool_refused(max_workers=None):
+    """Stands in for `ProcessPoolExecutor` where a sandbox forbids even
+    building the pool."""
+    raise PermissionError(errno.EPERM, "Operation not permitted")
 
 
 def _slow_square(item):
@@ -234,12 +276,41 @@ def test_attempts_are_keyed_by_global_index(pedagogical_bet, tmp_path,
     assert resumed.timings["resumed"] == 3.0
 
 
+def test_interrupted_serial_grid_keeps_finished_cells(pedagogical_bet,
+                                                     tmp_path):
+    """A machine-only serial run writes each cell to the checkpoint as it
+    finishes, not when the sweep ends."""
+    path = str(tmp_path / "grid.json")
+    grid = {"bandwidth": [10e9, 20e9, 30e9, 40e9]}
+    factory = _InterruptAt(30e9, path)
+    with pytest.raises(KeyboardInterrupt):
+        sweep_grid(pedagogical_bet, BGQ, grid, model_factory=factory,
+                   checkpoint=path, checkpoint_key="k")
+    assert factory.on_disk == 2          # on disk before the interrupt
+    resumed = sweep_grid(pedagogical_bet, BGQ, grid,
+                         model_factory=_InterruptAt(None, path),
+                         checkpoint=path, checkpoint_key="k", resume=True)
+    assert resumed.timings["resumed"] == 2.0
+    assert _signature(resumed) == \
+        _signature(sweep_grid(pedagogical_bet, BGQ, grid))
+
+
+def test_sealed_envelope_with_an_empty_payload_fails_its_check():
+    envelope = ShardEnvelope.pack(4, 1, "pool-0", [1, 2])
+    with pytest.raises(EnvelopeCorruptError):
+        dataclasses.replace(envelope, data=b"").unpack()
+
+
 # -- chunk sizing -------------------------------------------------------------
 
 class TestChunking:
     def test_per_item_routes_skip_the_input_floor(self):
         assert _auto_chunk_size(32, 4) == 16
         assert _auto_chunk_size(32, 4, floor=1) == 2
+
+    def test_one_worker_ships_per_item_work_one_point_a_chunk(self):
+        assert _auto_chunk_size(32, 1) == 32
+        assert _auto_chunk_size(32, 1, floor=1) == 1
 
     def test_machine_only_grid_fills_every_worker(self, pedagogical_bet):
         # 32 cells on an 8-worker simulated cluster: one cell per shard,
@@ -394,6 +465,45 @@ class TestDefaultPoolExecutor:
         assert results[1].index == 1
         assert results[1].error_type == "ValidationError"
         assert results[2].projected_total == results[0].projected_total
+
+
+class TestPoolCannotStart:
+    """A host that cannot start worker processes runs the default
+    executor's work in-process."""
+
+    @pytest.mark.parametrize("fake", [_ForkRefused, _pool_refused])
+    def test_grid_finishes_in_process(self, pedagogical_bet, monkeypatch,
+                                      fake):
+        serial = sweep_grid(pedagogical_bet, BGQ, GRID4)
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", fake)
+        result = sweep_grid(pedagogical_bet, BGQ, GRID4, workers=2)
+        assert not result.failures
+        assert _signature(result) == _signature(serial)
+
+    def test_strict_matrix_finishes_in_process(self, monkeypatch):
+        from repro.experiments import clear_cache
+        machines = [BGQ, BGQ.with_overrides(name="bgq-2x",
+                                            bandwidth=2 * BGQ.bandwidth)]
+        clear_cache()
+        serial = analyze_matrix(["pedagogical"], machines)
+        clear_cache()
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", _ForkRefused)
+        fanned = analyze_matrix(["pedagogical"], machines, workers=2)
+        assert [r.projected_total for r in fanned] == \
+            [r.projected_total for r in serial]
+
+    def test_start_errors_reach_the_caller(self, monkeypatch):
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", _ForkRefused)
+        with pytest.raises(OSError) as info:
+            executors._start_pool(2)
+        assert info.value.errno == errno.EAGAIN
+
+    def test_named_pool_raises_the_error(self, pedagogical_bet,
+                                         monkeypatch):
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", _ForkRefused)
+        with pytest.raises(OSError):
+            sweep_grid(pedagogical_bet, BGQ, GRID4, workers=2,
+                       executor="pool")
 
 
 # -- checkpoints written by the earlier engine --------------------------------
