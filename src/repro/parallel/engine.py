@@ -1009,21 +1009,22 @@ def _run_chunked(items: Sequence,
                 else:
                     fail(row[1], position)
 
-        scheduler = ShardScheduler(executor, timeout=shard_timeout)
-        try:
-            run = scheduler.run(chunk_task, plan_payloads,
-                                sizes=[len(positions) for positions in plan],
-                                on_result=on_chunk)
-        except OSError:
-            # the default pool could not start its workers (fork refused
-            # by a sandbox, EAGAIN, ENOMEM): before any shard settled,
-            # the plan reruns in-process, as it would for one worker
-            if not (default and isinstance(executor, PoolExecutor)) \
-                    or scheduler.log.count("result") \
-                    or scheduler.log.count("quarantine"):
-                raise
-            executor = SerialExecutor()
-            return dispatch(plan, plan_payloads, shard_timeout)
+        sizes = [len(positions) for positions in plan]
+        while True:
+            scheduler = ShardScheduler(executor, timeout=shard_timeout)
+            try:
+                run = scheduler.run(chunk_task, plan_payloads, sizes=sizes,
+                                    on_result=on_chunk)
+                break
+            except OSError:
+                # the default pool could not start its workers (fork
+                # refused by a sandbox, EAGAIN, ENOMEM): before any shard
+                # settled, the plan reruns in-process, as for one worker
+                if not (default and isinstance(executor, PoolExecutor)) \
+                        or scheduler.log.count("result") \
+                        or scheduler.log.count("quarantine"):
+                    raise
+                executor = SerialExecutor()
         for name, value in run.stats.items():
             counts[name] = counts.get(name, 0.0) + value
         return run

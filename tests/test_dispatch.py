@@ -295,6 +295,26 @@ def test_interrupted_serial_grid_keeps_finished_cells(pedagogical_bet,
         _signature(sweep_grid(pedagogical_bet, BGQ, grid))
 
 
+def test_dispatch_state_is_freed_without_the_cycle_collector(
+        pedagogical_bet):
+    """A sweep's dispatch closures (which hold every item and result) die
+    when the sweep returns, not at the next cyclic collection."""
+    import gc
+
+    def live_dispatchers():
+        return [obj for obj in gc.get_objects()
+                if getattr(obj, "__qualname__", "")
+                == "_run_chunked.<locals>.dispatch"]
+
+    gc.collect()
+    gc.disable()
+    try:
+        sweep_grid(pedagogical_bet, BGQ, {"bandwidth": [10e9, 20e9]})
+        assert live_dispatchers() == []
+    finally:
+        gc.enable()
+
+
 def test_sealed_envelope_with_an_empty_payload_fails_its_check():
     envelope = ShardEnvelope.pack(4, 1, "pool-0", [1, 2])
     with pytest.raises(EnvelopeCorruptError):
