@@ -1534,6 +1534,16 @@ class SymbolicBET:
         self.stats["lanes_fallback"] += fallback
         return batch
 
+    def demote_batch(self, batch: "BatchBET") -> None:
+        """Recount ``batch``'s vectorized lanes as fallback lanes.
+
+        For a caller that could not use the batch after all (its
+        projection raised), so every lane reruns through :meth:`bind`.
+        """
+        moved = batch.lanes - int(_aops.np.count_nonzero(batch.bad))
+        self.stats["lanes_vectorized"] -= moved
+        self.stats["lanes_fallback"] += moved
+
     def _record(self, inputs: Dict[str, float]) -> BETNode:
         started = perf_counter()
         recorder = _Recorder(vector=self._want_vector)

@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "sweeps: 'vector' batches all points "
                                    "through one array replay, 'scalar' "
                                    "evaluates point-by-point, 'auto' "
-                                   "(default) picks vector for pure "
-                                   "input sweeps of >= 64 points")
+                                   "(default) picks vector for input "
+                                   "sweeps of >= 8 points")
     sweep_parser.add_argument("--executor", default=None,
                               choices=("serial", "pool", "multinode"),
                               help="sharded dispatch substrate: split the "

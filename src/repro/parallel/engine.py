@@ -369,9 +369,8 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         ``"scalar"``, ``"vector"``, or ``"auto"`` (default).  The vector
         backend batch-replays the input axes of each chunk (cells
         grouped by machine overrides); ``auto`` selects it for grids
-        with input axes of at least :data:`VECTOR_MIN_POINTS` cells and
-        then batch-replays only groups of at least
-        :data:`VECTOR_MIN_LANES` cells.
+        with input axes of at least :data:`VECTOR_MIN_LANES` cells and
+        then batch-replays only groups of at least that many cells.
     executor / shards / topology / chaos:
         Sharded dispatch (DESIGN.md §12).  ``executor`` names a
         :class:`~repro.parallel.executors.SweepExecutor` (``"serial"`` /
@@ -707,17 +706,22 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
 
 # -- input-axis sweeps (symbolic rebind) --------------------------------------
 
-#: ``backend="auto"`` picks the vector backend at this many input points —
-#: below it the batch-replay setup costs more than it saves
-VECTOR_MIN_POINTS = 64
-
-#: under ``backend="auto"``, a machine-signature lane group of a mixed
-#: cell list batch-replays only from this many lanes; smaller groups run
-#: the per-cell scalar loop.  Measured on BG/Q roofline over groups of
-#: 1-16 lanes: pedagogical, cfd and sord are 5-7x slower vectorized at
-#: 1 lane; cfd and sord are still slower at 6 lanes, and all three are
-#: faster from 7-8 lanes on.
+#: the smallest input sweep or lane group that ``backend="auto"``
+#: batch-replays; smaller ones run the per-point scalar loop, where they
+#: are faster.  One crossover decides both (:func:`_resolve_backend`,
+#: :func:`_min_group_lanes`).  Measured on BG/Q roofline (DESIGN.md
+#: §10): a whole-tree ``project_batch`` brings the batch route level
+#: with the scalar loop at 4-8 points across the bundled workloads; it
+#: stays at 8 so the 4-6-point checkpoints written by earlier releases
+#: (recorded under the scalar backend) still resume.
 VECTOR_MIN_LANES = 8
+
+#: lanes per chunk below which a vector-backend pool run does not split
+#: a sweep (:func:`_auto_chunk_size`), and the size from which the
+#: service steps a vector-eligible batch in ``vector_chunk_cells``
+#: strides instead of ``chunk_cells``.  It no longer picks the backend:
+#: that is :data:`VECTOR_MIN_LANES`.
+VECTOR_MIN_POINTS = 64
 
 #: floor for the automatic chunk size: chunks smaller than this ship more
 #: pickle traffic than work (and starve the vector backend of lanes)
@@ -736,9 +740,9 @@ def _auto_chunk_size(total: int, workers: int, vector: bool = False,
 
     On a vector-backend sweep (``vector=True``) the floor rises to
     :data:`VECTOR_MIN_POINTS`: a chunk is one ``rebind_batch`` lane
-    array, and splitting a vector-eligible group below the
-    auto-vectorization threshold would leave its lanes running scalar
-    for no reason.
+    array, and a batch's fixed cost is amortized only over many more
+    lanes than the :data:`VECTOR_MIN_LANES` crossover, so a pool run
+    splits a vector sweep no finer than that.
     """
     if total <= 0:
         return 1
@@ -754,12 +758,12 @@ def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
                      has_input_axes: bool = True) -> str:
     """Validate and resolve a sweep's ``backend`` choice.
 
-    ``auto`` picks ``vector`` when it is a clear win: input axes to
-    batch over, and at least :data:`VECTOR_MIN_POINTS` points to
-    amortize the batch setup.  Mixed machine×input cell lists
-    qualify too — the grouped dispatch path partitions them into
-    machine-signature lane groups (DESIGN.md §15) so each group replays
-    as one lane array.
+    ``auto`` picks ``vector`` for any sweep with input axes to batch
+    over and at least :data:`VECTOR_MIN_LANES` points — the crossover
+    that also decides which lane groups batch (:func:`_min_group_lanes`).
+    Mixed machine×input cell lists qualify too: the grouped dispatch
+    path partitions them into machine-signature lane groups (DESIGN.md
+    §15) so each group replays as one lane array.
     """
     if backend not in ("scalar", "vector", "auto"):
         raise AnalysisError(
@@ -771,7 +775,7 @@ def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
                                 "axes; this sweep has none")
         return "vector"
     if backend == "auto" and has_input_axes \
-            and points >= VECTOR_MIN_POINTS:
+            and points >= VECTOR_MIN_LANES:
         return "vector"
     return "scalar"
 
@@ -780,8 +784,10 @@ def _min_group_lanes(backend: str) -> int:
     """Smallest lane group the vector backend batch-replays.
 
     A backend that ``auto`` picks leaves groups below
-    :data:`VECTOR_MIN_LANES` to the scalar loop, where they are faster;
-    an explicit ``"vector"`` batches every group, however small."""
+    :data:`VECTOR_MIN_LANES` to the scalar loop, where they are faster —
+    the same crossover :func:`_resolve_backend` applies to a whole
+    sweep; an explicit ``"vector"`` batches every group, however
+    small."""
     return VECTOR_MIN_LANES if backend == "auto" else 1
 
 
@@ -1200,6 +1206,30 @@ def _soa_columns(points: List[Dict[str, float]]
     return cols
 
 
+def _batch_project(sym: SymbolicBET, model, k: int, cols,
+                   lane_index=None, out=None):
+    """Batch-replay ``cols`` and project every lane.
+
+    Returns ``(projections, project_seconds)``, or ``None`` when the
+    replay or the projection raises; the caller then reruns every lane
+    on the scalar loop.  A projection that raises after the replay
+    counted its lanes as vectorized (a user model whose arithmetic is
+    not shape-polymorphic, say ``if metrics.flops > 0``) recounts them
+    as fallback, since that is the route they take.
+    """
+    try:
+        batch = sym.rebind_batch(cols, lane_index=lane_index)
+    except Exception:
+        return None
+    started = time.perf_counter()
+    try:
+        projections = project_batch(batch, model, k, out=out)
+    except Exception:
+        sym.demote_batch(batch)
+        return None
+    return projections, time.perf_counter() - started
+
+
 def _vector_input_batch(sym: SymbolicBET, model, combos, base_inputs,
                         k: int):
     """Batch-evaluate a chunk of input points through the vector backend.
@@ -1212,13 +1242,7 @@ def _vector_input_batch(sym: SymbolicBET, model, combos, base_inputs,
     cols = _soa_columns([{**base_inputs, **combo} for combo in combos])
     if cols is None:
         return None
-    try:
-        batch = sym.rebind_batch(cols)
-        started = time.perf_counter()
-        projections = project_batch(batch, model, k)
-    except Exception:
-        return None
-    return projections, time.perf_counter() - started
+    return _batch_project(sym, model, k, cols)
 
 
 def _input_chunk_task(payload):
@@ -1343,7 +1367,7 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
         batched model projection (bit-identical results; lanes the batch
         cannot vectorize transparently take the scalar path);
         ``"auto"`` (default) picks vector for sweeps of at least
-        :data:`VECTOR_MIN_POINTS` points.
+        :data:`VECTOR_MIN_LANES` points.
     executor / shards / topology / chaos:
         Sharded dispatch with supervision and quarantine — see
         :func:`sweep_grid`; semantics are identical here, with each
@@ -1488,14 +1512,16 @@ def _vector_grid_batch(sym: SymbolicBET, base_machine: MachineModel,
         try:
             model = (model_factory or RooflineModel)(
                 _cell_machine(base_machine, cells[slots[0]]))
-            batch = sym.rebind_batch(cols, lane_index=slots)
-            started = time.perf_counter()
-            project_batch(batch, model, k, out=scattered)
-            project_seconds += time.perf_counter() - started
-            lane_groups += 1
         except Exception:
+            continue
+        batched = _batch_project(sym, model, k, cols, lane_index=slots,
+                                 out=scattered)
+        if batched is None:
             for slot in slots:
                 scattered[slot] = None
+            continue
+        project_seconds += batched[1]
+        lane_groups += 1
     return (_batched_points(base_machine, cells, scattered),
             project_seconds, lane_groups)
 
@@ -1517,17 +1543,19 @@ def _lane_pack_batch(sym: SymbolicBET, base_machine: MachineModel,
     projections: List[Optional[Dict]] = [None] * pack.count
     project_seconds = 0.0
     lane_groups = 0
+    batched = None
     if pack.count >= min_lanes:
         try:
             model = (model_factory or RooflineModel)(
                 _cell_machine(base_machine, pack.machine_part()))
-            batch = sym.rebind_batch(pack.input_columns(base_inputs))
-            started = time.perf_counter()
-            projections = project_batch(batch, model, k)
-            project_seconds = time.perf_counter() - started
-            lane_groups = 1
         except Exception:
-            projections = [None] * pack.count
+            pass
+        else:
+            batched = _batch_project(sym, model, k,
+                                     pack.input_columns(base_inputs))
+    if batched is not None:
+        projections, project_seconds = batched
+        lane_groups = 1
     return (_batched_points(base_machine, pack.cells(), projections),
             project_seconds, lane_groups)
 

@@ -929,12 +929,14 @@ class AnalysisService:
                     cells: List[Dict[str, float]]) -> int:
         """Cells per streamed evaluation step for one batch.
 
-        Vector-eligible batches (numpy present, input axes, enough
-        cells to amortize a lane array) step in strides up to
-        ``vector_chunk_cells`` so the merged tenant-interleaved cell
-        list reaches the engine's grouped lane dispatch whole; anything
-        else keeps the small ``chunk_cells`` stride that bounds
-        deadline-check latency.
+        Batches with input axes of at least ``VECTOR_MIN_POINTS`` cells
+        step in strides up to ``vector_chunk_cells`` so the merged
+        tenant-interleaved cell list reaches the engine's grouped lane
+        dispatch whole; anything else keeps the small ``chunk_cells``
+        stride that bounds deadline-check latency.  The stride does not
+        pick the route: under ``auto`` every step of at least
+        ``VECTOR_MIN_LANES`` cells with input axes is batch-replayed
+        whatever its size.
         """
         cfg = self.config
         step = max(1, cfg.chunk_cells)

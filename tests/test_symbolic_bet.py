@@ -194,7 +194,8 @@ class TestSweepInputs:
         clear_symbolic_cache()               # count this sweep's builds only
         result = sweep_inputs(program, machine,
                               {"n": [float(v) for v in range(16, 48)]},
-                              base_inputs={"m": 8.0, "pr": 0.3})
+                              base_inputs={"m": 8.0, "pr": 0.3},
+                              backend="scalar")
         assert result.cache_stats["bet_builds"] == 1
         assert result.cache_stats["bet_replays"] == 31
         for stage in ("build", "rebind", "compile", "project", "total"):

@@ -18,6 +18,7 @@ import pytest
 from repro.bet import SymbolicBET, build_bet
 from repro.errors import AnalysisError
 from repro.expressions import compile_expr, compile_expr_vector, parse_expr
+from repro.hardware import RooflineModel
 from repro.hardware.presets import machine_by_name
 from repro.parallel import clear_symbolic_cache, sweep_grid, sweep_inputs
 from repro.parallel.engine import (
@@ -207,8 +208,8 @@ class TestBackendDispatch:
                              has_input_axes=False)
 
     def test_auto_rules(self):
-        few = VECTOR_MIN_POINTS - 1
-        many = VECTOR_MIN_POINTS
+        few = VECTOR_MIN_LANES - 1
+        many = VECTOR_MIN_LANES
         assert _resolve_backend("auto", few,
                                 has_machine_axes=False) == "scalar"
         assert _resolve_backend("auto", many,
@@ -242,6 +243,17 @@ class TestBackendDispatch:
 
 
 # -- end-to-end equality ------------------------------------------------------
+
+class _BranchingModel(RooflineModel):
+    """A user model that branches on a metric: right on scalar metrics,
+    an ambiguous truth value on lane arrays."""
+
+    def block_time(self, metrics):
+        time = super().block_time(metrics)
+        if metrics.flops > 0:
+            return time
+        return time._replace(overlap=0.0)
+
 
 def _point_tuple(point):
     return (point.inputs, point.runtime, point.ranking, point.top_label,
@@ -279,6 +291,59 @@ class TestSweepBackendEquality:
         result = sweep_inputs(program, machine, {"n": [16.0, 32.0]},
                               base_inputs={"m": 8.0, "pr": 0.3})
         assert result.backend == "scalar"
+
+    @pytest.mark.parametrize("points, route", [
+        (VECTOR_MIN_LANES, "vector"), (VECTOR_MIN_LANES - 1, "scalar")])
+    def test_one_crossover_for_sweeps_and_lane_groups(
+            self, program, machine, points, route):
+        # a whole input sweep and a single-signature cell list (one
+        # lane group) batch from the same point count
+        base = {"m": 8.0, "pr": 0.3}
+        values = [float(8 + i) for i in range(points)]
+        clear_symbolic_cache()
+        sweep = sweep_inputs(program, machine, {"n": values},
+                             base_inputs=base)
+        clear_symbolic_cache()
+        cells = evaluate_cells(
+            machine, [{"bandwidth": 2e10, "input:n": n} for n in values],
+            program=program, inputs=base)
+        assert sweep.backend == cells.backend == route
+        batched = points if route == "vector" else 0
+        assert sweep.cache_stats["lanes_vectorized"] == batched
+        assert cells.cache_stats["lanes_vectorized"] == batched
+        # the scalar route records once and replays every later point
+        replays = 0 if route == "vector" else points - 1
+        assert sweep.cache_stats["bet_replays"] == replays
+
+    @pytest.mark.parametrize("route", ["inputs", "pack", "grid"])
+    def test_lanes_of_a_failed_projection_count_as_fallback(
+            self, program, machine, route):
+        # the batch replay succeeds, then project_batch raises on the
+        # model: every lane reruns on the scalar loop and is counted so
+        values = [float(v) for v in range(8, 40)]
+        base = {"m": 8.0, "pr": 0.3}
+
+        def run(backend):
+            clear_symbolic_cache()
+            if route == "inputs":
+                return sweep_inputs(program, machine, {"n": values},
+                                    base_inputs=base, backend=backend,
+                                    model_factory=_BranchingModel)
+            # "grid": alternating key order keeps the chunk from packing
+            cells = [{"bandwidth": 2e10, "input:n": n}
+                     if route == "pack" or i % 2 else
+                     {"input:n": n, "bandwidth": 2e10}
+                     for i, n in enumerate(values)]
+            return evaluate_cells(machine, cells, program=program,
+                                  inputs=base, backend=backend,
+                                  model_factory=_BranchingModel)
+
+        vector, scalar = run("vector"), run("scalar")
+        assert vector.cache_stats["lanes_vectorized"] == 0
+        assert vector.cache_stats["lanes_fallback"] == len(values)
+        assert vector.cache_stats["bet_replays"] == len(values)
+        assert [p.runtime for p in vector.points] == \
+            [p.runtime for p in scalar.points]
 
     def test_auto_runs_tiny_lane_groups_scalar(self, program, machine):
         # an explorer-style cell list: every cell is its own machine
