@@ -9,7 +9,9 @@ default) with throughput numbers, plus rendered summaries under
 interpretation or the vector backend is slower than the scalar sweep —
 CI runs ``python benchmarks/bench_compile_eval.py --quick`` (a 256-point
 sweep) as a smoke gate and uploads the JSON as artifacts; the full run
-sweeps 1000 points.
+sweeps 1000 points.  Both modes also sweep ``2 × VECTOR_MIN_LANES``
+points, just above where ``backend="auto"`` starts batching, so the gate
+catches a crossover that has gone stale.
 
 Usage:
     python benchmarks/bench_compile_eval.py [--quick] [--output PATH]
@@ -27,7 +29,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bet import SymbolicBET, build_bet                    # noqa: E402
 from repro.expressions import compile_expr, parse_expr          # noqa: E402
+from repro.parallel.engine import VECTOR_MIN_LANES              # noqa: E402
 from repro.workloads import load                                # noqa: E402
+
+#: timed runs per backend of each crossover sweep (the best one counts)
+CROSSOVER_REPEATS = 5
 
 #: representative skeleton expressions: loop bounds, op counts, branch
 #: conditions, and library sizes as they appear in the bundled workloads
@@ -98,11 +104,14 @@ def bench_rebind(workloads, rounds):
     return rows
 
 
-def bench_vector_sweep(points_count, workloads):
+def bench_vector_sweep(points_count, workloads, repeats=1):
     """Whole input sweeps: batched array replay vs scalar point loop.
 
     Both backends produce identical points (asserted), so the comparison
-    is pure backend overhead at equal output.
+    is pure backend overhead at equal output.  With ``repeats`` > 1 each
+    backend's time is the best of that many sweeps on a warm symbolic
+    cache (one untimed sweep per backend first), the steady state of
+    repeated small sweeps; otherwise one sweep from a cleared cache.
     """
     from repro.hardware import machine_by_name
     from repro.parallel import clear_symbolic_cache, sweep_inputs
@@ -115,15 +124,26 @@ def bench_vector_sweep(points_count, workloads):
         base = float(inputs[axis])
         axes = {axis: [base * (1.0 + index / points_count)
                        for index in range(points_count)]}
-        elapsed = {}
+        warm = repeats > 1
+        elapsed = {"scalar": float("inf"), "vector": float("inf")}
         results = {}
-        for backend in ("scalar", "vector"):
-            clear_symbolic_cache()
-            started = time.perf_counter()
-            results[backend] = sweep_inputs(program, machine, axes,
-                                            base_inputs=inputs,
-                                            backend=backend)
-            elapsed[backend] = time.perf_counter() - started
+
+        def sweep(backend):
+            return sweep_inputs(program, machine, axes, base_inputs=inputs,
+                                backend=backend)
+
+        clear_symbolic_cache()
+        if warm:
+            for backend in elapsed:       # untimed: records the tapes
+                sweep(backend)
+        for _ in range(repeats):
+            for backend in elapsed:
+                if not warm:
+                    clear_symbolic_cache()
+                started = time.perf_counter()
+                results[backend] = sweep(backend)
+                elapsed[backend] = min(elapsed[backend],
+                                       time.perf_counter() - started)
         assert [(p.runtime, p.ranking) for p in
                 results["vector"].points] == \
             [(p.runtime, p.ranking) for p in results["scalar"].points]
@@ -158,6 +178,9 @@ def main(argv=None):
     expressions = bench_expressions(iterations)
     rebind = bench_rebind(workloads, rounds)
     vector = bench_vector_sweep(sweep_points, workloads)
+    crossover_points = 2 * VECTOR_MIN_LANES
+    crossover = bench_vector_sweep(crossover_points, workloads,
+                                   repeats=CROSSOVER_REPEATS)
 
     total_interp = sum(r["interpreted_eval_per_s"] for r in expressions)
     total_compiled = sum(r["compiled_eval_per_s"] for r in expressions)
@@ -181,11 +204,15 @@ def main(argv=None):
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
 
-    vector_ok = all(row["speedup"] >= 1.0 for row in vector.values())
+    vector_ok = all(row["speedup"] >= 1.0 for rows in (vector, crossover)
+                    for row in rows.values())
     vector_report = {
         "mode": "quick" if args.quick else "full",
         "sweep_points": sweep_points,
         "workloads": vector,
+        "crossover": {"points": crossover_points,
+                      "repeats": CROSSOVER_REPEATS,
+                      "workloads": crossover},
         "aggregate": {
             "scalar_s": sum(r["scalar_s"] for r in vector.values()),
             "vector_s": sum(r["vector_s"] for r in vector.values()),
@@ -231,6 +258,16 @@ def main(argv=None):
         agg = vector_report["aggregate"]
         lines.append(f"{'aggregate':<14} {agg['scalar_s']:10.3f} "
                      f"{agg['vector_s']:10.3f} {agg['speedup']:7.2f}x")
+        lines.append("")
+        lines.append(f"vector vs scalar at the crossover "
+                     f"({crossover_points}-point input sweeps, best of "
+                     f"{CROSSOVER_REPEATS} warm runs)")
+        lines.append(f"{'workload':<14} {'scalar ms':>10} "
+                     f"{'vector ms':>10} {'speedup':>8}")
+        for name, row in crossover.items():
+            lines.append(f"{name:<14} {1e3 * row['scalar_s']:10.3f} "
+                         f"{1e3 * row['vector_s']:10.3f} "
+                         f"{row['speedup']:7.2f}x")
     summary = "\n".join(lines)
     print(summary)
     print(f"\nwrote {output} and {vector_output}")

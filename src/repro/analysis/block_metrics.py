@@ -10,8 +10,12 @@ summing record totals partitions the projected runtime.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import reduce
+from typing import Iterable, List, Optional
+
+import numpy as np
 
 from ..bet.nodes import BETNode
 from ..diagnostics import Diagnostic, DiagnosticSink
@@ -130,6 +134,23 @@ def characterize(root: BETNode, roofline,
     return records
 
 
+def left_sum(terms: Iterable, start=0):
+    """``start + t0 + t1 + ...``, added strictly left to right.
+
+    The builtin ``sum`` adds floats this way up to CPython 3.11; from
+    3.12 it compensates their rounding (Neumaier), which the batch
+    route's lane-array adds cannot reproduce.  Every projected time is
+    summed through here, on both routes, so they agree bit for bit on
+    any CPython.  Terms may be lane arrays; an array of terms is folded
+    along its first axis in one ``np.add.accumulate``, which adds in
+    the same order.
+    """
+    if isinstance(terms, np.ndarray):
+        first = np.broadcast_to(start, (1,) + terms.shape[1:])
+        return np.add.accumulate(np.concatenate((first, terms)))[-1]
+    return reduce(operator.add, terms, start)
+
+
 def total_time(records: List[BlockRecord]) -> float:
     """Whole-run projected time: the sum over the block partition."""
-    return sum(record.total for record in records)
+    return left_sum(record.total for record in records)

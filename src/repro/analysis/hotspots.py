@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import AnalysisError
-from .block_metrics import BlockRecord
+from .block_metrics import BlockRecord, left_sum, total_time
 
 
 @dataclass(slots=True)
@@ -38,7 +38,7 @@ class HotSpot:
 
     @property
     def projected_time(self) -> float:
-        return sum(r.total for r in self.records)
+        return left_sum(r.total for r in self.records)
 
     @property
     def static_size(self) -> int:
@@ -47,19 +47,19 @@ class HotSpot:
 
     @property
     def enr(self) -> float:
-        return sum(r.enr for r in self.records)
+        return left_sum(r.enr for r in self.records)
 
     @property
     def compute_time(self) -> float:
-        return sum(r.total_compute for r in self.records)
+        return left_sum(r.total_compute for r in self.records)
 
     @property
     def memory_time(self) -> float:
-        return sum(r.total_memory for r in self.records)
+        return left_sum(r.total_memory for r in self.records)
 
     @property
     def overlap_time(self) -> float:
-        return sum(r.total_overlap for r in self.records)
+        return left_sum(r.total_overlap for r in self.records)
 
     @property
     def bound(self) -> str:
@@ -87,7 +87,8 @@ class HotSpotSelection:
         """Fraction of projected runtime covered by the selection."""
         if self.total_time == 0:
             return 0.0
-        return sum(s.projected_time for s in self.spots) / self.total_time
+        return (left_sum(s.projected_time for s in self.spots)
+                / self.total_time)
 
     @property
     def leanness(self) -> float:
@@ -135,7 +136,7 @@ def group_blocks(records: Sequence[BlockRecord]) -> List[HotSpot]:
     timed = []
     for site in order:
         spot = by_site[site]
-        projected = sum(r.total for r in spot.records)
+        projected = left_sum(r.total for r in spot.records)
         if projected > 0:
             timed.append((projected, spot))
     timed.sort(key=lambda pair: (-pair[0], pair[1].site))
@@ -184,7 +185,7 @@ def select_hotspots(records: Sequence[BlockRecord],
         raise AnalysisError(f"unknown selection strategy {strategy!r}")
 
     candidates = group_blocks(records)
-    whole = sum(record.total for record in records)
+    whole = total_time(records)
     if whole <= 0:
         raise AnalysisError(
             "model projects zero total runtime; is the BET empty?")

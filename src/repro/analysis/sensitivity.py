@@ -23,7 +23,7 @@ from ..bet.nodes import BETNode
 from ..errors import AnalysisError
 from ..hardware.machine import MachineModel
 from ..hardware.roofline import RooflineModel
-from .block_metrics import characterize, total_time
+from .block_metrics import characterize, left_sum, total_time
 from .hotspots import group_blocks
 from .quality import common_spots
 
@@ -129,8 +129,9 @@ def project_with_model(bet: BETNode, model, k: int = 10) -> Dict[str, object]:
     records = characterize(bet, model)
     spots = group_blocks(records)
     runtime = total_time(records)
-    hot_total = sum(s.projected_time for s in spots[:k])
-    hot_memory = sum(s.memory_time - s.overlap_time for s in spots[:k])
+    hot_total = left_sum(s.projected_time for s in spots[:k])
+    hot_memory = left_sum(s.memory_time - s.overlap_time
+                          for s in spots[:k])
     # a degraded build leaves its BuildReport on the root's ``meta``;
     # carry its completeness so every downstream report shows it
     report = getattr(bet, "meta", None)

@@ -43,7 +43,7 @@ from ..skeleton.ast_nodes import Comp, ForLoop, Load, Store
 from ..skeleton.bst import Program
 from .builder import BETBuilder, expected_break_iterations
 from .context import Context
-from .nodes import BETNode
+from .nodes import BLOCK_KINDS, BETNode
 
 #: must match the builder's dead-context / skipped-arm threshold
 _EPS = 1e-12
@@ -208,6 +208,9 @@ class _Recorder:
         self.vtape: Optional[List[Callable]] = [] if vector else None
         self.template: List[Any] = [None]           # R[0] = inputs
         self.ONE = self.reg(1.0)
+        #: per-tree cache shared by every batch of this recording
+        #: (:attr:`BatchBET.memo`)
+        self.memo: Dict[Any, Any] = {}
         # id() side tables, only needed while recording (keep-alive lists
         # prevent id reuse); dropped by finish()
         self._ctx: Optional[Dict[int, Tuple[int, int]]] = {}
@@ -1509,24 +1512,25 @@ class SymbolicBET:
             # scalar path before any arithmetic happens
             sink.bad |= ~(np.abs(col) < _aops.UNSAFE_LIMIT)
         with np.errstate(all="ignore"):
+            memo = self._recorder.memo
             try:
                 self._recorder.replay_batch(cols, sink)
                 batch = BatchBET(self._root, sink, cols,
-                                 lane_index=index_map)
+                                 lane_index=index_map, memo=memo)
             except Exception:
                 # unexpected replay failure: every lane takes the scalar
                 # path, which reproduces the canonical result or error
                 sink.bad |= True
                 try:
                     batch = BatchBET(self._root, sink, cols,
-                                     lane_index=index_map)
+                                     lane_index=index_map, memo=memo)
                 except Exception:
                     sink.prob.clear()
                     sink.num_iter.clear()
                     sink.metrics.clear()
                     sink.ctx.clear()
                     batch = BatchBET(self._root, sink, cols,
-                                     lane_index=index_map)
+                                     lane_index=index_map, memo=memo)
         fallback = int(np.count_nonzero(sink.bad))
         self.stats["batch_replays"] += 1
         self.stats["batch_seconds"] += perf_counter() - started
@@ -1592,30 +1596,50 @@ class BatchBET:
     ``lane_index`` (optional) maps lane *i* to the caller-side position
     it was gathered from; consumers use it to scatter per-lane results
     back into non-contiguous original order.
+
+    ``blocks`` lists the tree's code blocks in pre-order (the order of
+    :meth:`BETNode.blocks`), with each block's ENR in ``block_enr`` and
+    its parallel width (:meth:`BETNode.parallel_width`) in
+    ``block_width``, scalars or lane arrays.  ``memo`` is a dict shared
+    by every batch of one recorded tree, where consumers cache what
+    depends on the tree's structure alone.
     """
 
     __slots__ = ("root", "sink", "cols", "lanes", "bad", "lane_index",
-                 "_enr")
+                 "memo", "blocks", "block_enr", "block_width", "_enr")
 
     def __init__(self, root: BETNode, sink: _BatchSink,
                  cols: Dict[str, Any],
-                 lane_index: Optional[Tuple[int, ...]] = None):
+                 lane_index: Optional[Tuple[int, ...]] = None,
+                 memo: Optional[Dict] = None):
         self.root = root
         self.sink = sink
         self.cols = cols
         self.lanes = sink.lanes
         self.bad = sink.bad
         self.lane_index = lane_index
+        self.memo = {} if memo is None else memo
         self._enr: Dict[BETNode, Any] = {}
-        # same multiplication order as BETNode.compute_enr, so lane
-        # values are bit-identical to a scalar build's enr fill
-        stack = [(root, 1.0)]
+        self.blocks: List[BETNode] = []
+        self.block_enr: List[Any] = []
+        self.block_width: List[Any] = []
+        # one pre-order pass (BETNode.walk's order) carries each node's
+        # parent ENR — multiplied in BETNode.compute_enr's order, so
+        # lane values are bit-identical to a scalar build's enr fill —
+        # and the width of its nearest enclosing forall loop
+        stack = [(root, 1.0, 1.0)]
         while stack:
-            node, parent_enr = stack.pop()
+            node, parent_enr, width = stack.pop()
             enr = self.num_iter(node) * self.prob(node) * parent_enr
             self._enr[node] = enr
-            for child in node.children:
-                stack.append((child, enr))
+            if node.kind in BLOCK_KINDS:
+                if node.kind == "loop" and node.parallel:
+                    width = vmax(self.num_iter(node), 1.0)
+                self.blocks.append(node)
+                self.block_enr.append(enr)
+                self.block_width.append(width)
+            stack.extend((child, enr, width)
+                         for child in reversed(node.children))
 
     # -- lane-aware annotation accessors --------------------------------
     def prob(self, node: BETNode):
@@ -1633,14 +1657,6 @@ class BatchBET:
         if fields is None:
             return _metrics_base(node.own_metrics)
         return fields
-
-    def parallel_width(self, node: BETNode):
-        """Lane-wise twin of :meth:`BETNode.parallel_width`."""
-        while node is not None:
-            if node.kind == "loop" and node.parallel:
-                return vmax(self.num_iter(node), 1.0)
-            node = node.parent
-        return 1.0
 
     def context_at(self, node: BETNode, lane: int) -> Dict:
         """Materialize lane *lane*'s environment for ``node``."""

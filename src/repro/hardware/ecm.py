@@ -64,7 +64,7 @@ class ECMModel:
         plain = metrics.flops
         cycles = 0.0
         if self.model_division:
-            plain -= metrics.div_flops
+            plain = plain - metrics.div_flops   # never in place on lanes
             cycles += metrics.div_flops * machine.div_cost
         if self.model_vectorization:
             vec = metrics.vec_flops

@@ -118,7 +118,9 @@ class RooflineModel:
         plain_flops = metrics.flops
         cycles = 0.0
         if self.model_division:
-            plain_flops -= metrics.div_flops
+            # rebind, never ``-=``: on lane arrays that would write
+            # through to ``metrics.flops``, which overlap_degree reads
+            plain_flops = plain_flops - metrics.div_flops
             cycles += metrics.div_flops * machine.div_cost
         if self.model_vectorization:
             vec = metrics.vec_flops
