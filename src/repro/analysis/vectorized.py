@@ -151,7 +151,7 @@ def _block_totals(batch, model, columns, lo: int, hi: int):
     finite = (np.isfinite(time.compute) & np.isfinite(time.memory)
               & np.isfinite(time.overlap) & np.isfinite(enr)
               & np.isfinite(total))
-    out = np.empty((3, len(batch.blocks), hi - lo))
+    out = np.empty((3, blocks, hi - lo))
     out[0] = total
     out[1] = total_memory
     out[2] = total_overlap

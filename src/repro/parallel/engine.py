@@ -710,10 +710,10 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
 #: batch-replays; smaller ones run the per-point scalar loop, where they
 #: are faster.  One crossover decides both (:func:`_resolve_backend`,
 #: :func:`_min_group_lanes`).  Measured on BG/Q roofline (DESIGN.md
-#: §10): a whole-tree ``project_batch`` brings the batch route level
-#: with the scalar loop at 4-8 points across the bundled workloads; it
-#: stays at 8 so the 4-6-point checkpoints written by earlier releases
-#: (recorded under the scalar backend) still resume.
+#: §10), the batch route is no slower than the scalar loop from 4-6
+#: points on the bundled workloads and takes about half its time at 8;
+#: it stays at 8 so the 4-6-point checkpoints written by earlier
+#: releases (recorded under the scalar backend) still resume.
 VECTOR_MIN_LANES = 8
 
 #: lanes per chunk below which a vector-backend pool run does not split

@@ -9,6 +9,7 @@ rounding, as 3.12 and later do.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis import block_metrics, hotspots, sensitivity, vectorized
@@ -57,6 +58,8 @@ def _mismatches(scales, model_factory=None):
                                       base_inputs=inputs, backend=backend,
                                       model_factory=model_factory)
                 assert not result.failures
+                # every vector lane came from the batch, not a rerun
+                assert result.cache_stats.get("lanes_fallback", 0) == 0
                 rows[backend] = [(p.runtime, p.ranking, p.top_label,
                                   p.memory_fraction) for p in result.points]
             bad.extend((name, machine.name, index)
@@ -84,6 +87,19 @@ def _compensated_sum(terms, start=0):
     if compensation and math.isfinite(compensation):
         total += compensation
     return total
+
+
+def test_left_sum_folds_an_array_like_its_rows():
+    # columns: all negative zeros (the int start makes the sum +0.0),
+    # a cancellation a compensated sum would rescue, plain values
+    rows = np.array([[-0.0, 1e16, 1.5], [-0.0, 1.0, 2.25],
+                     [-0.0, -1e16, 3.0]])
+    folded = block_metrics.left_sum(rows)
+    assert folded.tolist() == [block_metrics.left_sum(column)
+                               for column in rows.T.tolist()]
+    assert folded.tolist() == [0.0, 0.0, 6.75]
+    assert math.copysign(1.0, folded[0]) == 1.0
+    assert block_metrics.left_sum(rows[:0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_batch_matches_scalar_with_a_compensated_builtin_sum(monkeypatch):
