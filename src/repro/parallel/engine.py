@@ -622,7 +622,8 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
             else:
                 group_size = _auto_chunk_size(len(pending_cells), width,
                                               vector=True)
-            lane_chunks = plan_lane_chunks(pending_cells, group_size)
+            lane_chunks = plan_lane_chunks(pending_cells, group_size,
+                                           min_lanes)
 
         def chunk_payload(chunk):
             shipped: Any = None

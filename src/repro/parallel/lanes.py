@@ -13,7 +13,7 @@ planning layer between the two:
     chunk is a *lane-group slice* — the shard unit of the grouped
     dispatch path.  Cells that cannot batch (ragged input keys,
     non-numeric values) land in scalar residue chunks instead of
-    poisoning a group.
+    poisoning a group, and so do groups too small to batch.
 
 :class:`LanePack` / :func:`pack_cells`
     the packed SoA transport for one lane-group slice: one machine
@@ -162,15 +162,19 @@ def pack_cells(cells: Sequence[Dict[str, Any]]) -> Optional[LanePack]:
 
 
 def plan_lane_chunks(cells: Sequence[Dict[str, Any]],
-                     chunk_size: int) -> List[List[int]]:
+                     chunk_size: int,
+                     min_lanes: int = 1) -> List[List[int]]:
     """Partition ``cells`` into lane-group-aligned chunks.
 
     Returns position lists into ``cells``: every chunk is either a slice
     of one lane group (same machine signature, same input keys, original
-    relative order — vector-eligible) or a slice of the unbatchable
-    residue (evaluated scalar).  Groups appear in first-encounter order,
-    each split at ``chunk_size``; the residue keeps its own original
-    order.  The lists form an exact partition of ``range(len(cells))``.
+    relative order — vector-eligible) or a slice of the residue
+    (evaluated scalar): the unbatchable cells plus every group of fewer
+    than ``min_lanes`` cells, which would run the scalar loop anyway and
+    so share chunks instead of paying one chunk each.  Groups appear in
+    first-encounter order, each split at ``chunk_size``; the residue
+    keeps its own original order.  The lists form an exact partition of
+    ``range(len(cells))``.
     """
     chunk_size = max(1, int(chunk_size))
     groups: Dict[Tuple, List[int]] = {}
@@ -188,8 +192,12 @@ def plan_lane_chunks(cells: Sequence[Dict[str, Any]],
     chunks: List[List[int]] = []
     for signature in order:
         positions = groups[signature]
+        if len(positions) < min_lanes:
+            residue.extend(positions)
+            continue
         for start in range(0, len(positions), chunk_size):
             chunks.append(positions[start:start + chunk_size])
+    residue.sort()
     for start in range(0, len(residue), chunk_size):
         chunks.append(residue[start:start + chunk_size])
     return chunks

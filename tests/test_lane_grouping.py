@@ -148,6 +148,20 @@ class TestLanePlanning:
             assert len(signatures) == 1              # group-aligned
             assert chunk == sorted(chunk)            # original order
 
+    def test_plan_lane_chunks_pools_groups_below_min_lanes(self):
+        # groups too small to batch run the scalar loop anyway: they
+        # join the residue, in original order, instead of one chunk each
+        cells = []
+        for position in range(12):
+            group = 0 if position % 3 else position % 2 + 1
+            cells.append({"bandwidth": float(group + 1) * 1e9,
+                          "input:n": float(position)})
+        cells.append({"note": "odd"})
+        big = [pos for pos in range(12) if pos % 3]
+        assert plan_lane_chunks(cells, 100, min_lanes=8) == [
+            big, sorted(set(range(13)) - set(big))]
+        assert len(plan_lane_chunks(cells, 100)) == 4
+
     def test_auto_chunk_size_vector_floor(self):
         assert _auto_chunk_size(1000, 4, vector=True) >= \
             VECTOR_MIN_POINTS

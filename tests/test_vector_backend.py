@@ -369,6 +369,12 @@ class TestSweepBackendEquality:
         assert auto.cache_stats["lanes_vectorized"] == 0
         assert auto.cache_stats["lane_groups"] == 0
         assert rows(auto) == rows(scalar)
+        # the tiny groups share chunks rather than paying one each
+        clear_symbolic_cache()
+        pooled = evaluate_cells(machine, cells, program=program,
+                                inputs=base, executor="serial")
+        assert pooled.shard_stats["shards_planned"] == 1
+        assert rows(pooled) == rows(scalar)
         # an explicit vector backend still batches every group
         assert vector.cache_stats["lane_groups"] == len(cells)
         assert rows(vector) == rows(scalar)
