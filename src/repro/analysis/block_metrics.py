@@ -9,10 +9,12 @@ summing record totals partitions the projected runtime.
 
 from __future__ import annotations
 
+import builtins
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -134,6 +136,13 @@ def characterize(root: BETNode, roofline,
     return records
 
 
+#: the builtin ``sum`` is a left fold up to CPython 3.11, and several
+#: times cheaper per term than ``reduce``; from 3.12 it compensates float
+#: rounding instead
+_fold = (builtins.sum if sys.version_info < (3, 12)
+         else partial(reduce, operator.add))
+
+
 def left_sum(terms: Iterable, start=0):
     """``start + t0 + t1 + ...``, added strictly left to right.
 
@@ -148,7 +157,7 @@ def left_sum(terms: Iterable, start=0):
     if isinstance(terms, np.ndarray):
         first = np.broadcast_to(start, (1,) + terms.shape[1:])
         return np.add.accumulate(np.concatenate((first, terms)))[-1]
-    return reduce(operator.add, terms, start)
+    return _fold(terms, start)
 
 
 def total_time(records: List[BlockRecord]) -> float:

@@ -24,10 +24,11 @@ planning layer between the two:
     rebinds, and ``GridPoint.overrides`` indistinguishable from the
     per-dict path.
 
-The planner never reorders cells *within* a group and never merges
-groups, so results scatter back to the caller's original cell order
-through the chunk's explicit position list (see ``_run_chunked``'s
-``chunks`` parameter in :mod:`repro.parallel.engine`).
+The planner never reorders cells *within* a group and never batches
+two groups together, so results scatter back to the caller's original
+cell order through the chunk's explicit position list (see
+``_run_chunked``'s ``chunks`` parameter in
+:mod:`repro.parallel.engine`).
 """
 
 from __future__ import annotations
