@@ -2,13 +2,17 @@
 """Lane-grouped cell evaluation benchmark (ISSUE 10 gate).
 
 Drives :func:`repro.parallel.evaluate_cells` over a 1000-cell mixed
-machine×input workload — five machine-coordinate signatures times two
+machine×input workload — five machine settings times two
 hundred input points, deterministically shuffled so the cell list
-interleaves groups the way the explorer and the service coalescer hand
+interleaves them the way the explorer and the service coalescer hand
 them over — and compares the scalar point loop against the grouped
-vector path (DESIGN.md §15).  A second section serves the same kind of
-mixed sweep through a live :class:`repro.service.AnalysisService` on a
-loopback port, scalar vs auto, measuring served wall-clock.
+vector path, where the whole list is one lane array with the machines
+as columns (DESIGN.md §15).  A second section projects a 200-cell
+machine-only grid (bandwidth × cores × frequency) over each bundled
+workload's default BET as machine lanes against the scalar loop.  A
+third serves a mixed sweep through a live
+:class:`repro.service.AnalysisService` on a loopback port, scalar vs
+auto, measuring served wall-clock.
 
 Gates recorded in ``BENCH_cells.json`` (all must hold for CI):
 
@@ -24,6 +28,11 @@ Gates recorded in ``BENCH_cells.json`` (all must hold for CI):
   matches both backends bit-identically;
 * **zero_unexpected_fallbacks** — every lane vectorized, none demoted
   to the scalar fallback;
+* **machine_grid_5x** / **machine_grid_bit_identical** /
+  **machine_grid_zero_fallbacks** — the machine-only grids, summed over
+  the six workloads, run >= 5x faster as machine lanes than on the
+  scalar loop, every cell equal to its scalar twin (machine and name
+  tag included), every lane vectorized;
 * **served_not_slower** — the served mixed sweep on backend=auto is
   not slower than backend=scalar through the same live server.
 
@@ -45,7 +54,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.sensitivity import project_with_model       # noqa: E402
 from repro.bet import build_bet                                 # noqa: E402
 from repro.hardware import RooflineModel, machine_by_name       # noqa: E402
-from repro.parallel import clear_symbolic_cache                 # noqa: E402
+from repro.parallel import clear_symbolic_cache, sweep_grid     # noqa: E402
 from repro.parallel.engine import (                             # noqa: E402
     _cell_machine, evaluate_cells,
 )
@@ -55,7 +64,12 @@ from repro.workloads import load                                # noqa: E402
 
 SEED = 20260808
 WORKLOAD = "pedagogical"
-BANDWIDTHS = [5e9, 1e10, 1.5e10, 2e10, 3e10]   # 5 machine signatures
+BANDWIDTHS = [5e9, 1e10, 1.5e10, 2e10, 3e10]   # 5 machine settings
+WORKLOADS = ("cfd", "chargei", "pedagogical", "sord", "srad", "stassuij")
+#: the 10 x 5 x 4 = 200-cell machine-only grid
+MACHINE_GRID = {"bandwidth": [b * 1e9 for b in range(4, 44, 4)],
+                "cores": [1.0, 2.0, 8.0, 16.0, 64.0],
+                "frequency_hz": [8e8, 1.2e9, 1.6e9, 2.2e9]}
 
 
 def mixed_cells(points_per_group):
@@ -114,7 +128,8 @@ def bench_grouped(cells, repeats):
             fresh_identical = False
     return {
         "cells": len(cells),
-        "lane_groups_expected": len(BANDWIDTHS),
+        # the machines are lane columns: one lane array for the list
+        "lane_groups_expected": 1,
         "scalar_s": elapsed["scalar"],
         "grouped_s": elapsed["auto"],
         "speedup": elapsed["scalar"] / elapsed["auto"],
@@ -126,6 +141,50 @@ def bench_grouped(cells, repeats):
         "fresh_build_sample_identical": fresh_identical,
         "fresh_build_sample_size": len(sample),
     }
+
+
+def bench_machine_grids(repeats):
+    """Machine lanes vs the scalar loop on a 200-cell machine-only grid
+    over each workload's prebuilt default-input BET."""
+    machine = machine_by_name("bgq")
+    rows = {}
+    for name in WORKLOADS:
+        program, inputs = load(name)
+        bet = build_bet(program, inputs=inputs)
+        elapsed, results = {}, {}
+        for backend in ("scalar", "auto"):
+            best = float("inf")
+            for _ in range(repeats):
+                started = time.perf_counter()
+                results[backend] = sweep_grid(bet, machine, MACHINE_GRID,
+                                              backend=backend)
+                best = min(best, time.perf_counter() - started)
+            elapsed[backend] = best
+        lanes, scalar = results["auto"], results["scalar"]
+        stats = lanes.cache_stats
+        rows[name] = {
+            "cells": len(lanes.points),
+            "scalar_s": elapsed["scalar"],
+            "lanes_s": elapsed["auto"],
+            "speedup": elapsed["scalar"] / elapsed["auto"],
+            "resolved_backend": lanes.backend,
+            "lanes_vectorized": stats.get("lanes_vectorized", 0.0),
+            "lanes_fallback": stats.get("lanes_fallback", 0.0),
+            "lane_groups": stats.get("lane_groups", 0.0),
+            "bit_identical": (
+                [(p.overrides, p.machine, p.runtime, p.ranking,
+                  p.top_label, p.memory_fraction, p.completeness)
+                 for p in lanes.points]
+                == [(p.overrides, p.machine, p.runtime, p.ranking,
+                     p.top_label, p.memory_fraction, p.completeness)
+                    for p in scalar.points]
+                and not lanes.failures and not scalar.failures),
+        }
+    scalar_s = sum(row["scalar_s"] for row in rows.values())
+    lanes_s = sum(row["lanes_s"] for row in rows.values())
+    return {"grid": MACHINE_GRID, "workloads": rows,
+            "scalar_s": scalar_s, "lanes_s": lanes_s,
+            "speedup": scalar_s / lanes_s}
 
 
 def http_sweep(port, payload, timeout=120.0):
@@ -201,6 +260,7 @@ def main(argv=None):
     served_points = 40 if args.quick else 100    # x5 groups = cells
 
     grouped = bench_grouped(mixed_cells(200), repeats)
+    grids = bench_machine_grids(repeats)
     served = bench_served(served_points, repeats)
 
     checks = {
@@ -213,6 +273,14 @@ def main(argv=None):
             grouped["lanes_fallback"] == 0.0
             and grouped["lanes_vectorized"] == float(grouped["cells"])
             and grouped["resolved_backend"] == "vector"),
+        "machine_grid_5x": grids["speedup"] >= 5.0,
+        "machine_grid_bit_identical": all(
+            row["bit_identical"] for row in grids["workloads"].values()),
+        "machine_grid_zero_fallbacks": all(
+            row["lanes_fallback"] == 0.0
+            and row["lanes_vectorized"] == float(row["cells"])
+            and row["resolved_backend"] == "vector"
+            for row in grids["workloads"].values()),
         "served_not_slower": (served["speedup"] >= 1.0
                               and served["bit_identical"]),
     }
@@ -222,6 +290,7 @@ def main(argv=None):
         "seed": SEED,
         "workload": WORKLOAD,
         "grouped": grouped,
+        "machine_grids": grids,
         "served": served,
         "checks": checks,
     }
@@ -231,8 +300,8 @@ def main(argv=None):
 
     lines = [
         f"lane-grouped evaluate_cells ({report['mode']} mode, "
-        f"{grouped['cells']} mixed cells, "
-        f"{grouped['lane_groups_expected']} machine signatures)",
+        f"{grouped['cells']} mixed cells, {len(BANDWIDTHS)} machine "
+        f"settings)",
         "",
         f"scalar  {grouped['scalar_s']:8.3f}s",
         f"grouped {grouped['grouped_s']:8.3f}s   "
@@ -243,6 +312,16 @@ def main(argv=None):
         f"bit-identical: {grouped['bit_identical']}, fresh-build "
         f"sample ({grouped['fresh_build_sample_size']} cells): "
         f"{grouped['fresh_build_sample_identical']}",
+        "",
+        "200-cell machine-only grids (bandwidth x cores x frequency), "
+        "machine lanes vs scalar:",
+        *(f"  {name:<12} scalar {row['scalar_s'] * 1e3:7.1f} ms  "
+          f"lanes {row['lanes_s'] * 1e3:6.1f} ms  "
+          f"{row['speedup']:5.2f}x  bit-identical: {row['bit_identical']}"
+          for name, row in grids["workloads"].items()),
+        f"  {'all six':<12} scalar {grids['scalar_s'] * 1e3:7.1f} ms  "
+        f"lanes {grids['lanes_s'] * 1e3:6.1f} ms  "
+        f"{grids['speedup']:5.2f}x",
         "",
         f"served mixed sweep ({served['cells']} cells): scalar "
         f"{served['scalar_s']:.3f}s vs auto {served['auto_s']:.3f}s "

@@ -157,7 +157,8 @@ def sweep_machine(bet: BETNode,
                   checkpoint: Optional[str] = None,
                   resume: bool = False,
                   checkpoint_key: Optional[str] = None,
-                  validate: bool = True) -> SweepResult:
+                  validate: bool = True,
+                  backend: str = "auto") -> SweepResult:
     """Re-project one BET across a machine-parameter sweep.
 
     A thin wrapper over :func:`repro.parallel.evaluate_cells` with one
@@ -192,13 +193,19 @@ def sweep_machine(bet: BETNode,
         an interruption (see :class:`repro.parallel.SweepCheckpoint`).
     validate:
         Pre-flight the base machine before any work.
+    backend:
+        As for :func:`repro.parallel.evaluate_cells`: ``auto`` projects
+        sweeps of at least ``VECTOR_MIN_LANES`` values as machine lanes
+        over the tree, ``scalar`` one value at a time.
     """
     from ..bet.nodes import render_tree
-    from ..parallel.engine import _perf_counters, evaluate_cells
+    from ..parallel.engine import (
+        _perf_counters, _python_scalar, evaluate_cells,
+    )
     from ..parallel.fault import sweep_key
+    values = [_python_scalar(value) for value in values]
     if not values:
         raise AnalysisError("sweep needs at least one value")
-    values = list(values)
     if checkpoint and not checkpoint_key:
         # this sweep's own key, not evaluate_cells' cell-list key: a
         # checkpoint written under other settings must be refused with
@@ -210,7 +217,8 @@ def sweep_machine(bet: BETNode,
         base_machine, [{parameter: value} for value in values], bet=bet,
         model_factory=model_factory, k=k, workers=workers, strict=strict,
         policy=policy, timeout=timeout, checkpoint=checkpoint,
-        resume=resume, checkpoint_key=checkpoint_key, validate=validate)
+        resume=resume, checkpoint_key=checkpoint_key, validate=validate,
+        backend=backend)
     perf_after = _perf_counters()
     # expression-layer counters (in-process runs; pool workers compile
     # in their own processes) so `repro sweep --stats` sees the caches

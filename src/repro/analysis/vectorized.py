@@ -10,15 +10,20 @@ same formulas, same poisoning rules, sums in block order through
 :func:`~repro.analysis.block_metrics.left_sum`, same hot-spot ordering —
 so a non-fallback lane's projection is bit-identical to running
 ``characterize`` → ``group_blocks`` → ``project_with_model`` on a fresh
-scalar build of that point (see DESIGN.md §10).
+scalar build of that point (see DESIGN.md §10).  The machine may vary
+across lanes too (a :class:`~repro.hardware.MachineLanes`), over a batch
+replay or over one prebuilt tree (:class:`TreeBlocks`), DESIGN.md §15.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import arrayops as _aops
+from ..bet.nodes import BETNode
+from ..bet.symbolic import _metrics_base
+from ..hardware.machine import MachineLanes
 from ..hardware.metrics import Metrics
 from .block_metrics import left_sum
 
@@ -30,6 +35,36 @@ _CONTAINER_KINDS = ("function", "call")
 #: count (a 4000-lane projection peaks below what a per-block loop over
 #: whole lane arrays did)
 TILE_ELEMENTS = 1 << 13
+
+
+class TreeBlocks:
+    """A built BET as the rows of a ``lanes``-wide batch.
+
+    What :func:`project_batch` reads of a
+    :class:`~repro.bet.symbolic.BatchBET` — blocks in pre-order, their
+    ENRs, parallel widths and metric fields — taken from the tree's own
+    scalar annotations, the values ``characterize`` reads, so every lane
+    sees the same tree and only the machine varies across lanes.
+    ``lane_index`` maps lanes to caller positions as on a batch replay.
+    """
+
+    __slots__ = ("root", "lanes", "bad", "lane_index", "memo", "blocks",
+                 "block_enr", "block_width")
+
+    def __init__(self, root: BETNode, lanes: int,
+                 lane_index: Optional[Sequence[int]] = None):
+        self.root = root
+        self.lanes = lanes
+        self.bad = _aops.np.zeros(lanes, dtype=bool)
+        self.lane_index = lane_index
+        self.memo: Dict = {}
+        self.blocks = list(root.blocks())
+        self.block_enr = [node.enr for node in self.blocks]
+        self.block_width = [node.parallel_width() for node in self.blocks]
+
+    @staticmethod
+    def metric_fields(node: BETNode):
+        return _metrics_base(node.own_metrics)
 
 
 class _SitePlan:
@@ -121,7 +156,7 @@ def _block_totals(batch, model, columns, lo: int, hi: int):
     """``(3, blocks, hi - lo)``: each block's whole-run total, memory and
     overlap time for lanes ``lo:hi`` — characterize's arithmetic on
     ``(blocks, lanes)`` matrices, with the same zeroing of non-finite
-    (poisoned) elements."""
+    (poisoned) elements.  ``model`` is the model of those lanes."""
     np = _aops.np
     machine = model.machine
     layout, scalars, arrays = columns
@@ -158,17 +193,22 @@ def _block_totals(batch, model, columns, lo: int, hi: int):
     return np.where(finite, out, 0.0)
 
 
-def project_batch(batch, model, k: int = 10,
+def project_batch(batch, factory: Callable, machine, k: int = 10,
                   out: Optional[List[Optional[Dict]]] = None
                   ) -> List[Optional[Dict]]:
-    """Project every lane of a :class:`~repro.bet.symbolic.BatchBET`.
+    """Project every lane of a :class:`~repro.bet.symbolic.BatchBET` (or
+    a :class:`TreeBlocks`) on ``factory(machine)``.
 
     Returns one ``project_with_model``-shaped dict per lane; lanes in the
     batch's ``bad`` mask get ``None`` (the caller re-binds them through
-    the scalar path).  ``model`` is any block-time model whose arithmetic
-    is shape-polymorphic (RooflineModel and ECMModel both are): it is
-    called once per tile of up to :data:`TILE_ELEMENTS` blocks × lanes,
-    with every metric field a ``(blocks, lanes)`` array.
+    the scalar path).  ``factory`` builds a block-time model whose
+    arithmetic is shape-polymorphic (RooflineModel and ECMModel both
+    are): the model is called once per tile of up to
+    :data:`TILE_ELEMENTS` blocks × lanes, with every metric field a
+    ``(blocks, lanes)`` array.  ``machine`` is one
+    :class:`~repro.hardware.MachineModel` for every lane, or a
+    :class:`~repro.hardware.MachineLanes` with one machine per lane; then
+    each tile's model is built over that tile's slice of the columns.
 
     When the batch carries a non-contiguous ``lane_index`` map and the
     caller passes ``out`` (a pre-sized mutable list), each lane's
@@ -191,10 +231,14 @@ def project_batch(batch, model, k: int = 10,
     top = min(k, spots)
     results: List[Optional[Dict]] = []
     tile = max(1, TILE_ELEMENTS // len(batch.blocks))
+    lanes_machine = isinstance(machine, MachineLanes)
+    model = None if lanes_machine else factory(machine)
     with np.errstate(all="ignore"):
         for lo in range(0, batch.lanes, tile):
             hi = min(batch.lanes, lo + tile)
             lanes = np.arange(hi - lo)
+            if lanes_machine:
+                model = factory(machine.tile(lo, hi))
             totals = _block_totals(batch, model, columns, lo, hi)
             runtime = left_sum(totals[0])
             # each site's blocks folded in block order (rows of ``per``:

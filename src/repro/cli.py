@@ -246,12 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
                                    "without stalling the sweep")
     sweep_parser.add_argument("--backend", default="auto",
                               choices=("scalar", "vector", "auto"),
-                              help="evaluation backend for input-axis "
-                                   "sweeps: 'vector' batches all points "
-                                   "through one array replay, 'scalar' "
+                              help="evaluation backend: 'vector' "
+                                   "evaluates the points as lane arrays "
+                                   "(input axes through one array "
+                                   "replay, machine parameters as "
+                                   "machine lanes), 'scalar' "
                                    "evaluates point-by-point, 'auto' "
-                                   "(default) picks vector for input "
-                                   "sweeps of >= 8 points")
+                                   "(default) picks vector for sweeps "
+                                   "of >= 8 points")
     sweep_parser.add_argument("--executor", default=None,
                               choices=("serial", "pool", "multinode"),
                               help="sharded dispatch substrate: split the "
@@ -698,16 +700,11 @@ def _cmd_sweep(args) -> str:
     has_input_axes = any(name.startswith(INPUT_PREFIX) for name in grid)
     backend = getattr(args, "backend", "auto")
     if len(grid) == 1 and not has_input_axes and executor is None:
-        if backend == "vector":
-            raise ReproError(
-                "--backend vector needs at least one 'input:' axis; "
-                "machine-parameter sweeps re-project one prebuilt tree "
-                "and are always scalar")
         bet = build_bet_cached(program, inputs)
         parameter, values = next(iter(grid.items()))
         result = sweep_machine(bet, machine, parameter, values,
                                k=args.top, workers=args.workers,
-                               **resilience)
+                               backend=backend, **resilience)
         if args.json:
             from .export import sweep_to_dict, to_json
             return to_json(sweep_to_dict(result))

@@ -531,7 +531,7 @@ def verify_frontier(result: ExploreResult,
     **bit-identical** (``==``, not approximately) to what the explorer
     reported.  A second pass then re-evaluates the whole frontier as
     one :func:`~repro.parallel.evaluate_cells` batch through the
-    grouped vector path (when the space has input axes), proving the
+    grouped vector path (machine and input lanes), proving the
     lane-batched dispatch agrees with the per-point scratch builds.
     Returns the number of points verified.
     """
@@ -578,7 +578,6 @@ def verify_frontier(result: ExploreResult,
                  for frontier_point in result.frontier]
         has_input_axes = any(name.startswith(INPUT_PREFIX)
                              for cell in cells for name in cell)
-        cross_backend = "vector" if has_input_axes else "scalar"
         batch_bet = bet
         if batch_bet is None and not has_input_axes:
             # machine-only cells need a built BET; the per-point pass
@@ -589,7 +588,7 @@ def verify_frontier(result: ExploreResult,
             base_machine, cells, bet=batch_bet, program=program,
             inputs=inputs, entry=entry, library=library,
             model_factory=model_factory, k=k,
-            backend=cross_backend, validate=False)
+            backend="vector", validate=False)
         by_key = {overrides_key(point.overrides): point
                   for point in batch.points}
         for frontier_point in result.frontier:
@@ -602,7 +601,7 @@ def verify_frontier(result: ExploreResult,
                     or point.memory_fraction
                     != frontier_point.memory_fraction):
                 raise AnalysisError(
-                    f"grouped ({cross_backend}) re-evaluation is not "
+                    "grouped (vector) re-evaluation is not "
                     "bit-identical to the frontier at cell "
                     f"{overrides_key(frontier_point.cell)}: runtime "
                     f"{point.runtime!r} != {frontier_point.runtime!r} "

@@ -1,6 +1,9 @@
-"""Pratt (precedence-climbing) parser for skeleton expressions.
+"""Recursive-descent parser for skeleton expressions.
 
-Grammar (lowest to highest precedence)::
+One method per precedence level, nine levels in all, each calling the
+next tighter one (``parse_or`` down to ``parse_atom``); a left-associative
+level loops over its operator, while ``^`` and the prefix ``not``/``-``
+recurse into themselves.  Grammar (lowest to highest precedence)::
 
     or-expr    := and-expr ("or" and-expr)*
     and-expr   := not-expr ("and" not-expr)*

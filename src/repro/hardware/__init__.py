@@ -16,7 +16,9 @@ from .cachemodel import (
     AnalyticCacheModel, ConstantCacheModel, ECMFactory, RooflineFactory,
     cache_model_by_name,
 )
-from .machine import MachineModel, ensure_valid_machine, validate_machine
+from .machine import (
+    MachineLanes, MachineModel, ensure_valid_machine, validate_machine,
+)
 from .metrics import Metrics
 from .presets import BGQ, FUTURE_HBM, FUTURE_MANYCORE, XEON_E5_2420, machine_by_name
 from .roofline import BlockTime, RooflineModel
@@ -30,6 +32,7 @@ __all__ = [
     "ECMFactory",
     "cache_model_by_name",
     "MachineModel",
+    "MachineLanes",
     "validate_machine",
     "ensure_valid_machine",
     "Metrics",

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from operator import attrgetter
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from ..arrayops import vmax
 from ..errors import HardwareModelError, ValidationError
@@ -27,6 +30,10 @@ POSITIVE_FIELDS = (
     "l1_latency", "llc_latency", "dram_latency", "bandwidth",
     "cache_line", "div_cost", "mlp", "bandwidth_saturation_cores",
 )
+
+#: every numeric machine field: the ones pre-flight checks, and the ones a
+#: :class:`MachineLanes` view carries lane by lane
+NUMERIC_FIELDS = POSITIVE_FIELDS + ("simd_efficiency",)
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,7 @@ def validate_machine(machine) -> List[str]:
     what they have.  An empty list means the machine is usable.
     """
     issues: List[str] = []
-    for name in POSITIVE_FIELDS + ("simd_efficiency",):
+    for name in NUMERIC_FIELDS:
         value = getattr(machine, name, None)
         if value is None:
             continue
@@ -204,7 +211,63 @@ def ensure_valid_machine(machine) -> None:
     readable report naming the offending fields, before any BET is built
     or any math divides by them.
     """
+    if isinstance(machine, MachineLanes):
+        return          # built from machines that each passed this gate
     issues = validate_machine(machine)
     if issues:
         raise ValidationError(
             issues, subject=getattr(machine, "name", "machine"))
+
+
+# -- machine lanes ------------------------------------------------------------
+
+#: a machine's numeric field values, in :data:`NUMERIC_FIELDS` order
+numeric_values = attrgetter(*NUMERIC_FIELDS)
+
+
+class MachineLanes:
+    """Several machines seen as one, lane by lane (DESIGN.md §15).
+
+    Lane ``i`` is ``machines[i]``: each numeric field that differs across
+    the machines is a float64 column with one entry per lane, and each
+    field they share keeps its one value.  The derived peaks and
+    :meth:`memory_cycles` are :class:`MachineModel`'s own, so a timing
+    model built over the view (RooflineModel, ECMModel and the cache
+    models, unchanged) evaluates every lane's machine at once with the
+    scalar arithmetic, lane-wise.  The view has no ``name``: a model
+    that reads it cannot run on lanes.
+
+    Build it only from machines that passed :func:`ensure_valid_machine`
+    (the models' pre-flight accepts the view as is).
+    """
+
+    cycle_time = MachineModel.cycle_time
+    scalar_flops_per_cycle = MachineModel.scalar_flops_per_cycle
+    vector_flops_per_cycle = MachineModel.vector_flops_per_cycle
+    peak_scalar_gflops = MachineModel.peak_scalar_gflops
+    peak_vector_gflops = MachineModel.peak_vector_gflops
+    ridge_intensity = MachineModel.ridge_intensity
+    memory_cycles = MachineModel.memory_cycles
+
+    def __init__(self, machines: Sequence[MachineModel]):
+        if not machines:
+            raise HardwareModelError("machine lanes need at least one "
+                                     "machine")
+        self.lanes = len(machines)
+        for name, values in zip(NUMERIC_FIELDS,
+                                zip(*map(numeric_values, machines))):
+            shared = values[0]
+            setattr(self, name,
+                    shared if values.count(shared) == self.lanes
+                    else np.array(values, dtype=np.float64))
+
+    def tile(self, lo: int, hi: int) -> "MachineLanes":
+        """Lanes ``lo:hi`` as a view of their own."""
+        if lo == 0 and hi == self.lanes:
+            return self
+        view = object.__new__(MachineLanes)
+        for name, value in vars(self).items():
+            setattr(view, name, value[lo:hi]
+                    if isinstance(value, np.ndarray) else value)
+        view.lanes = hi - lo
+        return view

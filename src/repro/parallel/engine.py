@@ -37,19 +37,23 @@ observable (``timings`` / ``cache_stats``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..analysis.sensitivity import project_machine, project_with_model
-from ..analysis.vectorized import project_batch
+from ..analysis.vectorized import TreeBlocks, project_batch
 from ..bet import SymbolicBET, build_bet
 from ..bet.nodes import BETNode, render_tree
 from ..errors import AnalysisError, RetryExhaustedError, TaskTimeoutError
-from ..hardware.machine import MachineModel, ensure_valid_machine
+from ..hardware.machine import (
+    MachineLanes, MachineModel, ensure_valid_machine, numeric_values,
+    validate_machine,
+)
 from ..hardware.roofline import RooflineModel
 from ..skeleton.bst import Program
 from .cache import CacheStats, LRUCache
@@ -57,7 +61,8 @@ from .executors import (
     PoolExecutor, SerialExecutor, SweepExecutor, resolve_executor,
 )
 from .lanes import (
-    INPUT_PREFIX, LanePack, pack_cells, plan_lane_chunks, split_overrides,
+    INPUT_PREFIX, LanePack, input_columns, one_lane_group, pack_cells,
+    plan_lane_chunks, split_overrides,
 )
 from .fault import (
     _ITEM_REPR_LIMIT, PointFailure, RetryPolicy, SweepCheckpoint,
@@ -190,6 +195,14 @@ class GridResult:
         return "\n".join(lines)
 
 
+def _python_scalar(value):
+    """A numpy scalar as the Python ``int``/``float`` it equals; any other
+    value unchanged.  Axis values and cells pass through this once, where
+    they enter the engine, so ``np.arange``/``np.linspace`` axes validate,
+    batch, checkpoint-key and export like the Python numbers they equal."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _grid_cells(grid: Dict[str, Sequence[float]]) -> List[Dict[str, float]]:
     names = list(grid)
     return [dict(zip(names, combo))
@@ -211,15 +224,6 @@ def _cell_machine(base_machine: MachineModel,
                     if not name.startswith(INPUT_PREFIX)}
     return base_machine.with_overrides(
         name=f"{base_machine.name}[{tag}]", **machine_part)
-
-
-def _grid_one(bet: BETNode, base_machine: MachineModel,
-              overrides: Dict[str, float],
-              model_factory: Optional[Callable], k: int) -> GridPoint:
-    machine = _cell_machine(base_machine, overrides)
-    projection = project_machine(bet, machine, model_factory, k)
-    return GridPoint(overrides=dict(overrides), machine=machine,
-                     **projection)
 
 
 def _attempt_rows(evaluate: Callable, items: Sequence,
@@ -245,9 +249,9 @@ def _attempt_rows(evaluate: Callable, items: Sequence,
 
 
 def _point_chunk_task(payload):
-    """Shard task for per-item work — machine-only grid cells and matrix
-    analyses, whose points share no setup: ``fn`` over the chunk's items,
-    each through its attempt loop."""
+    """Shard task for per-item work — matrix analyses, whose points
+    share no setup: ``fn`` over the chunk's items, each through its
+    attempt loop."""
     (fn, chunk), indices, policy, strict = payload
     return _attempt_rows(fn, chunk, indices, policy, strict), {}
 
@@ -362,15 +366,20 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         ``inputs`` overlaid with the cell's input-axis values.
     chunk_size:
         Cells per shipped chunk (default: about four chunks per worker;
-        grids with input axes floor it at 16 cells, while machine-only
-        grids have no floor and ship one cell per chunk on one worker,
-        so each cell is checkpointed as it finishes).
+        on the vector backend one chunk per worker, floored at
+        :data:`VECTOR_MIN_POINTS` cells; scalar grids with input axes
+        floor it at 16 cells, while scalar machine-only grids have no
+        floor and ship one cell per chunk on one worker, so each cell
+        is checkpointed as it finishes).
     backend:
         ``"scalar"``, ``"vector"``, or ``"auto"`` (default).  The vector
-        backend batch-replays the input axes of each chunk (cells
-        grouped by machine overrides); ``auto`` selects it for grids
-        with input axes of at least :data:`VECTOR_MIN_LANES` cells and
-        then batch-replays only groups of at least that many cells.
+        backend evaluates each chunk as one lane array (DESIGN.md §15):
+        the cells' machines as the columns of one
+        :class:`~repro.hardware.MachineLanes`, their input axes as the
+        columns of one batch replay (cells grouped by input-axis names),
+        or the prebuilt ``bet`` when there are none.  ``auto`` selects
+        it for grids of at least :data:`VECTOR_MIN_LANES` cells and then
+        batches only groups of at least that many cells.
     executor / shards / topology / chaos:
         Sharded dispatch (DESIGN.md §12).  ``executor`` names a
         :class:`~repro.parallel.executors.SweepExecutor` (``"serial"`` /
@@ -385,7 +394,9 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         ``workers`` otherwise (in-process when the work does not
         pickle); it reports ``executor == ""`` and no shard stats.
     """
-    if not grid or any(len(list(values)) == 0 for values in grid.values()):
+    grid = {name: [_python_scalar(value) for value in values]
+            for name, values in grid.items()}
+    if not grid or any(len(values) == 0 for values in grid.values()):
         raise AnalysisError("grid needs at least one value per parameter")
     input_axes = [name for name in grid if name.startswith(INPUT_PREFIX)]
     for parameter in grid:
@@ -406,12 +417,8 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
     started = time.perf_counter()
     cells = _grid_cells(grid)
     base_inputs = dict(inputs or {})
-    machine_axes = [name for name in grid
-                    if not name.startswith(INPUT_PREFIX)]
     min_lanes = _min_group_lanes(backend)
-    backend = _resolve_backend(backend, len(cells),
-                               has_machine_axes=bool(machine_axes),
-                               has_input_axes=bool(input_axes))
+    backend = _resolve_backend(backend, len(cells))
     resolved_executor: Optional[SweepExecutor] = None
     if executor is not None:
         resolved_executor = resolve_executor(executor, workers=workers,
@@ -436,8 +443,7 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
                                           resolved_executor))
 
     return _evaluate_cell_list(
-        cells, base_machine,
-        grid_spec={name: list(values) for name, values in grid.items()},
+        cells, base_machine, grid_spec=grid,
         has_input_axes=bool(input_axes), bet=bet, program=program,
         base_inputs=base_inputs, entry=entry, library=library,
         model_factory=model_factory, k=k, workers=workers, strict=strict,
@@ -490,18 +496,16 @@ def evaluate_cells(base_machine: MachineModel,
     list, so different batches would otherwise refuse to share a file.
     Other parameters match :func:`sweep_grid`.
     """
-    cells = [dict(cell) for cell in cells]
+    cells = [{name: _python_scalar(value)
+              for name, value in dict(cell).items()} for cell in cells]
     if not cells:
         raise AnalysisError("evaluate_cells needs at least one cell")
     input_names: set = set()
-    machine_names: set = set()
     for cell in cells:
         for name in cell:
             if name.startswith(INPUT_PREFIX):
                 input_names.add(name)
-            elif hasattr(base_machine, name):
-                machine_names.add(name)
-            else:
+            elif not hasattr(base_machine, name):
                 raise AnalysisError(
                     f"machine has no parameter {name!r}")
     if input_names and program is None:
@@ -516,9 +520,7 @@ def evaluate_cells(base_machine: MachineModel,
     started = time.perf_counter()
     base_inputs = dict(inputs or {})
     min_lanes = _min_group_lanes(backend)
-    backend = _resolve_backend(backend, len(cells),
-                               has_machine_axes=bool(machine_names),
-                               has_input_axes=bool(input_names))
+    backend = _resolve_backend(backend, len(cells))
     resolved_executor: Optional[SweepExecutor] = None
     if executor is not None:
         resolved_executor = resolve_executor(executor, workers=workers,
@@ -588,9 +590,11 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                         started: float) -> GridResult:
     """Shared evaluation core of :func:`sweep_grid` (cross products) and
     :func:`evaluate_cells` (explicit cell lists): checkpoint triage,
-    chunked/sharded dispatch, and result assembly.  On the vector
-    backend, lane groups of fewer than ``min_lanes`` cells run the
-    per-cell scalar loop (see :func:`_min_group_lanes`)."""
+    chunked/sharded dispatch, and result assembly.  Cells with input axes
+    bind through one :class:`~repro.bet.SymbolicBET`; machine-only
+    cells re-project the prebuilt ``bet``.  On the vector backend, lane
+    groups of fewer than ``min_lanes`` cells run the per-cell scalar
+    loop (see :func:`_min_group_lanes`)."""
     prior: Dict[int, GridPoint] = {}
     pending_indices: List[int] = []
     pending_cells: List[Dict[str, float]] = []
@@ -603,49 +607,40 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
             pending_indices.append(index)
             pending_cells.append(overrides)
 
-    if has_input_axes:
-        sym = SymbolicBET(program, entry=entry, library=library)
-        lane_chunks: Optional[List[List[int]]] = None
-        if backend == "vector" and pending_cells:
-            # grouped dispatch (DESIGN.md §15): partition the pending
-            # cells by machine signature so every shipped chunk — the
-            # shard unit — is one lane-group slice, then pack each
-            # vector-eligible chunk as a columnar SoA payload instead of
-            # N per-point dicts
-            width = (resolved_executor.width
-                     if resolved_executor is not None else workers)
-            if resolved_executor is not None and shards:
-                group_size = max(1, -(-len(pending_cells)
-                                      // max(1, int(shards))))
-            elif chunk_size is not None:
-                group_size = max(1, chunk_size)
-            else:
-                group_size = _auto_chunk_size(len(pending_cells), width,
-                                              vector=True)
-            lane_chunks = plan_lane_chunks(pending_cells, group_size,
-                                           min_lanes)
+    source: Any = (SymbolicBET(program, entry=entry, library=library)
+                   if has_input_axes else bet)
+    lane_chunks: Optional[List[List[int]]] = None
+    if backend == "vector" and pending_cells:
+        # grouped dispatch (DESIGN.md §15): partition the pending cells
+        # by input-axis names so every shipped chunk — the shard unit —
+        # is one lane-group slice, then pack each chunk as a columnar
+        # SoA payload instead of N per-point dicts
+        width = (resolved_executor.width
+                 if resolved_executor is not None else workers)
+        if resolved_executor is not None and shards:
+            group_size = max(1, -(-len(pending_cells)
+                                  // max(1, int(shards))))
+        elif chunk_size is not None:
+            group_size = max(1, chunk_size)
+        else:
+            group_size = _auto_chunk_size(len(pending_cells), width,
+                                          vector=True)
+        lane_chunks = plan_lane_chunks(pending_cells, group_size,
+                                       min_lanes)
 
-        def chunk_payload(chunk):
-            shipped: Any = None
-            if backend == "vector":
-                shipped = pack_cells(chunk)
-            if shipped is None:
-                shipped = list(chunk)
-            return (sym, base_machine, shipped, base_inputs,
-                    model_factory, k, backend, min_lanes)
+    def chunk_payload(chunk):
+        shipped: Any = None
+        if backend == "vector":
+            shipped = pack_cells(chunk)
+        if shipped is None:
+            shipped = list(chunk)
+        return (source, base_machine, shipped, base_inputs,
+                model_factory, k, backend, min_lanes)
 
-        chunk_task = _grid_chunk_task
-        floor = (VECTOR_MIN_POINTS if backend == "vector"
-                 else _MIN_CHUNK_POINTS)
-    else:
-        # machine-only cells share nothing but the BET: per-item chunks
-        cell_point = functools.partial(_grid_one, bet, base_machine,
-                                       model_factory=model_factory, k=k)
-
-        def chunk_payload(chunk):
-            return (cell_point, list(chunk))
-
-        chunk_task, floor, lane_chunks = _point_chunk_task, 1, None
+    # scalar machine-only cells share nothing but the tree: no floor, so
+    # a serial run ships one cell per chunk and checkpoints it at once
+    floor = (VECTOR_MIN_POINTS if backend == "vector"
+             else _MIN_CHUNK_POINTS if has_input_axes else 1)
 
     def record(global_index: int, point: GridPoint) -> None:
         if ckpt is not None:
@@ -655,7 +650,8 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
     try:
         computed, failures, stages = _run_chunked(
             pending_cells, pending_indices, chunk_payload=chunk_payload,
-            chunk_task=chunk_task, describe=overrides_key, record=record,
+            chunk_task=_grid_chunk_task, describe=overrides_key,
+            record=record,
             workers=workers, strict=strict, policy=policy,
             timeout=timeout, chunk_size=chunk_size,
             executor=resolved_executor, shards=shards,
@@ -676,6 +672,11 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                "failed": float(len(failures)),
                "resumed": float(len(prior))}
     cache_stats = bet_cache_stats().as_dict()
+    if has_input_axes or backend == "vector":
+        cache_stats.update(
+            lanes_vectorized=stages.get("bet_lanes_vectorized", 0.0),
+            lanes_fallback=stages.get("bet_lanes_fallback", 0.0),
+            lane_groups=stages.get("lane_groups", 0.0))
     if has_input_axes:
         timings.update(
             build=stages.get("bet_build_seconds", 0.0),
@@ -687,9 +688,6 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
             bet_replays=stages.get("bet_replays", 0.0),
             bet_shape_rebuilds=stages.get("bet_shape_rebuilds", 0.0),
             bet_batch_replays=stages.get("bet_batch_replays", 0.0),
-            lanes_vectorized=stages.get("bet_lanes_vectorized", 0.0),
-            lanes_fallback=stages.get("bet_lanes_fallback", 0.0),
-            lane_groups=stages.get("lane_groups", 0.0),
             compiles=stages.get("compiles", 0.0),
             compile_cache_hits=stages.get("compile_cache_hits", 0.0),
             parse_cache_hits=stages.get("parse_cache_hits", 0.0))
@@ -755,30 +753,22 @@ def _auto_chunk_size(total: int, workers: int, vector: bool = False,
     return max(1, min(total, max(per_worker, floor)))
 
 
-def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
-                     has_input_axes: bool = True) -> str:
+def _resolve_backend(backend: str, points: int) -> str:
     """Validate and resolve a sweep's ``backend`` choice.
 
-    ``auto`` picks ``vector`` for any sweep with input axes to batch
-    over and at least :data:`VECTOR_MIN_LANES` points — the crossover
-    that also decides which lane groups batch (:func:`_min_group_lanes`).
-    Mixed machine×input cell lists qualify too: the grouped dispatch
-    path partitions them into machine-signature lane groups (DESIGN.md
-    §15) so each group replays as one lane array.
+    ``auto`` picks ``vector`` for any sweep of at least
+    :data:`VECTOR_MIN_LANES` points — the crossover that also decides
+    which lane groups batch (:func:`_min_group_lanes`).  Input sweeps,
+    mixed machine×input cell lists and machine-only cells all qualify:
+    a lane array carries the machine as columns too (DESIGN.md §15).
     """
     if backend not in ("scalar", "vector", "auto"):
         raise AnalysisError(
             f"unknown sweep backend {backend!r}; expected 'scalar', "
             f"'vector', or 'auto'")
-    if backend == "vector":
-        if not has_input_axes:
-            raise AnalysisError("the vector backend batches over input "
-                                "axes; this sweep has none")
-        return "vector"
-    if backend == "auto" and has_input_axes \
-            and points >= VECTOR_MIN_LANES:
-        return "vector"
-    return "scalar"
+    if backend == "auto":
+        return "vector" if points >= VECTOR_MIN_LANES else "scalar"
+    return backend
 
 
 def _min_group_lanes(backend: str) -> int:
@@ -855,15 +845,15 @@ def _perf_counters() -> Dict[str, float]:
             "parse_cache_hits": float(parsed["cache_hits"])}
 
 
-def _stage_snapshot(sym: SymbolicBET) -> Dict[str, float]:
+def _stage_snapshot(sym: Optional[SymbolicBET]) -> Dict[str, float]:
     snap = {f"bet_{name}": float(value)
-            for name, value in sym.stats.items()}
+            for name, value in (sym.stats.items() if sym else ())}
     snap.update(_perf_counters())
     snap["project_seconds"] = 0.0
     return snap
 
 
-def _stage_delta(sym: SymbolicBET, before: Dict[str, float],
+def _stage_delta(sym: Optional[SymbolicBET], before: Dict[str, float],
                  project_seconds: float) -> Dict[str, float]:
     after = _stage_snapshot(sym)
     after["project_seconds"] = project_seconds
@@ -1168,18 +1158,21 @@ class InputSweepResult:
 
 def _input_combos(axes) -> Tuple[Dict[str, List[float]],
                                  List[Dict[str, float]]]:
-    """Normalize an axes dict or explicit point list into point dicts."""
+    """Normalize an axes dict or explicit point list into point dicts
+    (numpy scalars become Python numbers, see :func:`_python_scalar`)."""
     if isinstance(axes, dict):
-        if not axes or any(len(list(values)) == 0
-                           for values in axes.values()):
+        axes = {name: [_python_scalar(value) for value in values]
+                for name, values in axes.items()}
+        if not axes or any(len(values) == 0 for values in axes.values()):
             raise AnalysisError(
                 "input sweep needs at least one value per axis")
         names = list(axes)
         combos = [dict(zip(names, combo))
                   for combo in itertools.product(*(axes[name]
                                                    for name in names))]
-        return {name: list(values) for name, values in axes.items()}, combos
-    combos = [dict(point) for point in axes]
+        return axes, combos
+    combos = [{name: _python_scalar(value)
+               for name, value in dict(point).items()} for point in axes]
     if not combos:
         raise AnalysisError("input sweep needs at least one point")
     return {}, combos
@@ -1207,9 +1200,10 @@ def _soa_columns(points: List[Dict[str, float]]
     return cols
 
 
-def _batch_project(sym: SymbolicBET, model, k: int, cols,
-                   lane_index=None, out=None):
-    """Batch-replay ``cols`` and project every lane.
+def _batch_project(sym: SymbolicBET, factory: Callable, machine, k: int,
+                   cols, lane_index=None, out=None):
+    """Batch-replay ``cols`` and project every lane on ``machine`` (one
+    machine, or a :class:`~repro.hardware.MachineLanes`).
 
     Returns ``(projections, project_seconds)``, or ``None`` when the
     replay or the projection raises; the caller then reruns every lane
@@ -1224,14 +1218,15 @@ def _batch_project(sym: SymbolicBET, model, k: int, cols,
         return None
     started = time.perf_counter()
     try:
-        projections = project_batch(batch, model, k, out=out)
+        projections = project_batch(batch, factory, machine, k, out=out)
     except Exception:
         sym.demote_batch(batch)
         return None
     return projections, time.perf_counter() - started
 
 
-def _vector_input_batch(sym: SymbolicBET, model, combos, base_inputs,
+def _vector_input_batch(sym: SymbolicBET, factory: Callable,
+                        machine: MachineModel, combos, base_inputs,
                         k: int):
     """Batch-evaluate a chunk of input points through the vector backend.
 
@@ -1243,7 +1238,7 @@ def _vector_input_batch(sym: SymbolicBET, model, combos, base_inputs,
     cols = _soa_columns([{**base_inputs, **combo} for combo in combos])
     if cols is None:
         return None
-    return _batch_project(sym, model, k, cols)
+    return _batch_project(sym, factory, machine, k, cols)
 
 
 def _input_chunk_task(payload):
@@ -1271,7 +1266,8 @@ def _input_chunk_task(payload):
             model = factory(machine)
         except Exception:
             model = None          # each point's attempt loop retries it
-        batched = (_vector_input_batch(sym, model, combos, base_inputs, k)
+        batched = (_vector_input_batch(sym, factory, machine, combos,
+                                       base_inputs, k)
                    if model is not None else None)
         if batched is not None:
             done, project_seconds = batched
@@ -1376,8 +1372,7 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
     """
     axes_dict, combos = _input_combos(axes)
     base = dict(base_inputs or {})
-    backend = _resolve_backend(backend, len(combos),
-                               has_machine_axes=False)
+    backend = _resolve_backend(backend, len(combos))
     resolved_executor: Optional[SweepExecutor] = None
     if executor is not None:
         resolved_executor = resolve_executor(executor, workers=workers,
@@ -1480,143 +1475,117 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
         diagnostics=list(ckpt.diagnostics) if ckpt is not None else [])
 
 
-def _vector_grid_batch(sym: SymbolicBET, base_machine: MachineModel,
-                       cells, base_inputs, model_factory, k: int,
-                       min_lanes: int):
-    """Batch-evaluate a chunk of grid cells, grouped by machine overrides.
+def _lane_batch(source, base_machine: MachineModel, cells, base_inputs,
+                model_factory: Optional[Callable], k: int):
+    """Evaluate one lane group's chunk of cells as one lane array
+    (DESIGN.md §15).
 
-    Cells sharing one set of machine overrides form an input batch
-    against a single timing model (our models depend only on the
-    machine's numeric fields, which are identical across a group).
-    Each group's lane array carries the group's slot positions as a
-    non-contiguous lane index map, so :func:`project_batch` scatters
-    results straight back into chunk order.  Returns ``(points,
-    project_seconds, lane_groups)`` with ``points`` in chunk order;
-    ``None`` marks a cell for the scalar attempt loop — a lane the batch
-    could not vectorize, a group of fewer than ``min_lanes`` cells, or
-    a group whose timing model failed to build.
+    Each cell's machine is built and pre-flighted as on the scalar
+    route (machines with equal numeric fields pass or fail together, so
+    each distinct one is validated once); the cells that pass are the
+    lanes.  Their machines form one :class:`~repro.hardware.MachineLanes`,
+    and their inputs either the columns of one batch replay of
+    ``source`` (a :class:`~repro.bet.SymbolicBET`) or, ``source`` being
+    a built tree, that tree's own rows
+    (:class:`~repro.analysis.vectorized.TreeBlocks`).
+    Returns ``(points, project_seconds, counts)`` with ``points`` in
+    chunk order and ``counts`` the lane counters a tree batch adds to
+    the chunk's stages (a replay counts its own).  ``None`` marks a
+    cell for the scalar attempt loop, which reproduces its canonical
+    result or error: a cell whose machine failed, a lane the replay
+    demoted, or every lane when the replay or the projection raised.
     """
-    groups: Dict[Tuple, List[int]] = {}
+    slots: List[int] = []
+    machines: List[MachineModel] = []
+    valid: Dict[Tuple, bool] = {}
     for slot, overrides in enumerate(cells):
-        machine_part, _ = _split_overrides(overrides)
-        groups.setdefault(tuple(sorted(machine_part.items())),
-                          []).append(slot)
-    scattered: List[Optional[Dict]] = [None] * len(cells)
-    project_seconds = 0.0
-    lane_groups = 0
-    for slots in groups.values():
-        cols = _soa_columns(
-            [{**base_inputs, **_split_overrides(cells[slot])[1]}
-             for slot in slots]) if len(slots) >= min_lanes else None
-        if cols is None:
-            continue
         try:
-            model = (model_factory or RooflineModel)(
-                _cell_machine(base_machine, cells[slots[0]]))
+            machine = _cell_machine(base_machine, overrides)
+            fields = numeric_values(machine)
+            if fields not in valid:
+                valid[fields] = not validate_machine(machine)
         except Exception:
             continue
-        batched = _batch_project(sym, model, k, cols, lane_index=slots,
-                                 out=scattered)
-        if batched is None:
-            for slot in slots:
-                scattered[slot] = None
-            continue
-        project_seconds += batched[1]
-        lane_groups += 1
-    return (_batched_points(base_machine, cells, scattered),
-            project_seconds, lane_groups)
-
-
-def _lane_pack_batch(sym: SymbolicBET, base_machine: MachineModel,
-                     pack: LanePack, base_inputs, model_factory, k: int,
-                     min_lanes: int):
-    """Batch-evaluate one packed lane-group slice (DESIGN.md §15).
-
-    The pack is a single machine signature, so the whole chunk is one
-    ``rebind_batch`` lane array against one timing model.  Returns
-    ``(points, project_seconds, lane_groups)`` in lane (= original
-    chunk) order; ``None`` marks a lane for the scalar attempt loop,
-    which reproduces the canonical per-cell result or error — every
-    lane of a pack smaller than ``min_lanes`` or whose model failed to
-    build, and lanes the batch demoted (shape flips, domain errors,
-    unsafe values).
-    """
-    projections: List[Optional[Dict]] = [None] * pack.count
-    project_seconds = 0.0
-    lane_groups = 0
-    batched = None
-    if pack.count >= min_lanes:
+        if valid[fields]:
+            slots.append(slot)
+            machines.append(machine)
+    points: List[Optional[GridPoint]] = [None] * len(cells)
+    if not slots:
+        return points, 0.0, {}
+    factory = model_factory or RooflineModel
+    lanes = MachineLanes(machines)
+    projections: List[Optional[Dict]] = [None] * len(cells)
+    counts: Dict[str, float] = {}
+    if isinstance(source, SymbolicBET):
+        cols = input_columns([cells[slot] for slot in slots], base_inputs)
+        batched = (None if cols is None else _batch_project(
+            source, factory, lanes, k, cols, lane_index=slots,
+            out=projections))
+    else:
+        started = time.perf_counter()
         try:
-            model = (model_factory or RooflineModel)(
-                _cell_machine(base_machine, pack.machine_part()))
+            project_batch(TreeBlocks(source, len(slots), lane_index=slots),
+                          factory, lanes, k, out=projections)
         except Exception:
-            pass
+            batched = None
+            counts["bet_lanes_fallback"] = float(len(slots))
         else:
-            batched = _batch_project(sym, model, k,
-                                     pack.input_columns(base_inputs))
-    if batched is not None:
-        projections, project_seconds = batched
-        lane_groups = 1
-    return (_batched_points(base_machine, pack.cells(), projections),
-            project_seconds, lane_groups)
-
-
-def _batched_points(base_machine: MachineModel, cells,
-                    projections) -> List[Optional[GridPoint]]:
-    """Wrap batch projections as grid points (``None`` stays ``None``).
-
-    Each point gets its own cell machine: the same physical fields as
-    its group's model, but a name tag carrying the full overrides
-    (including ``input:`` axes) exactly like the scalar path, so
-    exported points are byte-for-byte interchangeable.
-    """
-    return [None if projection is None else
-            GridPoint(overrides=dict(overrides),
-                      machine=_cell_machine(base_machine, overrides),
-                      **projection)
-            for overrides, projection in zip(cells, projections)]
+            batched = (projections, time.perf_counter() - started)
+            counts["bet_lanes_vectorized"] = float(len(slots))
+    if batched is None:
+        return points, 0.0, counts
+    counts["lane_groups"] = 1.0
+    for slot, machine in zip(slots, machines):
+        projection = projections[slot]
+        if projection is not None:
+            points[slot] = GridPoint(overrides=dict(cells[slot]),
+                                     machine=machine, **projection)
+    return points, batched[1], counts
 
 
 def _grid_chunk_task(payload):
-    """Shard task: a chunk of mixed machine x input grid cells.
+    """Shard task: a chunk of grid cells (machine overrides and/or
+    ``input:`` axes).
 
-    Consecutive cells with identical input bindings reuse the current
-    tree without a rebind (row-major order makes runs of equal bindings
-    common when input axes come first in the grid dict).  With
-    ``backend="vector"`` the chunk's cells are grouped by machine
-    overrides and each group is batch-replayed in one pass; a chunk
-    shipped as a :class:`~repro.parallel.lanes.LanePack` (one machine
-    signature, columnar inputs) is a single pre-planned lane group.
-    Cells a batch does not produce run the scalar attempt loop.
+    ``source`` is the :class:`~repro.bet.SymbolicBET` the cells' inputs
+    bind through, or the built tree machine-only cells re-project.  With
+    ``backend="vector"`` a lane-group slice of at least ``min_lanes``
+    cells — a :class:`~repro.parallel.lanes.LanePack`, or a list of one
+    signature — is one lane array (:func:`_lane_batch`); a residue chunk
+    is not.  Cells a lane array does not produce run the scalar attempt
+    loop, where consecutive cells with identical input bindings reuse
+    the current tree without a rebind.
     """
     body, indices, policy, strict = payload
-    sym, base_machine, cells, base_inputs, model_factory, k, backend, \
+    source, base_machine, cells, base_inputs, model_factory, k, backend, \
         min_lanes = body
-    sym = _symbolic_for(sym)
+    sym = None
+    if isinstance(source, SymbolicBET):
+        source = sym = _symbolic_for(source)
     before = _stage_snapshot(sym)
+    group = isinstance(cells, LanePack)
+    if group:
+        cells = cells.cells()
     done = None
     project_seconds = 0.0
-    if isinstance(cells, LanePack):
-        done, project_seconds, lane_groups = _lane_pack_batch(
-            sym, base_machine, cells, base_inputs, model_factory, k,
-            min_lanes)
-        cells = cells.cells()
-    elif backend == "vector":
-        done, project_seconds, lane_groups = _vector_grid_batch(
-            sym, base_machine, cells, base_inputs, model_factory, k,
-            min_lanes)
+    counts: Dict[str, float] = {}
+    if backend == "vector" and len(cells) >= min_lanes \
+            and (group or one_lane_group(cells)):
+        done, project_seconds, counts = _lane_batch(
+            source, base_machine, cells, base_inputs, model_factory, k)
     bound_key: Any = None     # the input bindings ``bet`` was bound to
-    bet = None
+    bet = None if sym is not None else source
 
     def evaluate(overrides):
         nonlocal bound_key, bet, project_seconds
         machine = _cell_machine(base_machine, overrides)
-        inputs = {**base_inputs, **_split_overrides(overrides)[1]}
-        key = tuple(sorted(inputs.items()))
-        if bet is None or key != bound_key:
-            bet = None                # bind state unknown until it lands
-            bet = sym.bind(inputs)
-            bound_key = key
+        if sym is not None:
+            inputs = {**base_inputs, **_split_overrides(overrides)[1]}
+            key = tuple(sorted(inputs.items()))
+            if bet is None or key != bound_key:
+                bet = None            # bind state unknown until it lands
+                bet = sym.bind(inputs)
+                bound_key = key
         started = time.perf_counter()
         projection = project_machine(bet, machine, model_factory, k)
         project_seconds += time.perf_counter() - started
@@ -1625,8 +1594,7 @@ def _grid_chunk_task(payload):
 
     rows = _attempt_rows(evaluate, cells, indices, policy, strict, done)
     delta = _stage_delta(sym, before, project_seconds)
-    if done is not None:
-        delta["lane_groups"] = float(lane_groups)
+    delta.update(counts)
     return rows, delta
 
 

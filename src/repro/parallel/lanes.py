@@ -1,28 +1,29 @@
 """Lane grouping for heterogeneous cell lists (DESIGN.md §15).
 
-A mixed machine×input cell list interleaves cells from several machine
-configurations.  The scalar path walks them one at a time; the vector
-backend wants the opposite shape — *lane arrays*: all cells sharing one
-machine-coordinate signature batched into a single
-:meth:`~repro.bet.SymbolicBET.rebind_batch` replay.  This module is the
-planning layer between the two:
+A cell list interleaves machine overrides and ``input:`` bindings in any
+mix.  The scalar path walks the cells one at a time; the vector backend
+wants the opposite shape — *lane arrays*: cells evaluated together, the
+inputs as columns of one :meth:`~repro.bet.SymbolicBET.rebind_batch`
+replay (or one prebuilt tree when there are none) and each lane's machine
+as a column of one :class:`~repro.hardware.MachineLanes`.  Only the input
+axes constrain a lane array (its input columns must be rectangular); the
+machine fields may differ in every lane.  This module is the planning
+layer between the two:
 
 :func:`plan_lane_chunks`
     partitions an arbitrary cell list into chunks whose cells all share
-    one machine signature (and one input-key set), so every shipped
-    chunk is a *lane-group slice* — the shard unit of the grouped
-    dispatch path.  Cells that cannot batch (ragged input keys,
-    non-numeric values) land in scalar residue chunks instead of
+    one input-key set, so every shipped chunk is a *lane-group slice* —
+    the shard unit of the grouped dispatch path.  Cells that cannot
+    batch (non-numeric values) land in scalar residue chunks instead of
     poisoning a group, and so do groups too small to batch.
 
 :class:`LanePack` / :func:`pack_cells`
-    the packed SoA transport for one lane-group slice: one machine
-    signature plus columnar input arrays instead of N per-point dicts,
-    so pool/multinode executors serialize each group once.  The pack
-    reconstructs the original cell dicts bit-identically on the worker
-    (:meth:`LanePack.cells`), which keeps checkpoint keys, fallback
-    rebinds, and ``GridPoint.overrides`` indistinguishable from the
-    per-dict path.
+    the packed SoA transport for one lane-group slice: one column per
+    axis instead of N per-point dicts, so pool/multinode executors
+    serialize each group once.  The pack reconstructs the original cell
+    dicts bit-identically on the worker (:meth:`LanePack.cells`), which
+    keeps checkpoint keys, fallback rebinds, and ``GridPoint.overrides``
+    indistinguishable from the per-dict path.
 
 The planner never reorders cells *within* a group and never batches
 two groups together, so results scatter back to the caller's original
@@ -56,49 +57,45 @@ def _numeric(value) -> bool:
             and isinstance(value, (int, float)))
 
 
-def cell_signature(cell: Dict[str, float]) -> Optional[Tuple]:
+def cell_signature(cell: Dict[str, float]) -> Optional[Tuple[str, ...]]:
     """The lane-group key of one cell, or ``None`` if it cannot batch.
 
-    Two cells belong to the same lane group exactly when they share this
-    signature: identical machine overrides (names *and* values — the
-    group is evaluated against one timing model) and the same set of
-    input-axis names (so the group transposes into rectangular columns).
+    Two cells belong to the same lane group exactly when they override
+    the same set of input axes (so the group transposes into rectangular
+    input columns); their machine overrides may differ in any field.
     Cells with non-numeric values are unbatchable (``None``) and take
     the scalar residue path.
     """
-    machine_items: List[Tuple[str, Any]] = []
-    input_names: List[str] = []
-    for name, value in cell.items():
-        if not _numeric(value):
-            return None
-        if name.startswith(INPUT_PREFIX):
-            input_names.append(name)
-        else:
-            machine_items.append((name, value))
-    if not input_names:
-        return None        # nothing to build lanes over
-    return (tuple(sorted(machine_items)), tuple(sorted(input_names)))
+    if not all(map(_numeric, cell.values())):
+        return None
+    return tuple(sorted(name for name in cell
+                        if name.startswith(INPUT_PREFIX)))
+
+
+def one_lane_group(cells: Sequence[Dict[str, Any]]) -> bool:
+    """Whether ``cells`` all share one batchable signature: a lane-group
+    slice as :func:`plan_lane_chunks` cuts them, not a residue chunk."""
+    first = cell_signature(cells[0]) if cells else None
+    return first is not None and all(
+        cell_signature(cell) == first for cell in cells[1:])
 
 
 class LanePack:
     """One lane-group slice as a packed SoA payload.
 
-    ``signature`` is the group's shared machine overrides (sorted
-    ``(name, value)`` tuple); ``columns`` maps each ``input:``-prefixed
-    axis name to its per-lane value list; ``order`` is the full key
-    order of the original cell dicts (shared by every cell in the pack,
-    enforced by :func:`pack_cells`).  Values keep their original Python
-    types (``int`` stays ``int``) so :meth:`cells` reconstructs dicts
-    that compare — and checkpoint-key, and machine-name-tag —
+    ``columns`` maps each axis name, machine field or
+    ``input:``-prefixed, to its per-lane value list; ``order`` is the
+    key order of the original cell dicts (shared by every cell in the
+    pack, enforced by :func:`pack_cells`).  Values keep their original
+    Python types (``int`` stays ``int``) so :meth:`cells` reconstructs
+    dicts that compare — and checkpoint-key, and machine-name-tag —
     identically to the originals.
     """
 
-    __slots__ = ("signature", "columns", "order", "count")
+    __slots__ = ("columns", "order", "count")
 
-    def __init__(self, signature: Tuple[Tuple[str, Any], ...],
-                 columns: Dict[str, List[Any]],
+    def __init__(self, columns: Dict[str, List[Any]],
                  order: Tuple[str, ...], count: int):
-        self.signature = signature
         self.columns = columns
         self.order = order
         self.count = count
@@ -106,60 +103,54 @@ class LanePack:
     def __len__(self) -> int:
         return self.count
 
-    def machine_part(self) -> Dict[str, Any]:
-        return dict(self.signature)
-
     def cells(self) -> List[Dict[str, Any]]:
         """Reconstruct the original per-lane cell dicts, key order and
         all (the machine name tag iterates dict order, so order is part
         of bit-identity)."""
-        machine = dict(self.signature)
-        return [{name: (self.columns[name][lane]
-                        if name in self.columns else machine[name])
-                 for name in self.order}
-                for lane in range(self.count)]
+        columns = [self.columns[name] for name in self.order]
+        return [dict(zip(self.order, values)) for values in zip(*columns)] \
+            if columns else [{} for _ in range(self.count)]
 
-    def input_columns(self, base_inputs: Dict[str, float]
-                      ) -> Dict[str, List[Any]]:
-        """Merged input columns for :meth:`rebind_batch`.
 
-        Base bindings become constant columns; per-lane overrides win,
-        mirroring the scalar path's ``{**base_inputs, **input_part}``.
-        """
-        cols: Dict[str, List[Any]] = {}
-        for name, value in base_inputs.items():
-            cols[name] = [value] * self.count
-        for name, values in self.columns.items():
-            cols[name[len(INPUT_PREFIX):]] = list(values)
-        return cols
+def input_columns(cells: Sequence[Dict[str, Any]],
+                  base_inputs: Dict[str, Any]
+                  ) -> Optional[Dict[str, List[Any]]]:
+    """Merged input columns of one lane group for :meth:`rebind_batch`.
+
+    Base bindings become constant columns; per-lane overrides win,
+    mirroring the scalar path's ``{**base_inputs, **input_part}``.
+    ``None`` when a base binding is not numeric (the scalar path binds
+    it as given).
+    """
+    if not all(map(_numeric, base_inputs.values())):
+        return None
+    cols: Dict[str, List[Any]] = {name: [value] * len(cells)
+                                  for name, value in base_inputs.items()}
+    for name in (cells[0] if cells else ()):
+        if name.startswith(INPUT_PREFIX):
+            cols[name[len(INPUT_PREFIX):]] = [cell[name] for cell in cells]
+    return cols
 
 
 def pack_cells(cells: Sequence[Dict[str, Any]]) -> Optional[LanePack]:
     """Pack a uniform cell list into one :class:`LanePack`.
 
-    Returns ``None`` when the cells do not form a single lane group —
-    differing machine signatures, ragged input keys or key *order*
-    (dict order feeds the machine name tag), or non-numeric values.
-    The caller then ships the plain dict list instead (still evaluated
-    through the per-chunk vector grouping); packing is an optimization,
-    never a requirement.
+    Returns ``None`` when the cells do not share one key *order* (dict
+    order feeds the machine name tag) or hold non-numeric values.  The
+    caller then ships the plain dict list instead (still evaluated as
+    one lane array per chunk); packing is an optimization, never a
+    requirement.
     """
     if not cells:
         return None
-    first = cell_signature(cells[0])
-    if first is None:
-        return None
     order = tuple(cells[0])
-    input_names = [name for name in order
-                   if name.startswith(INPUT_PREFIX)]
-    columns: Dict[str, List[Any]] = {name: [] for name in input_names}
+    columns: Dict[str, List[Any]] = {name: [] for name in order}
     for cell in cells:
-        if tuple(cell) != order or cell_signature(cell) != first:
+        if tuple(cell) != order or cell_signature(cell) is None:
             return None
-        for name in input_names:
-            columns[name].append(cell[name])
-    return LanePack(signature=first[0], columns=columns, order=order,
-                    count=len(cells))
+        for name, value in cell.items():
+            columns[name].append(value)
+    return LanePack(columns=columns, order=order, count=len(cells))
 
 
 def plan_lane_chunks(cells: Sequence[Dict[str, Any]],
@@ -168,31 +159,26 @@ def plan_lane_chunks(cells: Sequence[Dict[str, Any]],
     """Partition ``cells`` into lane-group-aligned chunks.
 
     Returns position lists into ``cells``: every chunk is either a slice
-    of one lane group (same machine signature, same input keys, original
-    relative order — vector-eligible) or a slice of the residue
-    (evaluated scalar): the unbatchable cells plus every group of fewer
-    than ``min_lanes`` cells, which would run the scalar loop anyway and
-    so share chunks instead of paying one chunk each.  Groups appear in
-    first-encounter order, each split at ``chunk_size``; the residue
-    keeps its own original order.  The lists form an exact partition of
+    of one lane group (same input keys, original relative order —
+    vector-eligible) or a slice of the residue (evaluated scalar): the
+    unbatchable cells plus every group of fewer than ``min_lanes``
+    cells, which would run the scalar loop anyway and so share chunks
+    instead of paying one chunk each.  Groups appear in first-encounter
+    order, each split at ``chunk_size``; the residue keeps its own
+    original order.  The lists form an exact partition of
     ``range(len(cells))``.
     """
     chunk_size = max(1, int(chunk_size))
     groups: Dict[Tuple, List[int]] = {}
-    order: List[Tuple] = []
     residue: List[int] = []
     for position, cell in enumerate(cells):
         signature = cell_signature(cell)
         if signature is None:
             residue.append(position)
-            continue
-        if signature not in groups:
-            groups[signature] = []
-            order.append(signature)
-        groups[signature].append(position)
+        else:
+            groups.setdefault(signature, []).append(position)
     chunks: List[List[int]] = []
-    for signature in order:
-        positions = groups[signature]
+    for positions in groups.values():
         if len(positions) < min_lanes:
             residue.extend(positions)
             continue

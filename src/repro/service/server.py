@@ -58,7 +58,7 @@ from ..hardware.cachemodel import (
 from ..parallel.cache import LRUCache
 from ..parallel.chaos import CHAOS_KINDS, ChaosSchedule
 from ..parallel.engine import (
-    INPUT_PREFIX, VECTOR_MIN_POINTS, evaluate_cells,
+    INPUT_PREFIX, VECTOR_MIN_LANES, VECTOR_MIN_POINTS, evaluate_cells,
 )
 from ..parallel.fault import overrides_key, sweep_key
 from ..skeleton import parse_skeleton
@@ -929,24 +929,19 @@ class AnalysisService:
                     cells: List[Dict[str, float]]) -> int:
         """Cells per streamed evaluation step for one batch.
 
-        Batches with input axes of at least ``VECTOR_MIN_POINTS`` cells
-        step in strides up to ``vector_chunk_cells`` so the merged
-        tenant-interleaved cell list reaches the engine's grouped lane
-        dispatch whole; anything else keeps the small ``chunk_cells``
-        stride that bounds deadline-check latency.  The stride does not
-        pick the route: under ``auto`` every step of at least
-        ``VECTOR_MIN_LANES`` cells with input axes is batch-replayed
+        Batches of at least ``VECTOR_MIN_POINTS`` cells — input axes,
+        machine parameters or both — step in strides up to
+        ``vector_chunk_cells`` so the merged tenant-interleaved cell list
+        reaches the engine's lane arrays whole; anything else keeps the
+        small ``chunk_cells`` stride that bounds deadline-check latency.
+        The stride does not pick the route: under ``auto`` every step of
+        at least ``VECTOR_MIN_LANES`` cells is evaluated as lane arrays
         whatever its size.
         """
         cfg = self.config
         step = max(1, cfg.chunk_cells)
-        if plan.backend == "scalar":
-            return step
         total = len(cells)
-        if total < VECTOR_MIN_POINTS:
-            return step
-        if not any(name.startswith(INPUT_PREFIX)
-                   for cell in cells[:1] for name in cell):
+        if plan.backend == "scalar" or total < VECTOR_MIN_POINTS:
             return step
         return max(step, min(total, max(1, cfg.vector_chunk_cells)))
 
@@ -1017,7 +1012,11 @@ class AnalysisService:
 
         Normal mode uses the configured executor/backend/cache model;
         degraded mode forces the in-process serial path with the
-        constant cache model (``model_factory=None``).
+        constant cache model (``model_factory=None``).  A checkpointed
+        plan resolves ``auto`` once, from its whole cell list, so every
+        chunk (and a resumed request) writes the checkpoint under one
+        backend: a short last chunk resolved on its own would be refused
+        with SKOP706.
         """
         cfg = self.config
         kwargs: Dict[str, Any] = dict(
@@ -1044,6 +1043,10 @@ class AnalysisService:
                     checkpoint=plan.checkpoint,
                     checkpoint_key=plan.checkpoint_key,
                     resume=plan.resume or chunk_index > 0)
+                if plan.backend == "auto":
+                    kwargs["backend"] = (
+                        "vector" if len(plan.cells) >= VECTOR_MIN_LANES
+                        else "scalar")
         bet = None
         if not has_input_axes:
             bet = self._bet_for(plan.program, plan.inputs,

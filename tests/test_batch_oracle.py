@@ -4,22 +4,31 @@ Every point of a ``backend="vector"`` input sweep must equal the
 ``backend="scalar"`` point bit for bit: under every timing model the
 package ships (each receives block × lane metric matrices on the batch
 route), and on a CPython whose builtin ``sum`` compensates float
-rounding, as 3.12 and later do.
+rounding, as 3.12 and later do.  Machine lanes — cell lists whose every
+lane is another machine, with or without input axes, or over a prebuilt
+tree — must equal a fresh ``build_bet`` + ``project_with_model`` per
+cell, machine and name tag included, and fail where the scalar route
+fails.
 """
 
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis import block_metrics, hotspots, sensitivity, vectorized
+from repro.analysis.sensitivity import project_with_model
 from repro.analysis.vectorized import project_batch
-from repro.bet import SymbolicBET
-from repro.hardware import BGQ, XEON_E5_2420, RooflineModel
+from repro.bet import SymbolicBET, build_bet
+from repro.hardware import (
+    BGQ, XEON_E5_2420, MachineLanes, RooflineModel,
+)
 from repro.hardware.cachemodel import (
     AnalyticCacheModel, ECMFactory, RooflineFactory,
 )
-from repro.parallel import clear_symbolic_cache, sweep_inputs
+from repro.parallel import clear_symbolic_cache, evaluate_cells, sweep_inputs
 from repro.workloads import load
 
 WORKLOADS = ("cfd", "chargei", "pedagogical", "sord", "srad", "stassuij")
@@ -123,10 +132,186 @@ def test_lane_tiles_match_one_pass(name, monkeypatch):
     cols[axis] = [float(round(inputs[axis] * s)) for s in _scales(lanes)]
     batch = SymbolicBET(program).rebind_batch(
         cols, lane_index=range(lanes - 1, -1, -1))
-    model = RooflineModel(BGQ)
-    whole = project_batch(batch, model)
-    monkeypatch.setattr(vectorized, "TILE_ELEMENTS",
-                        7 * len(batch.blocks))
-    scattered = [None] * lanes
-    assert project_batch(batch, model, out=scattered) == whole
-    assert scattered == whole[::-1]
+    # one machine for every lane, and one machine per lane
+    lane_machines = MachineLanes([BGQ.with_overrides(**cell)
+                                  for cell in _machine_cells(BGQ, lanes)])
+    for machine in (BGQ, lane_machines):
+        monkeypatch.setattr(vectorized, "TILE_ELEMENTS", 1 << 13)
+        whole = project_batch(batch, RooflineModel, machine)
+        monkeypatch.setattr(vectorized, "TILE_ELEMENTS",
+                            7 * len(batch.blocks))
+        scattered = [None] * lanes
+        assert project_batch(batch, RooflineModel, machine,
+                             out=scattered) == whole
+        assert scattered == whole[::-1]
+
+
+# -- machine lanes ------------------------------------------------------------
+
+#: every numeric machine field the timing models read, with the values a
+#: lane draws from (sizes and widths stay ints, as a user passes them)
+LANE_VALUES = {
+    "bandwidth": [8e9, 1.6e10, 2.8e10, 4.3e10, 6.4e10],
+    "cores": [1, 2, 4, 8, 16, 48, 64],
+    "frequency_hz": [8e8, 1.6e9, 2.1e9, 3.4e9],
+    "l1_size": [16384, 32768, 49152],
+    "llc_size": [2 ** 19, 2 ** 21, 3 * 2 ** 22, 2 ** 25],
+    "l1_latency": [3.0, 4.0, 5.5],
+    "llc_latency": [12.0, 30.0, 51.0],
+    "dram_latency": [90.0, 230.0, 410.0],
+    "flop_latency": [1.0, 4.0, 6.0],
+    "iop_latency": [1.0, 2.0, 3.0],
+    "issue_width": [1, 2, 4, 6],
+    "vector_width": [1, 2, 4, 8],
+    "simd_efficiency": [0.5, 0.8, 1.0],
+    "mlp": [4.0, 10.0, 32.0],
+    "div_cost": [1.0, 7.5, 20.0],
+    "cache_line": [32, 64, 128],
+    "bandwidth_saturation_cores": [1.0, 4.0, 12.0],
+}
+
+
+def _machine_cells(machine, count, seed=0):
+    """``count`` machine-override cells, each field varied per lane."""
+    rng = random.Random(f"{machine.name}:{count}:{seed}")
+    return [{name: rng.choice(values) for name, values in LANE_VALUES.items()}
+            for _ in range(count)]
+
+
+_FRESH = {}
+
+
+def _fresh(program, name, inputs):
+    key = (name, tuple(sorted(inputs.items())))
+    if key not in _FRESH:
+        _FRESH[key] = build_bet(program, inputs=inputs)
+    return _FRESH[key]
+
+
+def _expected(program, name, inputs, base, cell, factory):
+    """A fresh build and projection of one cell, and its machine."""
+    tag = ",".join(f"{key}={value:g}" for key, value in cell.items())
+    machine = replace(base, name=f"{base.name}[{tag}]", **{
+        key: value for key, value in cell.items()
+        if not key.startswith("input:")})
+    bound = {**inputs, **{key[len("input:"):]: value
+                          for key, value in cell.items()
+                          if key.startswith("input:")}}
+    projection = project_with_model(_fresh(program, name, bound),
+                                    (factory or RooflineModel)(machine))
+    return machine, projection
+
+
+def _lane_lists(name, machine):
+    """``(cells, evaluate_cells kwargs)``: machine lanes with input axes,
+    half with and half without, and over the prebuilt default tree."""
+    program, inputs = load(name)
+    axis = next(iter(inputs))
+    lanes = _machine_cells(machine, 12)
+    scaled = [{**cell, "input:" + axis: float(round(inputs[axis] * scale))}
+              for cell, scale in zip(lanes, _scales(4) * 3)]
+    on_program = dict(program=program, inputs=inputs)
+    return [(scaled, on_program),
+            (scaled[:6] + lanes[6:], on_program),
+            (lanes, dict(bet=_fresh(program, name, inputs)))]
+
+
+@pytest.mark.parametrize("model", sorted(FACTORIES))
+def test_machine_lanes_match_fresh_builds(model):
+    factory = FACTORIES[model]
+    for name in WORKLOADS:
+        program, inputs = load(name)
+        for machine in (BGQ, XEON_E5_2420):
+            for cells, where in _lane_lists(name, machine):
+                clear_symbolic_cache()
+                result = evaluate_cells(machine, cells, backend="vector",
+                                        model_factory=factory, **where)
+                assert not result.failures
+                # every cell came from a lane array, not a rerun
+                assert result.cache_stats["lanes_vectorized"] == len(cells)
+                assert result.cache_stats["lanes_fallback"] == 0
+                for cell, point in zip(cells, result.points):
+                    want_machine, want = _expected(
+                        program, name, inputs, machine, cell, factory)
+                    assert point.overrides == cell
+                    assert point.machine == want_machine
+                    assert (point.runtime, point.ranking, point.top_label,
+                            point.memory_fraction, point.completeness) == \
+                        (want["runtime"], want["ranking"],
+                         want["top_label"], want["memory_fraction"],
+                         want["completeness"]), (name, machine.name, cell)
+
+
+def _failure_rows(result):
+    return [(failure.index, failure.error_type, failure.message)
+            for failure in result.failures]
+
+
+@pytest.mark.parametrize("where", ["inputs", "tree"])
+def test_invalid_machine_lanes_fail_like_the_scalar_route(where):
+    # cores=0 fails building the cell machine, a NaN bandwidth fails its
+    # pre-flight: both leave the lane array, which still carries the rest
+    program, inputs = load("pedagogical")
+    cells = _machine_cells(BGQ, 10)
+    cells[3] = {**cells[3], "cores": 0}
+    cells[7] = {**cells[7], "bandwidth": float("nan")}
+    if where == "inputs":
+        cells = [{**cell, "input:n": float(100 + 10 * lane)}
+                 for lane, cell in enumerate(cells)]
+        kwargs = dict(program=program, inputs=inputs)
+    else:
+        kwargs = dict(bet=build_bet(program, inputs=inputs))
+    results = {}
+    for backend in ("scalar", "vector"):
+        clear_symbolic_cache()
+        results[backend] = evaluate_cells(BGQ, cells, backend=backend,
+                                          **kwargs)
+    scalar, vector = results["scalar"], results["vector"]
+    assert _failure_rows(vector) == _failure_rows(scalar)
+    assert [row[:2] for row in _failure_rows(vector)] == [
+        (3, "HardwareModelError"), (7, "ValidationError")]
+    assert [(p.overrides, p.machine, p.runtime, p.ranking,
+             p.memory_fraction) for p in vector.points] == \
+        [(p.overrides, p.machine, p.runtime, p.ranking,
+          p.memory_fraction) for p in scalar.points]
+    assert vector.cache_stats["lanes_vectorized"] == len(cells) - 2
+    assert vector.cache_stats["lanes_fallback"] == 0
+    assert vector.cache_stats["lane_groups"] == 1
+
+
+class _CoreBranchingModel(RooflineModel):
+    """A user model that branches on a machine field: right on one
+    machine, an ambiguous truth value on a column of cores."""
+
+    def block_time(self, metrics):
+        time = super().block_time(metrics)
+        if self.machine.cores > 8:
+            return time
+        return time._replace(overlap=0.0)
+
+
+@pytest.mark.parametrize("where", ["inputs", "tree"])
+def test_machine_branching_model_falls_back(where):
+    program, inputs = load("pedagogical")
+    cells = [{"cores": cores, "bandwidth": 1e10 * (1 + lane % 3)}
+             for lane, cores in enumerate([2, 4, 8, 16, 32, 64] * 2)]
+    if where == "inputs":
+        cells = [{**cell, "input:n": float(100 + 10 * lane)}
+                 for lane, cell in enumerate(cells)]
+        kwargs = dict(program=program, inputs=inputs)
+    else:
+        kwargs = dict(bet=build_bet(program, inputs=inputs))
+    results = {}
+    for backend in ("scalar", "vector"):
+        clear_symbolic_cache()
+        results[backend] = evaluate_cells(
+            BGQ, cells, backend=backend, model_factory=_CoreBranchingModel,
+            **kwargs)
+    vector = results["vector"]
+    assert not vector.failures
+    assert vector.cache_stats["lanes_vectorized"] == 0
+    assert vector.cache_stats["lanes_fallback"] == len(cells)
+    assert [(p.machine, p.runtime, p.ranking, p.memory_fraction)
+            for p in vector.points] == \
+        [(p.machine, p.runtime, p.ranking, p.memory_fraction)
+         for p in results["scalar"].points]

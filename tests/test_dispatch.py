@@ -333,15 +333,22 @@ class TestChunking:
         assert _auto_chunk_size(32, 1, floor=1) == 1
 
     def test_machine_only_grid_fills_every_worker(self, pedagogical_bet):
-        # 32 cells on an 8-worker simulated cluster: one cell per shard,
-        # not two 16-cell shards
+        # 32 scalar cells on an 8-worker simulated cluster: one cell per
+        # shard, not two 16-cell shards
         grid = {"bandwidth": [(5 + i) * 1e9 for i in range(8)],
                 "frequency_hz": [1e9, 1.5e9, 2e9, 2.5e9]}
         result = sweep_grid(pedagogical_bet, BGQ, grid,
-                            executor="multinode")
+                            executor="multinode", backend="scalar")
         assert result.shard_stats["shards_planned"] == 32.0
         assert _signature(result) == \
             _signature(sweep_grid(pedagogical_bet, BGQ, grid))
+        # as machine lanes (auto) the grid is one lane array: a chunk
+        # is not split below VECTOR_MIN_POINTS cells
+        lanes = sweep_grid(pedagogical_bet, BGQ, grid,
+                           executor="multinode")
+        assert lanes.backend == "vector"
+        assert lanes.shard_stats["shards_planned"] == 1.0
+        assert _signature(lanes) == _signature(result)
 
     def test_default_executor_reports_no_shards(self, pedagogical_bet):
         result = sweep_grid(pedagogical_bet, BGQ,

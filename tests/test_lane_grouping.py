@@ -1,10 +1,11 @@
 """Lane-grouped dispatch for heterogeneous cell lists (DESIGN.md §15).
 
 The grouped vector path must be a pure optimization: for ANY mixed
-machine×input cell list — including shape-flip fallback lanes (pr=0/1),
-seeded chaos on the pool executor, and checkpoint boundaries that cut
-through the middle of a lane group — ``evaluate_cells`` returns results
-bit-identical to the scalar path, in the caller's original cell order.
+machine×input cell list — per-cell machine overrides in any field,
+shape-flip fallback lanes (pr=0/1), seeded chaos on the pool executor,
+and checkpoint boundaries that cut through the middle of a lane group —
+``evaluate_cells`` returns results bit-identical to the scalar path, in
+the caller's original cell order.
 """
 
 import os
@@ -18,7 +19,7 @@ from repro.parallel.engine import (
     VECTOR_MIN_POINTS, _auto_chunk_size, evaluate_cells,
 )
 from repro.parallel.lanes import (
-    LanePack, cell_signature, pack_cells, plan_lane_chunks,
+    LanePack, cell_signature, input_columns, pack_cells, plan_lane_chunks,
     split_overrides,
 )
 from repro.hardware import machine_by_name
@@ -83,24 +84,27 @@ class TestLanePlanning:
         assert machine_part == {"bandwidth": 1e10}
         assert input_part == {"n": 32.0}
 
-    def test_cell_signature_groups_by_machine_and_input_names(self):
+    def test_cell_signature_groups_by_input_names(self):
+        # machine overrides never split a group (they become the lane
+        # array's machine columns); the input-axis names do
         a = {"bandwidth": 1e10, "input:n": 8.0}
         b = {"bandwidth": 1e10, "input:n": 9.0}
-        c = {"bandwidth": 2e10, "input:n": 8.0}
+        c = {"bandwidth": 2e10, "cores": 4, "input:n": 8.0}
         d = {"bandwidth": 1e10, "input:m": 8.0}
-        assert cell_signature(a) == cell_signature(b)
-        assert cell_signature(a) != cell_signature(c)
+        assert cell_signature(a) == cell_signature(b) == cell_signature(c)
         assert cell_signature(a) != cell_signature(d)
+        assert cell_signature({"bandwidth": 1e10}) == \
+            cell_signature({"cores": 8}) == ()
 
     def test_cell_signature_rejects_unbatchable(self):
-        assert cell_signature({"bandwidth": 1e10}) is None
+        assert cell_signature({"bandwidth": "fast"}) is None
         assert cell_signature({"input:n": float("nan")}) is not None
         assert cell_signature({"input:n": "big"}) is None
         assert cell_signature({"input:n": True}) is None
 
     def test_pack_cells_roundtrip_bit_identical(self):
         cells = [{"bandwidth": 1e10, "input:n": 8, "input:m": 2.5},
-                 {"bandwidth": 1e10, "input:n": 9, "input:m": 3.5}]
+                 {"bandwidth": 2e10, "input:n": 9, "input:m": 3.5}]
         pack = pack_cells(cells)
         assert isinstance(pack, LanePack)
         assert len(pack) == 2
@@ -108,14 +112,16 @@ class TestLanePlanning:
         assert rebuilt == cells
         # ints stay ints: checkpoint keys must not drift via float()
         assert isinstance(rebuilt[0]["input:n"], int)
-        assert pack.machine_part() == {"bandwidth": 1e10}
+        assert pack.columns["bandwidth"] == [1e10, 2e10]
+        machine_only = [{"cores": 4}, {"cores": 8}]
+        assert pack_cells(machine_only).cells() == machine_only
 
     def test_pack_cells_refuses_mixed_groups(self):
         assert pack_cells([]) is None
-        assert pack_cells([{"bandwidth": 1e10, "input:n": 1.0},
-                           {"bandwidth": 2e10, "input:n": 1.0}]) is None
         assert pack_cells([{"input:n": 1.0},
                            {"input:m": 1.0}]) is None
+        assert pack_cells([{"bandwidth": 1e10},
+                           {"bandwidth": "fast"}]) is None
         # same signature but ragged key order: dict order feeds the
         # machine name tag, so these must ship unpacked
         assert pack_cells(
@@ -123,22 +129,30 @@ class TestLanePlanning:
              {"input:n": 2.0, "bandwidth": 1e10}]) is None
 
     def test_input_columns_merge_base_then_overrides(self):
-        pack = pack_cells([{"input:n": 8.0}, {"input:n": 16.0}])
-        cols = pack.input_columns({"n": 1.0, "m": 4.0})
+        cells = [{"bandwidth": 1e10, "input:n": 8.0},
+                 {"bandwidth": 2e10, "input:n": 16.0}]
+        cols = input_columns(cells, {"n": 1.0, "m": 4.0})
         assert cols == {"n": [8.0, 16.0], "m": [4.0, 4.0]}
+        # a base binding the batch cannot carry leaves it to the scalar
+        # path
+        assert input_columns(cells, {"m": "four"}) is None
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50)),
                     min_size=0, max_size=60),
            st.integers(min_value=1, max_value=17))
     @settings(max_examples=100, **COMMON)
     def test_plan_lane_chunks_partitions_exactly(self, specs, size):
+        # groups differ by input-axis names; machine values vary freely
+        shapes = ({"input:n": float},
+                  {"bandwidth": lambda n: n * 1e9, "input:m": float},
+                  {"cores": float})
         cells = []
         for group, n in specs:
             if group == 3:       # unbatchable residue cell
                 cells.append({"note": "odd"})
             else:
-                cells.append({"bandwidth": float(group + 1) * 1e9,
-                              "input:n": float(n)})
+                cells.append({name: make(n) for name, make
+                              in shapes[group].items()})
         chunks = plan_lane_chunks(cells, size)
         flat = sorted(pos for chunk in chunks for pos in chunk)
         assert flat == list(range(len(cells)))      # exact partition
@@ -154,8 +168,9 @@ class TestLanePlanning:
         cells = []
         for position in range(12):
             group = 0 if position % 3 else position % 2 + 1
-            cells.append({"bandwidth": float(group + 1) * 1e9,
-                          "input:n": float(position)})
+            cells.append({"bandwidth": float(position + 1) * 1e9,
+                          ("input:n", "input:m", "input:pr")[group]:
+                          float(position)})
         cells.append({"note": "odd"})
         big = [pos for pos in range(12) if pos % 3]
         assert plan_lane_chunks(cells, 100, min_lanes=8) == [
@@ -170,15 +185,23 @@ class TestLanePlanning:
 
 # -- property: grouped == scalar, bit-identical -------------------------------
 
-# pr draws 0.0/1.0 with inflated likelihood: those lanes flip the branch
-# shape and must take the per-lane scalar fallback, not diverge
+# every cell draws its own machine: each lane of a lane array carries a
+# different machine, and the optional fields give cells different key
+# sets (one lane array all the same, unpacked).  pr draws 0.0/1.0 with
+# inflated likelihood: those lanes flip the branch shape and must take
+# the per-lane scalar fallback, not diverge
 _cell = st.fixed_dictionaries({
-    "bandwidth": st.sampled_from([5e9, 1e10, 2e10]),
-    "cores": st.sampled_from([4.0, 16.0]),
+    "bandwidth": st.floats(min_value=1e9, max_value=1e11),
+    "cores": st.integers(min_value=1, max_value=64),
     "input:n": st.floats(min_value=1, max_value=4096, allow_nan=False),
     "input:pr": st.one_of(st.just(0.0), st.just(1.0),
                           st.floats(min_value=0, max_value=1,
                                     allow_nan=False)),
+}, optional={
+    "frequency_hz": st.floats(min_value=5e8, max_value=4e9),
+    "dram_latency": st.floats(min_value=50.0, max_value=800.0),
+    "llc_size": st.sampled_from([2 ** 20, 2 ** 23, 2 ** 25]),
+    "mlp": st.floats(min_value=1.0, max_value=64.0),
 })
 
 
@@ -206,7 +229,8 @@ class TestGroupedMatchesScalar:
         assert grouped.cache_stats["lanes_vectorized"] > 0
 
     def test_residue_cells_interleave_in_original_order(self):
-        # machine-only cells are unbatchable residue; order must hold
+        # the machine-only cells form a group of their own (bound at the
+        # base inputs); results interleave back in original order
         cells = [{"bandwidth": 1e10, "input:n": 32.0},
                  {"bandwidth": 2e10},
                  {"bandwidth": 1e10, "input:n": 48.0},

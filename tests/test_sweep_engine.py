@@ -3,6 +3,9 @@
 sweeps, batched analyses, and the serial/parallel equivalence guarantee.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.analysis.sensitivity import sweep_machine
@@ -13,7 +16,7 @@ from repro.experiments import pipeline
 from repro.hardware import BGQ, XEON_E5_2420
 from repro.parallel import (
     CacheStats, LRUCache, analyze_matrix, bet_cache_stats,
-    build_bet_cached, clear_bet_cache, sweep_grid,
+    build_bet_cached, clear_bet_cache, sweep_grid, sweep_inputs,
 )
 from repro.workloads import load
 
@@ -254,6 +257,55 @@ class TestSweepGrid:
     def test_rejects_unknown_parameter(self, pedagogical_bet):
         with pytest.raises(AnalysisError):
             sweep_grid(pedagogical_bet, BGQ, {"warp_drive": [1.0]})
+
+
+# -- numpy-typed axis values --------------------------------------------------
+
+class TestNumpyAxisValues:
+    """Axis values from ``np.arange``/``np.linspace`` behave exactly like
+    the Python numbers they equal: they enter the engine converted."""
+
+    def test_numpy_int_machine_axis_validates(self, pedagogical_bet):
+        result = sweep_grid(pedagogical_bet, BGQ,
+                            {"cores": np.arange(1, 4)})
+        assert not result.failures
+        assert _grid_signature(result) == _grid_signature(
+            sweep_grid(pedagogical_bet, BGQ, {"cores": [1, 2, 3]}))
+        assert [type(point.machine.cores) for point in result.points] == \
+            [int] * 3
+        swept = sweep_machine(pedagogical_bet, BGQ, "cores",
+                              np.arange(1, 4))
+        assert not swept.failures and len(swept.points) == 3
+
+    def test_numpy_int_input_axis_batches(self, pedagogical):
+        program, inputs = pedagogical
+        result = sweep_inputs(program, BGQ, {"n": np.arange(100, 120)},
+                              base_inputs=inputs)
+        assert result.backend == "vector"
+        assert result.cache_stats["lanes_vectorized"] == 20
+        assert result.cache_stats["lanes_fallback"] == 0
+
+    def test_numpy_float_axis_checkpoint_resumes_with_python_floats(
+            self, pedagogical_bet, tmp_path):
+        path = str(tmp_path / "grid.json")
+        first = sweep_grid(pedagogical_bet, BGQ,
+                           {"bandwidth": np.linspace(1e10, 3e10, 3)},
+                           checkpoint=path, checkpoint_key="numpy-axis")
+        again = sweep_grid(pedagogical_bet, BGQ,
+                           {"bandwidth": [1e10, 2e10, 3e10]},
+                           checkpoint=path, checkpoint_key="numpy-axis",
+                           resume=True)
+        assert again.timings["resumed"] == 3.0
+        assert _grid_signature(again) == _grid_signature(first)
+
+    def test_numpy_int_cell_exports_as_json(self, pedagogical):
+        from repro.export import grid_to_dict
+        program, inputs = pedagogical
+        result = sweep_grid(None, BGQ, {"input:n": np.arange(100, 103)},
+                            program=program, inputs=inputs)
+        payload = json.loads(json.dumps(grid_to_dict(result)))
+        assert [point["overrides"] for point in payload["points"]] == \
+            [{"input:n": n} for n in (100, 101, 102)]
 
 
 # -- serial/parallel equivalence (ISSUE: bit-identical results) ---------------

@@ -200,30 +200,31 @@ class TestRebindBatch:
 class TestBackendDispatch:
     def test_resolve_rejects_unknown(self):
         with pytest.raises(AnalysisError):
-            _resolve_backend("simd", 100, has_machine_axes=False)
+            _resolve_backend("simd", 100)
 
-    def test_resolve_vector_needs_input_axes(self):
-        with pytest.raises(AnalysisError):
-            _resolve_backend("vector", 100, has_machine_axes=True,
-                             has_input_axes=False)
+    def test_resolve_vector_accepts_machine_only_sweeps(
+            self, program, machine):
+        # a lane array carries the machine as columns, so an explicit
+        # vector backend projects machine-only cells over the tree
+        bet = build_bet(program, inputs={"n": 64.0, "m": 8.0, "pr": 0.3})
+        for count in (1, 3):
+            cells = [{"bandwidth": 1e10 * (lane + 1)}
+                     for lane in range(count)]
+            result = evaluate_cells(machine, cells, bet=bet,
+                                    backend="vector")
+            assert result.backend == "vector"
+            assert result.cache_stats["lanes_vectorized"] == count
+            assert result.cache_stats["lane_groups"] == 1
 
     def test_auto_rules(self):
         few = VECTOR_MIN_LANES - 1
         many = VECTOR_MIN_LANES
-        assert _resolve_backend("auto", few,
-                                has_machine_axes=False) == "scalar"
-        assert _resolve_backend("auto", many,
-                                has_machine_axes=False) == "vector"
-        # mixed machine x input cells qualify too: the grouped dispatch
-        # path batches each machine-signature lane group
-        assert _resolve_backend("auto", many,
-                                has_machine_axes=True) == "vector"
-        assert _resolve_backend("auto", few,
-                                has_machine_axes=True) == "scalar"
-        assert _resolve_backend("auto", many, has_machine_axes=True,
-                                has_input_axes=False) == "scalar"
-        assert _resolve_backend("scalar", many,
-                                has_machine_axes=False) == "scalar"
+        # one crossover for every cell list: input sweeps, mixed
+        # machine x input cells and machine-only cells alike
+        assert _resolve_backend("auto", few) == "scalar"
+        assert _resolve_backend("auto", many) == "vector"
+        assert _resolve_backend("vector", few) == "vector"
+        assert _resolve_backend("scalar", many) == "scalar"
 
     def test_auto_chunk_size(self):
         assert _auto_chunk_size(0, 4) == 1
@@ -346,12 +347,17 @@ class TestSweepBackendEquality:
             [p.runtime for p in scalar.points]
 
     def test_auto_runs_tiny_lane_groups_scalar(self, program, machine):
-        # an explorer-style cell list: every cell is its own machine
-        # signature, so no lane group reaches VECTOR_MIN_LANES
+        # seven input-axis name sets of four cells each: no lane group
+        # reaches VECTOR_MIN_LANES, though the list (28 cells) does
+        values = {"input:n": lambda i: float(8 + i),
+                  "input:m": lambda i: float(2 + i % 4),
+                  "input:pr": lambda i: 0.1 + 0.2 * (i % 4)}
+        keysets = [[name for bit, name in enumerate(values)
+                    if mask >> bit & 1] for mask in range(1, 8)]
         cells = [{"bandwidth": machine.bandwidth * (1.0 + i / 64.0),
-                  "input:n": float(8 + i)}
-                 for i in range(VECTOR_MIN_POINTS)]
-        base = {"m": 8.0, "pr": 0.3}
+                  **{name: values[name](i) for name in keysets[i % 7]}}
+                 for i in range(28)]
+        base = {"n": 32.0, "m": 8.0, "pr": 0.3}
 
         def evaluate(backend):
             clear_symbolic_cache()
@@ -376,17 +382,18 @@ class TestSweepBackendEquality:
         assert pooled.shard_stats["shards_planned"] == 1
         assert rows(pooled) == rows(scalar)
         # an explicit vector backend still batches every group
-        assert vector.cache_stats["lane_groups"] == len(cells)
+        assert vector.cache_stats["lane_groups"] == len(keysets)
         assert rows(vector) == rows(scalar)
-        # groups at the floor batch under auto too
-        groups = VECTOR_MIN_POINTS // VECTOR_MIN_LANES
-        grouped = [{"bandwidth": machine.bandwidth * (1.0 + g / 8.0),
-                    "input:n": float(8 + i)}
-                   for g in range(groups) for i in range(VECTOR_MIN_LANES)]
+        # an explorer-style list, every cell its own machine, is one
+        # group: one lane array under auto
+        explorer = [{"bandwidth": machine.bandwidth * (1.0 + i / 64.0),
+                     "cores": float(1 + i % 16), "input:n": float(8 + i)}
+                    for i in range(VECTOR_MIN_POINTS)]
         clear_symbolic_cache()
-        result = evaluate_cells(machine, grouped, program=program,
+        result = evaluate_cells(machine, explorer, program=program,
                                 inputs=base)
-        assert result.cache_stats["lane_groups"] == groups
+        assert result.cache_stats["lane_groups"] == 1
+        assert result.cache_stats["lanes_vectorized"] == len(explorer)
 
     def test_fallback_lanes_match_scalar(self, program, machine):
         # pr=0.0 / 1.0 lanes diverge in shape and re-run scalar; the
@@ -470,7 +477,8 @@ class TestSweepBackendEquality:
         assert vector.backend == "vector"
         assert vector.cache_stats["lanes_vectorized"] == 128.0
         assert vector.cache_stats["lanes_fallback"] == 0.0
-        assert vector.cache_stats["lane_groups"] >= 2.0
+        # both bandwidths share one lane array (machine columns)
+        assert vector.cache_stats["lane_groups"] == 1.0
         clear_symbolic_cache()
         scalar = sweep_grid(None, machine, grid, program=program,
                             inputs={"m": 8.0, "pr": 0.3},
@@ -534,12 +542,21 @@ class TestSweepBackendCLI:
         assert "lanes_vectorized" in out
         assert "batch seconds" in out
 
-    def test_backend_vector_rejected_without_input_axis(self, capsys):
+    def test_backend_vector_accepted_without_input_axis(self, capsys):
+        # machine-parameter sweeps run as machine lanes over one tree
         from repro.cli import main
-        code = main(["sweep", "pedagogical", "--backend", "vector",
-                     "--param", "bandwidth=1e10,2e10"])
-        assert code == 1
-        assert "input:" in capsys.readouterr().err
+        outputs = []
+        for backend in ("vector", "scalar"):
+            for params in (["bandwidth=1e10,2e10"],
+                           ["bandwidth=1e10,2e10", "cores=8,16"]):
+                args = ["sweep", "pedagogical", "--backend", backend]
+                for param in params:
+                    args += ["--param", param]
+                assert main(args) == 0
+                outputs.append([line for line in
+                                capsys.readouterr().out.splitlines()
+                                if not line.startswith("[")])
+        assert outputs[:2] == outputs[2:]
 
     def test_backend_choices_enforced(self):
         from repro.cli import main

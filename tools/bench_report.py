@@ -59,10 +59,12 @@ def _headline(name, payload):
         if name == "cells":
             grouped = payload["grouped"]
             served = payload["served"]
+            grids = payload["machine_grids"]
             return (f"grouped {grouped['speedup']:.1f}x over scalar on "
                     f"{grouped['cells']} mixed cells "
                     f"({int(grouped['lane_groups'])} groups, "
                     f"{int(grouped['lanes_fallback'])} fallback), "
+                    f"machine grids {grids['speedup']:.1f}x, "
                     f"served {served['speedup']:.1f}x")
         if name == "cachemodel":
             return f"{len(payload.get('workloads', []))} workloads, " \
