@@ -1,19 +1,26 @@
-"""Recursive-descent parser for skeleton expressions.
+"""Parser for skeleton expressions.
 
-One method per precedence level, nine levels in all, each calling the
-next tighter one (``parse_or`` down to ``parse_atom``); a left-associative
-level loops over its operator, while ``^`` and the prefix ``not``/``-``
-recurse into themselves.  Grammar (lowest to highest precedence)::
+Text becomes a list of plain token strings in one regular-expression
+call.  A token's kind follows from its first character: a digit starts a
+number, a letter or ``_`` a name, a quote a label string (skeleton lines
+only) and anything else an operator.  Token offsets matter only to error
+messages, so they are recomputed by rescanning the text when a parse
+fails.
 
-    or-expr    := and-expr ("or" and-expr)*
-    and-expr   := not-expr ("and" not-expr)*
-    not-expr   := "not" not-expr | cmp-expr
-    cmp-expr   := add-expr (("<"|"<="|">"|">="|"=="|"!=") add-expr)?
-    add-expr   := mul-expr (("+"|"-") mul-expr)*
-    mul-expr   := pow-expr (("*"|"/"|"//"|"%") pow-expr)*
-    pow-expr   := unary ("^" pow-expr)?          # right associative
-    unary      := "-" unary | atom
-    atom       := NUMBER | NAME | NAME "(" args ")" | "(" or-expr ")"
+One binding-power loop parses every operator, over this table (loosest
+first)::
+
+    level  operators            form
+    or     or                   n-ary:  a or b or c  ->  Bool("or", [a, b, c])
+    and    and                  n-ary
+    not    not                  prefix; looser than a comparison
+    cmp    < <= > >= == !=      at most one; 1 < 2 < 3 is an error
+    add    + -                  left associative
+    mul    * / // %             left associative
+    pow    ^                    right associative; its base is a unary
+    neg    -                    prefix; tighter than ^, so -2^2 == 4
+
+    atom := NUMBER | NAME | NAME "(" [expr {"," expr}] ")" | "(" expr ")"
 
 Numbers accept integer, decimal, and scientific forms plus the ``k``, ``M``,
 ``G`` suffixes (powers of 1000) that skeletons use for operation counts.
@@ -22,7 +29,7 @@ Numbers accept integer, decimal, and scientific forms plus the ``k``, ``M``,
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Tuple
 
 from ..errors import ExpressionError
 from .expr import Bool, Binary, Compare, Expr, Func, Num, Unary, Var
@@ -37,199 +44,171 @@ _PARSE_CACHE_LIMIT = 4096
 #: counters for tests and `repro sweep --stats`
 _PARSE_STATS = {"tokenize_calls": 0, "parse_calls": 0, "cache_hits": 0}
 
+#: token alternatives shared with the skeleton line tokenizer
+NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[kMG]?"
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 
-class Token(NamedTuple):
-    kind: str   # 'num' | 'name' | 'op'
-    text: str
-    pos: int
-
-
+#: one token and the whitespace around it; ``split`` leaves the tokens at
+#: odd indices and whatever no token matched at even ones
 _TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[kMG]?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>//|<=|>=|==|!=|[-+*/%^<>(),])"
-    r")")
+    rf"\s*({NUMBER}|{NAME}|//|<=|>=|==|!=|[-+*/%^<>(),])\s*")
+
+#: first characters of a name token
+NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+#: first characters of operator and label-string tokens (never an atom)
+_NOT_ATOM_START = frozenset('"-+*/%^<>(),:?=[]!')
+
+_KEYWORDS = frozenset({"and", "or", "not"})
 
 _SUFFIX = {"k": 1_000, "M": 1_000_000, "G": 1_000_000_000}
 
+# binding levels, loosest first; an atom may be followed by any operator
+_OR, _AND, _NOT, _CMP, _ADD, _MUL, _POW, _NEG = range(8)
 
-def tokenize_expr(text: str) -> List[Token]:
-    """Tokenize an expression string; raise on any unrecognized character."""
-    _PARSE_STATS["tokenize_calls"] += 1
-    tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExpressionError(
-                f"unexpected character {rest[0]!r} at offset {pos} in {text!r}")
-        pos = match.end()
-        if match.lastgroup is None:  # pure whitespace tail
-            continue
-        tokens.append(Token(match.lastgroup, match.group(match.lastgroup),
-                            match.start(match.lastgroup)))
-    return tokens
-
+#: infix operator -> (its level, the level its right operand is parsed at)
+_INFIX: Dict[str, Tuple[int, int]] = {
+    "or": (_OR, _AND),
+    "and": (_AND, _NOT),
+    **dict.fromkeys(("<", "<=", ">", ">=", "==", "!="), (_CMP, _ADD)),
+    "+": (_ADD, _MUL), "-": (_ADD, _MUL),
+    **dict.fromkeys(("*", "/", "//", "%"), (_MUL, _POW)),
+    "^": (_POW, _POW),
+}
 
 #: maximum nesting depth (parens, calls, unary chains, right-assoc pow).
-#: Each level costs ~8 interpreter frames through the grammar ladder, so
-#: this keeps hostile inputs well under CPython's recursion limit and
-#: turns them into an :class:`ExpressionError` with a position instead
-#: of a bare ``RecursionError``.
+#: Each level costs at most eight interpreter frames (one per binding
+#: level a right operand can climb through), so this keeps hostile inputs
+#: well under CPython's recursion limit and turns them into an
+#: :class:`ExpressionError` with a position instead of a bare
+#: ``RecursionError``.
 _MAX_EXPR_DEPTH = 80
 
 
-class _Parser:
-    def __init__(self, tokens: List[Token], source: str):
+def token_starts(pattern: re.Pattern, text: str) -> List[int]:
+    """Offset of each token of ``text`` (rescanned for error messages)."""
+    return [match.start(1) for match in pattern.finditer(text)]
+
+
+def first_unmatched(pattern: re.Pattern, text: str) -> Tuple[int, int]:
+    """Where tokenizing ``text`` stops: the end of the last token before
+    the stop and the offset of the first character no token matches."""
+    end = resume = 0
+    for match in pattern.finditer(text):
+        if match.start() != resume:
+            break
+        end, resume = match.end(1), match.end()
+    return end, len(text) - len(text[resume:].lstrip())
+
+
+class ExprParser:
+    """Binding-power parser over token strings, from ``index`` on.
+
+    On an :class:`ExpressionError`, ``index`` is one past the token that
+    failed, or ``len(tokens)`` when the tokens ran out.
+    """
+
+    __slots__ = ("tokens", "index", "source")
+
+    def __init__(self, tokens: List[str], source: str):
         self.tokens = tokens
-        self.source = source
         self.index = 0
-        self.depth = 0
+        self.source = source     # quoted in error messages
 
-    def _descend(self) -> None:
-        self.depth += 1
-        if self.depth > _MAX_EXPR_DEPTH:
-            raise ExpressionError(
-                f"expression nesting exceeds {_MAX_EXPR_DEPTH} levels "
-                f"in {self.source!r}")
+    def _error(self, message: str) -> ExpressionError:
+        return ExpressionError(f"{message} in {self.source!r}")
 
-    def _ascend(self) -> None:
-        self.depth -= 1
+    def _descend(self, depth: int) -> int:
+        if depth >= _MAX_EXPR_DEPTH:
+            raise self._error(
+                f"expression nesting exceeds {_MAX_EXPR_DEPTH} levels")
+        return depth + 1
 
-    def peek(self) -> Optional[Token]:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
+    def accept(self, token: str) -> bool:
+        """Consume the next token if it is ``token``."""
+        index = self.index
+        if index < len(self.tokens) and self.tokens[index] == token:
+            self.index = index + 1
+            return True
+        return False
 
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ExpressionError(f"unexpected end of expression in "
-                                  f"{self.source!r}")
-        self.index += 1
-        return token
+    def _close(self) -> None:
+        index = self.index
+        if index >= len(self.tokens):
+            raise self._error("unexpected end of expression")
+        self.index = index + 1
+        if self.tokens[index] != ")":
+            raise self._error(
+                f"expected ')' but found {self.tokens[index]!r}")
 
-    def expect_op(self, text: str) -> None:
-        token = self.next()
-        if token.kind != "op" or token.text != text:
-            raise ExpressionError(
-                f"expected {text!r} but found {token.text!r} in "
-                f"{self.source!r}")
-
-    def accept_op(self, *texts: str) -> Optional[str]:
-        token = self.peek()
-        if token is not None and token.kind == "op" and token.text in texts:
-            self.index += 1
-            return token.text
-        return None
-
-    def accept_name(self, *names: str) -> Optional[str]:
-        token = self.peek()
-        if token is not None and token.kind == "name" and token.text in names:
-            self.index += 1
-            return token.text
-        return None
-
-    # -- grammar levels -------------------------------------------------
-    def parse_or(self) -> Expr:
-        operands = [self.parse_and()]
-        while self.accept_name("or"):
-            operands.append(self.parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return Bool("or", operands)
-
-    def parse_and(self) -> Expr:
-        operands = [self.parse_not()]
-        while self.accept_name("and"):
-            operands.append(self.parse_not())
-        if len(operands) == 1:
-            return operands[0]
-        return Bool("and", operands)
-
-    def parse_not(self) -> Expr:
-        if self.accept_name("not"):
-            self._descend()
-            operand = self.parse_not()
-            self._ascend()
-            return Unary("not", operand)
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> Expr:
-        left = self.parse_add()
-        op = self.accept_op("<", "<=", ">", ">=", "==", "!=")
-        if op is None:
-            return left
-        right = self.parse_add()
-        return Compare(op, left, right)
-
-    def parse_add(self) -> Expr:
-        left = self.parse_mul()
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                return left
-            left = Binary(op, left, self.parse_mul())
-
-    def parse_mul(self) -> Expr:
-        left = self.parse_pow()
-        while True:
-            op = self.accept_op("*", "/", "//", "%")
-            if op is None:
-                return left
-            left = Binary(op, left, self.parse_pow())
-
-    def parse_pow(self) -> Expr:
-        base = self.parse_unary()
-        if self.accept_op("^"):
-            self._descend()
-            exponent = self.parse_pow()
-            self._ascend()
-            return Binary("^", base, exponent)
-        return base
-
-    def parse_unary(self) -> Expr:
-        if self.accept_op("-"):
-            self._descend()
-            operand = self.parse_unary()
-            self._ascend()
-            return Unary("-", operand)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        token = self.next()
-        if token.kind == "num":
-            return Num(_parse_number(token.text))
-        if token.kind == "name":
-            if token.text in ("and", "or", "not"):
-                raise ExpressionError(
-                    f"misplaced keyword {token.text!r} in {self.source!r}")
-            follow = self.peek()
-            if follow is not None and follow.kind == "op" \
-                    and follow.text == "(":
-                self.index += 1
-                self._descend()
+    def parse(self, level: int = _OR, depth: int = 0) -> Expr:
+        """Parse the longest expression whose operators bind at ``level``
+        or tighter; ``depth`` counts the enclosing nestings."""
+        tokens = self.tokens
+        index = self.index
+        if index >= len(tokens):
+            raise self._error("unexpected end of expression")
+        token = tokens[index]
+        index += 1
+        self.index = index
+        # the operand: a prefix operator and its operand, or an atom.
+        # ``top`` is the loosest level of operator that may follow it.
+        top = _NEG
+        if token[0] in NAME_START:
+            if token in _KEYWORDS:
+                if token != "not" or level > _NOT:
+                    raise self._error(f"misplaced keyword {token!r}")
+                left = Unary("not", self.parse(_NOT, self._descend(depth)))
+                top = _AND
+            elif index < len(tokens) and tokens[index] == "(":
+                self.index = index + 1
+                inner = self._descend(depth)
                 args: List[Expr] = []
-                if not self.accept_op(")"):
-                    args.append(self.parse_or())
-                    while self.accept_op(","):
-                        args.append(self.parse_or())
-                    self.expect_op(")")
-                self._ascend()
-                return Func(token.text, args)
-            return Var(token.text)
-        if token.kind == "op" and token.text == "(":
-            self._descend()
-            inner = self.parse_or()
-            self.expect_op(")")
-            self._ascend()
-            return inner
-        raise ExpressionError(
-            f"unexpected token {token.text!r} in {self.source!r}")
+                if not self.accept(")"):
+                    args.append(self.parse(_OR, inner))
+                    while self.accept(","):
+                        args.append(self.parse(_OR, inner))
+                    self._close()
+                left = Func(token, args)
+            else:
+                left = Var(token)
+        elif token == "(":
+            left = self.parse(_OR, self._descend(depth))
+            self._close()
+        elif token == "-":
+            left = Unary("-", self.parse(_NEG, self._descend(depth)))
+        elif token[0] in _NOT_ATOM_START:
+            raise self._error(f"unexpected token {token!r}")
+        else:
+            left = Num(_parse_number(token))
+        # the infix operators that bind at ``level`` or tighter
+        while True:
+            index = self.index
+            if index >= len(tokens):
+                return left
+            op = tokens[index]
+            binding = _INFIX.get(op)
+            if binding is None:
+                return left
+            op_level, right_level = binding
+            if op_level < level or op_level > top:
+                return left
+            self.index = index + 1
+            if op_level <= _AND:
+                operands = [left, self.parse(right_level, depth)]
+                while self.accept(op):
+                    operands.append(self.parse(right_level, depth))
+                left = Bool(op, operands)
+            elif op_level == _CMP:
+                left = Compare(op, left, self.parse(right_level, depth))
+                op_level = _AND          # comparisons do not chain
+            elif op_level == _POW:
+                left = Binary(op, left,
+                              self.parse(right_level, self._descend(depth)))
+            else:
+                left = Binary(op, left, self.parse(right_level, depth))
+            top = op_level
 
 
 def _parse_number(text: str) -> float:
@@ -264,16 +243,23 @@ def parse_expr(text: str) -> Expr:
 
 
 def _parse_uncached(text: str) -> Expr:
-    tokens = tokenize_expr(text)
+    _PARSE_STATS["tokenize_calls"] += 1
+    parts = _TOKEN_RE.split(text)
+    if any(parts[::2]) and text.strip():
+        end, offset = first_unmatched(_TOKEN_RE, text)
+        raise ExpressionError(
+            f"unexpected character {text[offset]!r} at offset {end} in "
+            f"{text!r}")
+    tokens = parts[1::2]
     if not tokens:
         raise ExpressionError(f"empty expression {text!r}")
-    parser = _Parser(tokens, text)
-    result = parser.parse_or()
-    leftover = parser.peek()
-    if leftover is not None:
+    parser = ExprParser(tokens, text)
+    result = parser.parse()
+    if parser.index < len(tokens):
+        offset = token_starts(_TOKEN_RE, text)[parser.index]
         raise ExpressionError(
-            f"trailing input {leftover.text!r} at offset {leftover.pos} in "
-            f"{text!r}")
+            f"trailing input {tokens[parser.index]!r} at offset {offset} "
+            f"in {text!r}")
     return result
 
 

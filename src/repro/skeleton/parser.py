@@ -42,9 +42,11 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from ..errors import SkeletonSyntaxError
+from ..errors import ExpressionError, SkeletonSyntaxError
 from ..expressions import Expr
-from ..expressions.parser import _Parser, Token
+from ..expressions.parser import (
+    NAME, NAME_START, NUMBER, ExprParser, first_unmatched, token_starts,
+)
 from .ast_nodes import (
     ArrayDecl, Branch, BranchArm, Break, Call, Comp, Continue, DTYPE_BYTES,
     ForLoop, FuncDef, LibCall, Load, Return, Statement, Store, VarAssign,
@@ -52,118 +54,104 @@ from .ast_nodes import (
 )
 from .bst import Program
 
+#: the expression tokens plus label strings and the ``: ? = [ ]`` that
+#: only statements use; one token and the whitespace around it, so
+#: ``split`` leaves the tokens at odd indices and whatever no token
+#: matched at even ones
 _LINE_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[kMG]?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r'|(?P<str>"[^"]*")'
-    r"|(?P<op>//|<=|>=|==|!=|[-+*/%^<>(),:?=\[\]])"
-    r")")
-
-#: words that dispatch statements at the start of a line
-_STATEMENT_WORDS = frozenset({
-    "def", "end", "var", "array", "for", "forall", "while", "if", "else",
-    "switch", "case", "default", "call", "comp", "load", "store", "lib",
-    "break", "continue", "return", "param",
-})
+    rf'\s*({NUMBER}|{NAME}|"[^"]*"|//|<=|>=|==|!=|[-+*/%^<>(),:?=\[\]])\s*')
 
 #: structural words that can never be used as identifiers (everything else —
 #: ``step``, ``as``, ``prob``, ``flops`` … — is contextual and usable as a name)
 _KEYWORDS = frozenset({"def", "end", "else", "case", "default"})
 
 
-class _Line:
-    """Tokenized source line with a cursor and error helpers."""
+class _Line(ExprParser):
+    """One source line's tokens with a cursor and error helpers."""
 
-    def __init__(self, tokens: List[Token], number: int, raw: str,
+    __slots__ = ("number", "source_name")
+
+    def __init__(self, tokens: List[str], number: int, text: str,
                  source_name: str):
         self.tokens = tokens
-        self.number = number
-        self.raw = raw
-        self.source_name = source_name
         self.index = 0
+        self.source = text
+        self.number = number
+        self.source_name = source_name
 
     def error(self, message: str,
               code: str = "SKOP102") -> SkeletonSyntaxError:
+        starts = token_starts(_LINE_TOKEN_RE, self.source)
         if self.index < len(self.tokens):
-            column = self.tokens[self.index].pos + 1
+            column = starts[self.index] + 1
         elif self.tokens:
             # cursor past the last token: point one past it (where the
             # missing input belongs), not column 0
-            last = self.tokens[-1]
-            column = last.pos + len(last.text) + 1
+            column = starts[-1] + len(self.tokens[-1]) + 1
         else:
             column = 1
         return SkeletonSyntaxError(message, self.number, column,
                                    self.source_name, code=code)
 
-    def peek(self) -> Optional[Token]:
+    def peek(self) -> Optional[str]:
         if self.index < len(self.tokens):
             return self.tokens[self.index]
         return None
 
-    def next(self) -> Token:
+    def next(self) -> str:
         token = self.peek()
         if token is None:
             raise self.error("unexpected end of line")
         self.index += 1
         return token
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        token = self.peek()
-        if token is not None and token.kind == kind and \
-                (text is None or token.text == text):
-            self.index += 1
-            return token
-        return None
+    def _expected(self, what: str) -> SkeletonSyntaxError:
+        found = self.peek()
+        return self.error(f"expected {what}, found "
+                          f"{'end of line' if found is None else repr(found)}")
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self.accept(kind, text)
-        if token is None:
-            found = self.peek()
-            what = repr(found.text) if found else "end of line"
-            expected = repr(text) if text else kind
-            raise self.error(f"expected {expected}, found {what}")
-        return token
+    def expect(self, token: str) -> None:
+        if not self.accept(token):
+            raise self._expected(repr(token))
 
     def expect_name(self) -> str:
-        token = self.expect("name")
-        if token.text in _KEYWORDS:
-            self.index -= 1
-            raise self.error(f"keyword {token.text!r} used as a name")
-        return token.text
+        token = self.peek()
+        if token is None or token[0] not in NAME_START:
+            raise self._expected("name")
+        if token in _KEYWORDS:
+            raise self.error(f"keyword {token!r} used as a name")
+        self.index += 1
+        return token
 
     def expr(self) -> Expr:
         """Greedily parse an expression from the cursor position."""
-        sub = _Parser(self.tokens, self.raw)
-        sub.index = self.index
+        start = self.index
         try:
-            result = sub.parse_or()
-        except Exception as exc:  # ExpressionError carries no location
-            # Point the span at the token the sub-parser choked on, not
-            # at the first token of the expression.  The sub-parser's
-            # raise sites consume the offending token first, so it sits
-            # at ``sub.index - 1``; a cursor at end-of-tokens means the
-            # line ended too early (error() then points one past the
-            # last token).
-            if sub.index >= len(self.tokens):
-                self.index = len(self.tokens)
-            elif sub.index > self.index:
-                self.index = sub.index - 1
+            return self.parse()
+        except ExpressionError as exc:  # carries no location
+            # Point the span at the token the expression parser choked
+            # on, not at the first token of the expression.  Its raise
+            # sites consume the offending token first, so it sits at
+            # ``index - 1``; a cursor at end-of-tokens means the line
+            # ended too early (error() then points one past the last
+            # token).
+            if self.index > start and self.index < len(self.tokens):
+                self.index -= 1
             raise self.error(str(exc), code="SKOP107") from exc
-        self.index = sub.index
-        return result
 
     def label(self) -> Optional[str]:
-        if self.accept("name", "as"):
-            token = self.expect("str")
-            return token.text[1:-1]
-        return None
+        if not self.accept("as"):
+            return None
+        token = self.peek()
+        if token is None or token[0] != '"':
+            raise self._expected("str")
+        self.index += 1
+        return token[1:-1]
 
     def done(self) -> None:
         token = self.peek()
         if token is not None:
-            raise self.error(f"trailing input {token.text!r}")
+            raise self.error(f"trailing input {token!r}")
 
 
 def _strip_comment(raw: str) -> str:
@@ -179,26 +167,19 @@ def _strip_comment(raw: str) -> str:
     return raw
 
 
-def _tokenize_line(raw: str, number: int, source_name: str) -> _Line:
+def _tokenize_line(raw: str, number: int,
+                   source_name: str) -> Optional[_Line]:
+    """The line's tokens, or ``None`` for a blank or comment-only line."""
     text = _strip_comment(raw)
-    tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _LINE_TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].strip()
-            if not stripped:
-                break
-            raise SkeletonSyntaxError(
-                f"unexpected character {stripped[0]!r}", number,
-                pos + len(text[pos:]) - len(text[pos:].lstrip()) + 1,
-                source_name, code="SKOP101")
-        pos = match.end()
-        if match.lastgroup is None:
-            continue
-        tokens.append(Token(match.lastgroup, match.group(match.lastgroup),
-                            match.start(match.lastgroup)))
-    return _Line(tokens, number, text, source_name)
+    parts = _LINE_TOKEN_RE.split(text)
+    if any(parts[::2]) and text.strip():
+        _, offset = first_unmatched(_LINE_TOKEN_RE, text)
+        raise SkeletonSyntaxError(
+            f"unexpected character {text[offset]!r}", number, offset + 1,
+            source_name, code="SKOP101")
+    if len(parts) == 1:
+        return None
+    return _Line(parts[1::2], number, text, source_name)
 
 
 class _BlockFrame:
@@ -236,25 +217,23 @@ class _SkeletonParser:
         return self.stack[-1].body
 
     def _parse_prob_or_cond(self, line: _Line) -> Tuple[str, Expr]:
-        if line.accept("name", "prob"):
+        if line.accept("prob"):
             return "prob", line.expr()
         return "cond", line.expr()
 
     def _parse_dtype(self, line: _Line) -> Optional[str]:
         token = line.peek()
-        if token is not None and token.kind == "name" \
-                and token.text in DTYPE_BYTES:
+        if token in DTYPE_BYTES:
             line.index += 1
-            return token.text
+            return token
         return None
 
     # -- statement dispatch ----------------------------------------------
     def parse(self) -> Program:
         for number, raw in enumerate(self.source.splitlines(), start=1):
             line = _tokenize_line(raw, number, self.source_name)
-            if not line.tokens:
-                continue
-            self._dispatch(line)
+            if line is not None:
+                self._dispatch(line)
         if self.stack:
             frame = self.stack[-1]
             raise SkeletonSyntaxError(
@@ -295,9 +274,8 @@ class _SkeletonParser:
         for number, raw in enumerate(lines, start=1):
             try:
                 line = _tokenize_line(raw, number, self.source_name)
-                if not line.tokens:
-                    continue
-                self._dispatch(line)
+                if line is not None:
+                    self._dispatch(line)
             except SkeletonSyntaxError as exc:
                 sink.add(exc.to_diagnostic(snippet=raw))
                 self._recover_line(raw, number)
@@ -317,17 +295,15 @@ class _SkeletonParser:
                        source_name=self.source_name, sink=sink)
 
     def _dispatch(self, line: _Line) -> None:
-        head = line.peek()
-        assert head is not None
-        if head.kind != "name":
-            raise line.error(f"expected a statement, found {head.text!r}")
-        word = head.text
-        handler = getattr(self, f"_stmt_{word}", None)
-        if word in _STATEMENT_WORDS and handler is not None:
-            line.index += 1
-            handler(line)
-        else:
-            raise line.error(f"unknown statement {word!r}", code="SKOP106")
+        word = line.tokens[0]
+        handler = self._STATEMENTS.get(word)
+        if handler is None:
+            if word[0] in NAME_START:
+                raise line.error(f"unknown statement {word!r}",
+                                 code="SKOP106")
+            raise line.error(f"expected a statement, found {word!r}")
+        line.index = 1
+        handler(self, line)
 
     # -- top level --------------------------------------------------------
     def _stmt_param(self, line: _Line) -> None:
@@ -335,7 +311,7 @@ class _SkeletonParser:
             raise line.error("'param' is only allowed at top level",
                              code="SKOP105")
         name = line.expect_name()
-        line.expect("op", "=")
+        line.expect("=")
         value = line.expr()
         line.done()
         self.params.append((name, value))
@@ -345,13 +321,13 @@ class _SkeletonParser:
             raise line.error("nested function definitions are not allowed",
                              code="SKOP105")
         name = line.expect_name()
-        line.expect("op", "(")
+        line.expect("(")
         params: List[str] = []
-        if not line.accept("op", ")"):
+        if not line.accept(")"):
             params.append(line.expect_name())
-            while line.accept("op", ","):
+            while line.accept(","):
                 params.append(line.expect_name())
-            line.expect("op", ")")
+            line.expect(")")
         label = line.label()
         line.done()
         func = FuncDef(name, params, line=line.number, label=label)
@@ -367,12 +343,12 @@ class _SkeletonParser:
     # -- block statements ---------------------------------------------------
     def _stmt_for(self, line: _Line, parallel: bool = False) -> None:
         var = line.expect_name()
-        line.expect("op", "=")
+        line.expect("=")
         lo = line.expr()
-        line.expect("op", ":")
+        line.expect(":")
         hi = line.expr()
         step = None
-        if line.accept("name", "step"):
+        if line.accept("step"):
             step = line.expr()
         label = line.label()
         line.done()
@@ -385,9 +361,9 @@ class _SkeletonParser:
         self._stmt_for(line, parallel=True)
 
     def _stmt_while(self, line: _Line) -> None:
-        line.expect("name", "expect")
+        line.expect("expect")
         expect: Optional[Expr]
-        if line.accept("op", "?"):
+        if line.accept("?"):
             expect = None
         else:
             expect = line.expr()
@@ -462,21 +438,21 @@ class _SkeletonParser:
     # -- simple statements ---------------------------------------------------
     def _stmt_var(self, line: _Line) -> None:
         name = line.expect_name()
-        line.expect("op", "=")
+        line.expect("=")
         expr = line.expr()
         line.done()
         self._top_body(line).append(VarAssign(name, expr, line=line.number))
 
     def _stmt_array(self, line: _Line) -> None:
         name = line.expect_name()
-        line.expect("op", ":")
+        line.expect(":")
         dtype = self._parse_dtype(line)
         if dtype is None:
             raise line.error("expected a dtype after ':'")
         dims: List[Expr] = []
-        while line.accept("op", "["):
+        while line.accept("["):
             dims.append(line.expr())
-            line.expect("op", "]")
+            line.expect("]")
         if not dims:
             raise line.error("array declaration needs at least one dimension")
         line.done()
@@ -485,33 +461,33 @@ class _SkeletonParser:
 
     def _stmt_call(self, line: _Line) -> None:
         name = line.expect_name()
-        line.expect("op", "(")
+        line.expect("(")
         args: List[Expr] = []
-        if not line.accept("op", ")"):
+        if not line.accept(")"):
             args.append(line.expr())
-            while line.accept("op", ","):
+            while line.accept(","):
                 args.append(line.expr())
-            line.expect("op", ")")
+            line.expect(")")
         line.done()
         self._top_body(line).append(Call(name, args, line=line.number))
 
     def _stmt_comp(self, line: _Line) -> None:
         amount = line.expr()
         unit = line.next()
-        if unit.kind != "name" or unit.text not in ("flops", "iops"):
+        if unit not in ("flops", "iops"):
             raise line.error("expected 'flops' or 'iops' after the count")
-        if unit.text == "iops":
+        if unit == "iops":
             line.done()
             self._top_body(line).append(Comp(iops=amount, line=line.number))
             return
         div = None
         vectorizable = False
         while True:
-            if line.accept("name", "div"):
+            if line.accept("div"):
                 if div is not None:
                     raise line.error("duplicate 'div' clause")
                 div = line.expr()
-            elif line.accept("name", "vec"):
+            elif line.accept("vec"):
                 vectorizable = True
             else:
                 break
@@ -526,20 +502,19 @@ class _SkeletonParser:
         clauses: dict = {}
         while True:
             token = line.peek()
-            if token is None or token.kind != "name" \
-                    or token.text not in ("stride", "footprint", "reuse"):
+            if token not in ("stride", "footprint", "reuse"):
                 break
-            line.next()
-            if token.text in clauses:
-                raise line.error(f"duplicate {token.text!r} clause")
-            clauses[token.text] = line.expr()
+            line.index += 1
+            if token in clauses:
+                raise line.error(f"duplicate {token!r} clause")
+            clauses[token] = line.expr()
         return clauses
 
     def _stmt_load(self, line: _Line) -> None:
         count = line.expr()
         dtype = self._parse_dtype(line) or "float64"
         array = None
-        if line.accept("name", "from"):
+        if line.accept("from"):
             array = line.expect_name()
         clauses = self._parse_access_clauses(line)
         line.done()
@@ -550,7 +525,7 @@ class _SkeletonParser:
         count = line.expr()
         dtype = self._parse_dtype(line) or "float64"
         array = None
-        if line.accept("name", "to"):
+        if line.accept("to"):
             array = line.expect_name()
         clauses = self._parse_access_clauses(line)
         line.done()
@@ -564,19 +539,31 @@ class _SkeletonParser:
         self._top_body(line).append(LibCall(name, size, line=line.number))
 
     def _stmt_break(self, line: _Line) -> None:
-        prob = line.expr() if line.accept("name", "prob") else 1
+        prob = line.expr() if line.accept("prob") else 1
         line.done()
         self._top_body(line).append(Break(prob, line=line.number))
 
     def _stmt_continue(self, line: _Line) -> None:
-        prob = line.expr() if line.accept("name", "prob") else 1
+        prob = line.expr() if line.accept("prob") else 1
         line.done()
         self._top_body(line).append(Continue(prob, line=line.number))
 
     def _stmt_return(self, line: _Line) -> None:
-        prob = line.expr() if line.accept("name", "prob") else 1
+        prob = line.expr() if line.accept("prob") else 1
         line.done()
         self._top_body(line).append(Return(prob, line=line.number))
+
+    #: the word that starts a statement line -> its handler
+    _STATEMENTS = {
+        "param": _stmt_param, "def": _stmt_def, "end": _stmt_end,
+        "for": _stmt_for, "forall": _stmt_forall, "while": _stmt_while,
+        "if": _stmt_if, "else": _stmt_else, "switch": _stmt_switch,
+        "case": _stmt_case, "default": _stmt_default, "var": _stmt_var,
+        "array": _stmt_array, "call": _stmt_call, "comp": _stmt_comp,
+        "load": _stmt_load, "store": _stmt_store, "lib": _stmt_lib,
+        "break": _stmt_break, "continue": _stmt_continue,
+        "return": _stmt_return,
+    }
 
 
 def parse_skeleton(source: str, source_name: str = "<string>") -> Program:

@@ -97,6 +97,39 @@ class TestParsing:
             parse_expr("and 1")
 
 
+class TestGrammarCorners:
+    """Tree shapes the operator table fixes (docs/skop-language.md)."""
+
+    def test_unary_minus_binds_tighter_than_power(self):
+        expr = parse_expr("-2^2")
+        assert expr == Binary("^", Unary("-", Num(2)), Num(2))
+        assert expr.evaluate({}) == 4
+
+    def test_power_is_right_associative(self):
+        expr = parse_expr("2^3^2")
+        assert expr == Binary("^", Num(2), Binary("^", Num(3), Num(2)))
+        assert expr.evaluate({}) == 512
+
+    def test_not_binds_looser_than_a_comparison(self):
+        assert parse_expr("not 1 < 2") == \
+            Unary("not", Compare("<", Num(1), Num(2)))
+
+    def test_and_or_are_n_ary(self):
+        assert parse_expr("a and b and c or d") == Bool("or", [
+            Bool("and", [Var("a"), Var("b"), Var("c")]), Var("d")])
+
+    def test_comparisons_do_not_chain(self):
+        with pytest.raises(ExpressionError) as info:
+            parse_expr("1 < 2 < 3")
+        assert str(info.value) == \
+            "trailing input '<' at offset 6 in '1 < 2 < 3'"
+
+    def test_not_inside_a_comparison_is_misplaced(self):
+        with pytest.raises(ExpressionError) as info:
+            parse_expr("a < not b")
+        assert str(info.value) == "misplaced keyword 'not' in 'a < not b'"
+
+
 class TestEvaluation:
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError) as info:

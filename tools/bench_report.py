@@ -66,6 +66,9 @@ def _headline(name, payload):
                     f"{int(grouped['lanes_fallback'])} fallback), "
                     f"machine grids {grids['speedup']:.1f}x, "
                     f"served {served['speedup']:.1f}x")
+        if name == "parse":
+            return (f"parse at most {payload['max_ratio']:.2f}x build_bet "
+                    f"on {len(payload['workloads'])} workloads")
         if name == "cachemodel":
             return f"{len(payload.get('workloads', []))} workloads, " \
                    f"{payload.get('elapsed_s', 0.0):.1f}s"
