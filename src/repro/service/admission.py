@@ -39,6 +39,9 @@ class ServiceRequest:
     deadline: Optional[float] = None   #: monotonic; None = no deadline
     stream: bool = False
     plan: Any = None               #: resolved SweepPlan for sweeps
+    #: resolved (program, inputs, machine, k, model factory, cache model
+    #: name) for analyze and explore
+    source: Any = None
     out: Any = None                #: asyncio.Queue the handler drains
     dropped: bool = False          #: slow client / disconnected
     drop_reason: str = ""

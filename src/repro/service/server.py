@@ -351,10 +351,8 @@ class AnalysisService:
         service_request.deadline = self._now() + deadline_s
         if kind == "sweep":
             service_request.plan = self._resolve_sweep(service_request)
-        elif kind == "analyze":
-            self._resolve_source(payload)  # validate early
-        elif kind == "explore":
-            self._resolve_source(payload)
+        else:
+            service_request.source = self._resolve_source(payload)
         service_request.out = asyncio.Queue(
             maxsize=max(2, self.config.client_buffer_chunks))
         shed = self.admission.offer(service_request)
@@ -736,7 +734,7 @@ class AnalysisService:
     async def _run_analyze(self, request: ServiceRequest) -> None:
         self._count("analyze_total")
         (program, inputs, machine, k, model_factory,
-         cache_model_name) = self._resolve_source(request.payload)
+         cache_model_name) = request.source
         self._warm_note(request)
         tenant = request.tenant
 
@@ -778,7 +776,7 @@ class AnalysisService:
         from ..explore import explore
         payload = request.payload
         (program, inputs, machine, k, model_factory,
-         _cache_model_name) = self._resolve_source(payload)
+         _cache_model_name) = request.source
         params = payload.get("params")
         if not isinstance(params, dict) or not params:
             self._finish(request, 400, self._error_payload(

@@ -430,6 +430,33 @@ class TestServiceEndpoints:
         assert status == 400
         assert body["diagnostics"][0]["code"] == "SKOP712"
 
+    @pytest.mark.parametrize("source", ["workload", "skeleton"])
+    @pytest.mark.parametrize("path,extra", [
+        ("/analyze", {}),
+        ("/sweep", {"params": {"cores": [8, 16]}}),
+        ("/explore", {"params": {"cores": [8.0, 16.0]}, "budget": 2,
+                      "rounds": 1}),
+    ])
+    def test_each_request_parses_its_source_once(self, server, monkeypatch,
+                                                 path, extra, source):
+        from repro.skeleton import parser as skeleton_parser
+        from repro.workloads import spec
+        parses = []
+        parse = skeleton_parser._SkeletonParser.parse
+
+        def counted(parser):
+            parses.append(parser.source_name)
+            return parse(parser)
+
+        monkeypatch.setattr(skeleton_parser._SkeletonParser, "parse",
+                            counted)
+        payload = dict(extra, **{source: "pedagogical"
+                                 if source == "workload"
+                                 else spec("pedagogical").skeleton_text})
+        status, _, body = http_json(server.port, "POST", path, payload)
+        assert status == 200, body
+        assert len(parses) == 1
+
     def test_sweep_bit_identical_to_direct(self, server):
         grid = {"bandwidth": [1e10, 2e10], "cores": [8, 16]}
         status, _, body = http_json(
