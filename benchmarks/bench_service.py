@@ -397,16 +397,21 @@ def main(argv=None):
 
     # -- saturation phase: hold the dispatchers mid-chunk and offer more
     # sweeps than queue + tenant quotas can hold, so load shedding is
-    # exercised deterministically (capacity is dispatchers + queue_limit
-    # and 4 per tenant; 12 offers across 2 tenants guarantee sheds)
+    # exercised deterministically.  The offers carry chaos specs, and
+    # the server never coalesces a chaos sweep with another request
+    # (each gets its own plan key), so each held dispatcher holds
+    # exactly one offer: of 12 offers, 2 are held, at most 6 queue and
+    # at least 4 are shed.  Identical plain sweeps would let a
+    # dispatcher pull up to 7 queued peers into its batch, and two
+    # dispatchers could absorb the whole burst.
     release.clear()
     saturation_threads = []
     for index in range(12):
         thread = threading.Thread(
             target=run_action,
-            args=(handle.port, "sweep",
+            args=(handle.port, "chaos_sweep",
                   {"tenant": TENANTS[index % 2], "grid": "small",
-                   "cache_model": "constant", "stream": False},
+                   "seed": index},
                   outcomes, lock))
         thread.start()
         saturation_threads.append(thread)
