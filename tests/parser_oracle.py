@@ -14,7 +14,7 @@ instead.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.diagnostics import DiagnosticSink
 from repro.errors import ExpressionError, SkeletonSyntaxError
