@@ -198,7 +198,7 @@ class _BlockFrame:
 #: pairing intact when a block header line fails to parse)
 _BLOCK_WORDS = frozenset({"def", "for", "forall", "while", "if", "switch"})
 
-_FIRST_WORD_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)")
+_FIRST_WORD_RE = re.compile(rf"\s*({NAME})")
 
 
 class _SkeletonParser:
