@@ -28,8 +28,9 @@ Gates recorded in ``BENCH_service.json`` (all must hold for CI):
   constant-cache fallback;
 * **sheds_well_formed** — every 429 carried a ``Retry-After`` hint and
   a ``SKOP710`` diagnostic;
-* **breaker_exercised** — the injected failure window tripped the
-  breaker at least once and degraded answers were actually served;
+* **breaker_exercised** — the injected failure window fired, the
+  breaker tripped at least once, and degraded answers were actually
+  served;
 * **throughput_floor** — completed requests per second stayed above a
   conservative floor despite the chaos.
 
@@ -359,9 +360,12 @@ def main(argv=None):
     faults_armed = threading.Event()
     release = threading.Event()
     release.set()
+    parked = threading.Semaphore(0)
 
     def flaky(plan, cells, degraded, chunk_index):
-        release.wait()  # saturation phase holds the dispatchers here
+        if not release.is_set():  # saturation phase holds the dispatchers
+            parked.release()
+            release.wait()
         if not degraded and faults_armed.is_set():
             with counter_lock:
                 call_counter["n"] += 1
@@ -395,26 +399,34 @@ def main(argv=None):
     outcomes = []
     lock = threading.Lock()
 
-    # -- saturation phase: hold the dispatchers mid-chunk and offer more
-    # sweeps than queue + tenant quotas can hold, so load shedding is
-    # exercised deterministically.  The offers carry chaos specs, and
-    # the server never coalesces a chaos sweep with another request
-    # (each gets its own plan key), so each held dispatcher holds
-    # exactly one offer: of 12 offers, 2 are held, at most 6 queue and
-    # at least 4 are shed.  Identical plain sweeps would let a
-    # dispatcher pull up to 7 queued peers into its batch, and two
-    # dispatchers could absorb the whole burst.
+    # -- saturation phase: park every dispatcher mid-chunk, then offer
+    # more sweeps than queue + tenant quotas can hold, so load shedding
+    # is exercised deterministically.  A dispatcher pulls compatible
+    # queued peers into its batch only when it takes a request, so each
+    # one is parked on a lone offer before the burst starts.  The 10
+    # burst offers then find both dispatchers busy and room in the queue
+    # for only queue_limit (6, at most 4 per tenant): at least 4 are
+    # shed.  The offers are plain constant-model sweeps, which record
+    # only breaker successes, so the storm starts with a closed breaker
+    # and no failure streak.
     release.clear()
     saturation_threads = []
-    for index in range(12):
+
+    def offer(index):
         thread = threading.Thread(
             target=run_action,
-            args=(handle.port, "chaos_sweep",
+            args=(handle.port, "sweep",
                   {"tenant": TENANTS[index % 2], "grid": "small",
-                   "seed": index},
+                   "cache_model": "constant", "stream": False},
                   outcomes, lock))
         thread.start()
         saturation_threads.append(thread)
+
+    for index in range(CONFIG.dispatchers):
+        offer(index)
+        parked.acquire(timeout=15.0)
+    for index in range(CONFIG.dispatchers, 12):
+        offer(index)
     deadline = time.monotonic() + 15.0
     while time.monotonic() < deadline:
         with lock:
@@ -491,6 +503,7 @@ def main(argv=None):
         "sheds_well_formed": sheds_well_formed,
         "breaker_exercised": (
             stats["breaker"]["trips"] >= 1
+            and counters.get("executor_failures", 0) >= 1
             and verification["degraded_points"] > 0),
         "malformed_rejected_cleanly": rejects > 0,
         "throughput_floor": throughput >= 2.0,
