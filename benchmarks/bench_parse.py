@@ -18,7 +18,7 @@ Writes ``BENCH_parse.json`` (repo root by default) and
 ``results/bench_parse.txt``.
 
 Usage:
-    python benchmarks/bench_parse.py [--rounds N] [--output PATH]
+    python benchmarks/bench_parse.py [--output PATH]
 """
 
 import argparse
@@ -37,14 +37,16 @@ from repro.workloads import names, spec                         # noqa: E402
 
 #: untimed parse + build pairs before the timed ones
 WARMUP = 5
+#: timed parse + build pairs per workload
+ROUNDS = 101
 
 
-def bench_workload(name, rounds):
+def bench_workload(name):
     workload = spec(name)
     text, source_name = workload.skeleton_text, f"<{name}.skop>"
     inputs = dict(workload.default_inputs)
     parse_s, build_s = [], []
-    for round_index in range(WARMUP + rounds):
+    for round_index in range(WARMUP + ROUNDS):
         started = time.perf_counter()
         program = parse_skeleton(text, source_name=source_name)
         parsed = time.perf_counter()
@@ -55,24 +57,21 @@ def bench_workload(name, rounds):
             build_s.append(built - parsed)
     parse = statistics.median(parse_s)
     build = statistics.median(build_s)
-    return {"lines": len(text.splitlines()), "rounds": rounds,
+    return {"lines": len(text.splitlines()),
             "parse_ms": parse * 1e3, "build_ms": build * 1e3,
             "ratio": parse / build}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=101,
-                        help="timed parse + build pairs per workload")
     parser.add_argument("--output",
                         default=str(REPO_ROOT / "BENCH_parse.json"))
     args = parser.parse_args(argv)
 
-    workloads = {name: bench_workload(name, args.rounds)
-                 for name in names()}
+    workloads = {name: bench_workload(name) for name in names()}
     checks = {"parse_not_slower_than_build": all(
         row["ratio"] <= 1.0 for row in workloads.values())}
-    report = {"rounds": args.rounds, "workloads": workloads,
+    report = {"rounds": ROUNDS, "workloads": workloads,
               "max_ratio": max(row["ratio"] for row in workloads.values()),
               "checks": checks}
     pathlib.Path(args.output).write_text(
@@ -80,7 +79,7 @@ def main(argv=None):
         encoding="utf-8")
 
     lines = [f"parse_skeleton vs build_bet, interleaved medians of "
-             f"{args.rounds} pairs at default inputs", "",
+             f"{ROUNDS} pairs at default inputs", "",
              f"  {'workload':<12} {'lines':>5} {'parse':>10} {'build':>10}"
              f" {'parse/build':>12}"]
     lines += [f"  {name:<12} {row['lines']:5d} {row['parse_ms']:7.3f} ms"
