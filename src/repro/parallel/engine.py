@@ -15,15 +15,18 @@ layer:
 * :func:`analyze_matrix` — the full Prof-vs-Modl pipeline fanned out over
   a (workload × machine × ablation) matrix; results are fed back into the
   bounded pipeline cache so later figure slicing is free;
-* :func:`sweep_inputs` — the *input*-axis counterpart (DESIGN.md §8):
-  points that change the workload's inputs are routed through
-  :class:`~repro.bet.SymbolicBET` rebinds in contiguous chunks, so each
-  worker amortizes one recorded build (and the expression-compile
-  warmup) across its whole chunk; ``input:``-prefixed axes mix the same
-  machinery into :func:`sweep_grid`.
+* :func:`evaluate_cells` — an explicit list of machine × input cells;
+* :func:`sweep_inputs` — the *input*-axis counterpart (DESIGN.md §8), a
+  view over the same cells: each point is a cell of ``input:``-prefixed
+  axes, bound through one :class:`~repro.bet.SymbolicBET` per worker, so
+  each worker amortizes one recorded build (and the expression-compile
+  warmup) across its whole chunk.
 
-Every entry point dispatches the same way (:func:`_run_chunked`): its
-points ship in chunks as shards on the
+Every cell list — a grid, an explicit list, an input sweep — runs
+through one core (:func:`_evaluate_cell_list`) and one chunk task
+(:func:`_grid_chunk_task`); only :func:`analyze_matrix` has its own
+(:func:`_point_chunk_task`).  Every entry point dispatches the same way
+(:func:`_run_chunked`): its points ship in chunks as shards on the
 :class:`~repro.parallel.shard.ShardScheduler`, onto the named executor
 or — with none named — an in-process
 :class:`~repro.parallel.executors.SerialExecutor` (``workers=1``) or a
@@ -45,14 +48,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.sensitivity import project_machine, project_with_model
+from ..analysis.sensitivity import project_with_model
 from ..analysis.vectorized import TreeBlocks, project_batch
 from ..bet import SymbolicBET, build_bet
 from ..bet.nodes import BETNode, render_tree
 from ..errors import AnalysisError, RetryExhaustedError, TaskTimeoutError
+from ..expressions import compile_stats, parser_stats
 from ..hardware.machine import (
-    MachineLanes, MachineModel, ensure_valid_machine, numeric_values,
-    validate_machine,
+    MachineLanes, MachineModel, ensure_valid_machine, validate_machine,
 )
 from ..hardware.roofline import RooflineModel
 from ..skeleton.bst import Program
@@ -61,8 +64,7 @@ from .executors import (
     PoolExecutor, SerialExecutor, SweepExecutor, resolve_executor,
 )
 from .lanes import (
-    INPUT_PREFIX, LanePack, input_columns, one_lane_group, pack_cells,
-    plan_lane_chunks, split_overrides,
+    INPUT_PREFIX, input_columns, plan_lanes, split_overrides,
 )
 from .fault import (
     _ITEM_REPR_LIMIT, PointFailure, RetryPolicy, SweepCheckpoint,
@@ -109,7 +111,13 @@ def clear_bet_cache() -> None:
 
 @dataclass
 class GridPoint:
-    """Projection at one cell of a machine-parameter grid."""
+    """Projection at one cell of a machine-parameter grid.
+
+    A point the engine returns builds its ``machine`` on first read
+    (:func:`_cell_machine` of the base machine and ``overrides``): a
+    machine costs more to build than most cells cost to project, and
+    few callers read it.
+    """
 
     overrides: Dict[str, float]    #: parameter -> value for this cell
     machine: MachineModel
@@ -118,6 +126,17 @@ class GridPoint:
     top_label: str
     memory_fraction: float         #: non-overlapped memory share
     completeness: float = 1.0      #: modeled fraction (1.0 = no quarantine)
+
+    def __getattr__(self, name: str):
+        # reached only for an unset attribute: the machine of a point
+        # from :func:`_grid_point`, before its first read (threads that
+        # race here build equal machines)
+        base = self.__dict__.get("_base") if name == "machine" else None
+        if base is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.machine = machine = _cell_machine(base, self.overrides)
+        return machine
 
 
 @dataclass
@@ -203,6 +222,14 @@ def _python_scalar(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _python_cells(cells) -> List[Dict[str, Any]]:
+    """Each of ``cells`` (mappings) as a dict of :func:`_python_scalar`
+    values, the rule inlined: this runs once per value of a sweep."""
+    generic = np.generic
+    return [{name: value.item() if isinstance(value, generic) else value
+             for name, value in dict(cell).items()} for cell in cells]
+
+
 def _grid_cells(grid: Dict[str, Sequence[float]]) -> List[Dict[str, float]]:
     names = list(grid)
     return [dict(zip(names, combo))
@@ -224,6 +251,71 @@ def _cell_machine(base_machine: MachineModel,
                     if not name.startswith(INPUT_PREFIX)}
     return base_machine.with_overrides(
         name=f"{base_machine.name}[{tag}]", **machine_part)
+
+
+def _grid_point(base_machine: MachineModel, overrides: Dict[str, float],
+                projection: Dict[str, Any]) -> GridPoint:
+    """The :class:`GridPoint` of one cell, its machine left to build on
+    first read."""
+    point = object.__new__(GridPoint)
+    point.__dict__.update(projection, overrides=overrides,
+                          _base=base_machine)
+    return point
+
+
+class _CellMachines:
+    """The machines a chunk's cells run on: one per distinct set of
+    machine overrides, built on first use.
+
+    :meth:`key` names a cell's set — its machine fields and values in
+    cell order, ``()`` for a cell that overrides none — and
+    :meth:`machine` builds the set's machine once: the base machine
+    itself for ``()``, else :func:`_cell_machine` of the machine fields
+    alone, so the name tag leaves out the cell's inputs.  A build that
+    raises is not kept; the next cell with that key raises again.
+    """
+
+    def __init__(self, base_machine: MachineModel):
+        self._machines: Dict[Tuple, MachineModel] = {(): base_machine}
+        self._fields: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._base = base_machine
+
+    def _fields_of(self, order: Tuple[str, ...]) -> Tuple[str, ...]:
+        fields = self._fields.get(order)
+        if fields is None:
+            fields = self._fields[order] = tuple(
+                name for name in order if not name.startswith(INPUT_PREFIX))
+        return fields
+
+    def key(self, cell: Dict[str, float]) -> Tuple:
+        fields = self._fields_of(tuple(cell))
+        return tuple([(name, cell[name]) for name in fields]) \
+            if fields else ()
+
+    def keys(self, cells: Sequence[Dict[str, float]]) -> List[Tuple]:
+        """:meth:`key` of every cell, in order."""
+        if not any(map(self._fields_of, dict.fromkeys(map(tuple, cells)))):
+            return [()] * len(cells)     # no cell overrides the machine
+        return list(map(self.key, cells))
+
+    def machine(self, key: Tuple) -> MachineModel:
+        machine = self._machines.get(key)
+        if machine is None:
+            machine = self._machines[key] = _cell_machine(self._base,
+                                                          dict(key))
+        return machine
+
+
+def _projection(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A checkpointed point's projection, shaped as the chunk task
+    returns it (older payloads also carry the cell's ``overrides``, the
+    oldest no ``completeness``).  ``ranking`` is copied, so no result
+    shares a list with the checkpoint."""
+    return {"runtime": payload["runtime"],
+            "ranking": list(payload["ranking"]),
+            "top_label": payload["top_label"],
+            "memory_fraction": payload["memory_fraction"],
+            "completeness": payload.get("completeness", 1.0)}
 
 
 def _attempt_rows(evaluate: Callable, items: Sequence,
@@ -254,39 +346,6 @@ def _point_chunk_task(payload):
     attempt loop."""
     (fn, chunk), indices, policy, strict = payload
     return _attempt_rows(fn, chunk, indices, policy, strict), {}
-
-
-def _grid_point_to_dict(point: GridPoint) -> Dict[str, Any]:
-    """JSON-ready checkpoint payload for one completed cell."""
-    return {"overrides": dict(point.overrides),
-            "runtime": point.runtime,
-            "ranking": list(point.ranking),
-            "top_label": point.top_label,
-            "memory_fraction": point.memory_fraction,
-            "completeness": point.completeness}
-
-
-def _grid_point_from_dict(payload: Dict[str, Any],
-                          base_machine: MachineModel,
-                          overrides: Optional[Dict[str, float]] = None
-                          ) -> GridPoint:
-    """Rebuild a checkpointed cell (floats round-trip exactly through
-    JSON, so resumed results equal an uninterrupted run's).
-
-    ``overrides`` is the caller's canonical cell dict: the checkpoint
-    stores dicts key-sorted, so rebuilding from the payload alone would
-    give resumed cells a differently-ordered machine name tag.
-    """
-    if overrides is None:
-        overrides = {name: value
-                     for name, value in payload["overrides"].items()}
-    return GridPoint(overrides=dict(overrides),
-                     machine=_cell_machine(base_machine, overrides),
-                     runtime=payload["runtime"],
-                     ranking=list(payload["ranking"]),
-                     top_label=payload["top_label"],
-                     memory_fraction=payload["memory_fraction"],
-                     completeness=payload.get("completeness", 1.0))
 
 
 def _default_grid_key(bet: BETNode, base_machine: MachineModel,
@@ -412,46 +471,24 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
     if not input_axes and bet is None:
         raise AnalysisError("sweep_grid needs a built BET for "
                             "machine-only grids")
-    if validate:
-        ensure_valid_machine(base_machine)
-    started = time.perf_counter()
-    cells = _grid_cells(grid)
-    base_inputs = dict(inputs or {})
-    min_lanes = _min_group_lanes(backend)
-    backend = _resolve_backend(backend, len(cells))
-    resolved_executor: Optional[SweepExecutor] = None
-    if executor is not None:
-        resolved_executor = resolve_executor(executor, workers=workers,
-                                             topology=topology, chaos=chaos)
-    shard_stats: Dict[str, float] = {}
-
-    ckpt: Optional[SweepCheckpoint] = None
-    if checkpoint:
-        if checkpoint_key:
-            key = checkpoint_key
-        elif input_axes:
-            key = sweep_key(program.fingerprint(),
-                            tuple(sorted(base_inputs.items())), entry,
-                            repr(base_machine),
-                            sorted((name, tuple(values))
-                                   for name, values in grid.items()), k)
+    if checkpoint and not checkpoint_key:
+        if input_axes:
+            checkpoint_key = sweep_key(
+                program.fingerprint(), tuple(sorted((inputs or {}).items())),
+                entry, repr(base_machine),
+                sorted((name, tuple(values))
+                       for name, values in grid.items()), k)
         else:
-            key = _default_grid_key(bet, base_machine, grid, k)
-        ckpt = SweepCheckpoint.load(
-            checkpoint, key, resume=resume,
-            settings=_checkpoint_settings(backend, model_factory,
-                                          resolved_executor))
-
+            checkpoint_key = _default_grid_key(bet, base_machine, grid, k)
     return _evaluate_cell_list(
-        cells, base_machine, grid_spec=grid,
+        _grid_cells(grid), base_machine, grid_spec=grid,
         has_input_axes=bool(input_axes), bet=bet, program=program,
-        base_inputs=base_inputs, entry=entry, library=library,
+        inputs=inputs, entry=entry, library=library,
         model_factory=model_factory, k=k, workers=workers, strict=strict,
-        policy=policy, timeout=timeout, chunk_size=chunk_size,
-        backend=backend, min_lanes=min_lanes,
-        resolved_executor=resolved_executor,
-        shards=shards, shard_stats=shard_stats, ckpt=ckpt,
-        started=started)
+        policy=policy, timeout=timeout, checkpoint=checkpoint,
+        resume=resume, checkpoint_key=checkpoint_key, validate=validate,
+        chunk_size=chunk_size, backend=backend, executor=executor,
+        shards=shards, topology=topology, chaos=chaos)
 
 
 def evaluate_cells(base_machine: MachineModel,
@@ -496,8 +533,7 @@ def evaluate_cells(base_machine: MachineModel,
     list, so different batches would otherwise refuse to share a file.
     Other parameters match :func:`sweep_grid`.
     """
-    cells = [{name: _python_scalar(value)
-              for name, value in dict(cell).items()} for cell in cells]
+    cells = _python_cells(cells)
     if not cells:
         raise AnalysisError("evaluate_cells needs at least one cell")
     input_names: set = set()
@@ -515,6 +551,79 @@ def evaluate_cells(base_machine: MachineModel,
     if not input_names and bet is None:
         raise AnalysisError("evaluate_cells needs a built BET for "
                             "machine-only cells")
+    if checkpoint and not checkpoint_key:
+        cell_keys = tuple(overrides_key(cell) for cell in cells)
+        checkpoint_key = (
+            sweep_key(program.fingerprint(),
+                      tuple(sorted((inputs or {}).items())), entry,
+                      repr(base_machine), cell_keys, k)
+            if input_names else
+            sweep_key(render_tree(bet), repr(base_machine), cell_keys, k))
+    # the axis union, for the result's informational grid field: values
+    # in first-appearance order, equal ones (1 and 1.0) merged
+    spec: Dict[str, Dict[float, None]] = {}
+    for cell in cells:
+        for name, value in cell.items():
+            try:
+                spec.setdefault(name, {}).setdefault(value)
+            except TypeError:
+                raise AnalysisError(f"cell value {value!r} of {name!r} "
+                                    "is not a number") from None
+    return _evaluate_cell_list(
+        cells, base_machine,
+        grid_spec={name: list(values) for name, values in spec.items()},
+        has_input_axes=bool(input_names), bet=bet, program=program,
+        inputs=inputs, entry=entry, library=library,
+        model_factory=model_factory, k=k, workers=workers, strict=strict,
+        policy=policy, timeout=timeout, checkpoint=checkpoint,
+        resume=resume, checkpoint_key=checkpoint_key, validate=validate,
+        chunk_size=chunk_size, backend=backend, executor=executor,
+        shards=shards, topology=topology, chaos=chaos)
+
+
+def _evaluate_cell_list(cells: List[Dict[str, float]],
+                        base_machine: MachineModel, *,
+                        grid_spec: Dict[str, List[float]],
+                        has_input_axes: bool,
+                        bet: Optional[BETNode],
+                        program: Optional[Program],
+                        inputs: Optional[Dict[str, float]],
+                        entry: str,
+                        library,
+                        model_factory: Optional[Callable],
+                        k: int,
+                        workers: int,
+                        strict: bool,
+                        policy: Optional[RetryPolicy],
+                        timeout: Optional[float],
+                        checkpoint: Optional[str],
+                        resume: bool,
+                        checkpoint_key: Optional[str],
+                        validate: bool,
+                        chunk_size: Optional[int],
+                        backend: str,
+                        executor,
+                        shards: Optional[int],
+                        topology,
+                        chaos,
+                        labels: Optional[Sequence[Dict[str, float]]] = None,
+                        point: Optional[Callable[[int, Dict], Any]] = None
+                        ) -> GridResult:
+    """Shared evaluation core of every cell list — :func:`sweep_grid`'s
+    cross products, :func:`evaluate_cells`' explicit lists and
+    :func:`sweep_inputs`' points: pre-flight, checkpoint triage,
+    chunked/sharded dispatch through :func:`_grid_chunk_task`, and
+    result assembly.  Cells with input axes bind through one
+    :class:`~repro.bet.SymbolicBET`; machine-only cells re-project the
+    prebuilt ``bet``.  On the vector backend, lane groups of fewer than
+    :func:`_min_group_lanes` cells run the per-cell scalar loop.
+
+    ``labels`` name the cells in checkpoint records and failure items
+    (default: the cells themselves); ``point(index, projection)`` makes
+    one result point (default: a :class:`GridPoint`, see
+    :func:`_grid_point`).  The parameters mirror :func:`sweep_grid`'s, with
+    ``checkpoint_key`` already defaulted by the caller.
+    """
     if validate:
         ensure_valid_machine(base_machine)
     started = time.perf_counter()
@@ -525,147 +634,82 @@ def evaluate_cells(base_machine: MachineModel,
     if executor is not None:
         resolved_executor = resolve_executor(executor, workers=workers,
                                              topology=topology, chaos=chaos)
-    shard_stats: Dict[str, float] = {}
+    labels = cells if labels is None else labels
+    if point is None:
+        def point(index: int, projection: Dict) -> GridPoint:
+            return _grid_point(base_machine, cells[index], projection)
 
     ckpt: Optional[SweepCheckpoint] = None
+    prior: Dict[int, Dict[str, Any]] = {}
     if checkpoint:
-        if checkpoint_key:
-            key = checkpoint_key
-        elif input_names:
-            key = sweep_key(program.fingerprint(),
-                            tuple(sorted(base_inputs.items())), entry,
-                            repr(base_machine),
-                            tuple(overrides_key(cell) for cell in cells),
-                            k)
-        else:
-            key = sweep_key(render_tree(bet), repr(base_machine),
-                            tuple(overrides_key(cell) for cell in cells),
-                            k)
         ckpt = SweepCheckpoint.load(
-            checkpoint, key, resume=resume,
+            checkpoint, checkpoint_key, resume=resume,
             settings=_checkpoint_settings(backend, model_factory,
                                           resolved_executor))
-
-    # the axis union, for the result's informational grid field
-    spec: Dict[str, List[float]] = {}
-    for cell in cells:
-        for name, value in cell.items():
-            values = spec.setdefault(name, [])
-            if value not in values:
-                values.append(value)
-    return _evaluate_cell_list(
-        cells, base_machine, grid_spec=spec,
-        has_input_axes=bool(input_names), bet=bet, program=program,
-        base_inputs=base_inputs, entry=entry, library=library,
-        model_factory=model_factory, k=k, workers=workers, strict=strict,
-        policy=policy, timeout=timeout, chunk_size=chunk_size,
-        backend=backend, min_lanes=min_lanes,
-        resolved_executor=resolved_executor,
-        shards=shards, shard_stats=shard_stats, ckpt=ckpt,
-        started=started)
-
-
-def _evaluate_cell_list(cells: List[Dict[str, float]],
-                        base_machine: MachineModel,
-                        grid_spec: Dict[str, List[float]],
-                        has_input_axes: bool,
-                        bet: Optional[BETNode],
-                        program: Optional[Program],
-                        base_inputs: Dict[str, float],
-                        entry: str,
-                        library,
-                        model_factory: Optional[Callable],
-                        k: int,
-                        workers: int,
-                        strict: bool,
-                        policy: Optional[RetryPolicy],
-                        timeout: Optional[float],
-                        chunk_size: Optional[int],
-                        backend: str,
-                        min_lanes: int,
-                        resolved_executor: Optional[SweepExecutor],
-                        shards: Optional[int],
-                        shard_stats: Dict[str, float],
-                        ckpt: Optional[SweepCheckpoint],
-                        started: float) -> GridResult:
-    """Shared evaluation core of :func:`sweep_grid` (cross products) and
-    :func:`evaluate_cells` (explicit cell lists): checkpoint triage,
-    chunked/sharded dispatch, and result assembly.  Cells with input axes
-    bind through one :class:`~repro.bet.SymbolicBET`; machine-only
-    cells re-project the prebuilt ``bet``.  On the vector backend, lane
-    groups of fewer than ``min_lanes`` cells run the per-cell scalar
-    loop (see :func:`_min_group_lanes`)."""
-    prior: Dict[int, GridPoint] = {}
-    pending_indices: List[int] = []
-    pending_cells: List[Dict[str, float]] = []
-    for index, overrides in enumerate(cells):
-        stored = ckpt.get(overrides_key(overrides)) if ckpt else None
-        if stored is not None:
-            prior[index] = _grid_point_from_dict(stored, base_machine,
-                                                 overrides)
-        else:
-            pending_indices.append(index)
-            pending_cells.append(overrides)
+        for index, label in enumerate(labels):
+            stored = ckpt.get(overrides_key(label))
+            if stored is not None:
+                prior[index] = _projection(stored)
+    pending = ([index for index in range(len(cells)) if index not in prior]
+               if prior else list(range(len(cells))))
+    pending_cells = ([cells[index] for index in pending] if prior
+                     else cells)
 
     source: Any = (SymbolicBET(program, entry=entry, library=library)
                    if has_input_axes else bet)
-    lane_chunks: Optional[List[List[int]]] = None
-    if backend == "vector" and pending_cells:
+    chunks: Optional[List[List[int]]] = None
+    grouped: set = set()      # the cells of lane-group chunks
+    if backend == "vector" and pending:
         # grouped dispatch (DESIGN.md §15): partition the pending cells
         # by input-axis names so every shipped chunk — the shard unit —
-        # is one lane-group slice, then pack each chunk as a columnar
-        # SoA payload instead of N per-point dicts
+        # is one lane-group slice, or a slice of the scalar residue
         width = (resolved_executor.width
                  if resolved_executor is not None else workers)
         if resolved_executor is not None and shards:
-            group_size = max(1, -(-len(pending_cells)
-                                  // max(1, int(shards))))
+            group_size = max(1, -(-len(pending) // max(1, int(shards))))
         elif chunk_size is not None:
             group_size = max(1, chunk_size)
         else:
-            group_size = _auto_chunk_size(len(pending_cells), width,
-                                          vector=True)
-        lane_chunks = plan_lane_chunks(pending_cells, group_size,
-                                       min_lanes)
-
-    def chunk_payload(chunk):
-        shipped: Any = None
-        if backend == "vector":
-            shipped = pack_cells(chunk)
-        if shipped is None:
-            shipped = list(chunk)
-        return (source, base_machine, shipped, base_inputs,
-                model_factory, k, backend, min_lanes)
+            group_size = _auto_chunk_size(len(pending), width, vector=True)
+        groups, residue = plan_lanes(pending_cells, group_size, min_lanes)
+        chunks = groups + residue
+        if prior:
+            chunks = [[pending[position] for position in chunk]
+                      for chunk in chunks]
+        for chunk in chunks[:len(groups)]:
+            grouped.update(chunk)
+    def chunk_payload(chunk: List[int]):
+        return (source, base_machine, [cells[index] for index in chunk],
+                base_inputs, model_factory, k,
+                len(chunk) >= min_lanes and chunk[0] in grouped)
 
     # scalar machine-only cells share nothing but the tree: no floor, so
     # a serial run ships one cell per chunk and checkpoints it at once
     floor = (VECTOR_MIN_POINTS if backend == "vector"
              else _MIN_CHUNK_POINTS if has_input_axes else 1)
 
-    def record(global_index: int, point: GridPoint) -> None:
-        if ckpt is not None:
-            ckpt.record(overrides_key(cells[global_index]),
-                        _grid_point_to_dict(point))
-
+    shard_stats: Dict[str, float] = {}
     try:
         computed, failures, stages = _run_chunked(
-            pending_cells, pending_indices, chunk_payload=chunk_payload,
-            chunk_task=_grid_chunk_task, describe=overrides_key,
-            record=record,
+            pending, chunk_payload=chunk_payload,
+            chunk_task=_grid_chunk_task,
+            describe=lambda index: overrides_key(labels[index]),
+            record=None if ckpt is None else (
+                lambda index, projection: ckpt.record(
+                    overrides_key(labels[index]), projection)),
             workers=workers, strict=strict, policy=policy,
             timeout=timeout, chunk_size=chunk_size,
             executor=resolved_executor, shards=shards,
             shard_stats=shard_stats if resolved_executor else None,
-            chunks=lane_chunks, floor=floor)
+            chunks=chunks, floor=floor)
     finally:
         if ckpt is not None:
             ckpt.flush()
 
-    points = [prior.get(index) or computed.get(index)
-              for index in range(len(cells))]
-    points = [point for point in points if point is not None]
+    found = {**prior, **computed} if prior else computed
+    points = [point(index, found[index]) for index in sorted(found)]
     elapsed = time.perf_counter() - started
-    timings = {"project": stages.get("project_seconds", elapsed),
+    timings = {"project": stages.get("project_seconds", 0.0),
                "total": elapsed,
                "workers": float(max(workers, 1)),
                "points": float(len(points)),
@@ -836,7 +880,6 @@ def clear_symbolic_cache() -> None:
 
 def _perf_counters() -> Dict[str, float]:
     """Process-wide expression-layer counters (compile + parse caches)."""
-    from ..expressions import compile_stats, parser_stats
     compiled = compile_stats()
     parsed = parser_stats()
     return {"compile_seconds": float(compiled["compile_seconds"]),
@@ -846,24 +889,23 @@ def _perf_counters() -> Dict[str, float]:
 
 
 def _stage_snapshot(sym: Optional[SymbolicBET]) -> Dict[str, float]:
-    snap = {f"bet_{name}": float(value)
-            for name, value in (sym.stats.items() if sym else ())}
-    snap.update(_perf_counters())
-    snap["project_seconds"] = 0.0
+    """The counters a chunk reports the change of: the expression
+    layer's and ``sym``'s (``bet_``-prefixed)."""
+    snap = _perf_counters()
+    if sym is not None:
+        for name, value in sym.stats.items():
+            snap["bet_" + name] = float(value)
     return snap
 
 
 def _stage_delta(sym: Optional[SymbolicBET], before: Dict[str, float],
                  project_seconds: float) -> Dict[str, float]:
-    after = _stage_snapshot(sym)
-    after["project_seconds"] = project_seconds
-    return {name: after[name] - before.get(name, 0.0)
-            for name in after}
-
-
-#: partition one cell into (machine overrides, input bindings) — the
-#: canonical definition lives with the lane planner in :mod:`.lanes`
-_split_overrides = split_overrides
+    """A chunk's stage stats: each counter's change since ``before``,
+    and its projection seconds."""
+    delta = {name: value - before.get(name, 0.0)
+             for name, value in _stage_snapshot(sym).items()}
+    delta["project_seconds"] = project_seconds
+    return delta
 
 
 def _default_executor(workers: int, task: Callable,
@@ -896,12 +938,11 @@ def _raise_strict(failure: PointFailure, timeout: Optional[float]) -> None:
     ) from failure.exception
 
 
-def _run_chunked(items: Sequence,
-                 indices: Sequence[int],
-                 chunk_payload: Callable[[Sequence], Any],
+def _run_chunked(indices: Sequence[int],
+                 chunk_payload: Callable[[List[int]], Any],
                  chunk_task: Callable,
-                 describe: Callable[[Any], str],
-                 record: Callable[[int, Any], None],
+                 describe: Callable[[int], str],
+                 record: Optional[Callable[[int, Any], None]],
                  workers: int,
                  strict: bool,
                  policy: Optional[RetryPolicy],
@@ -915,13 +956,14 @@ def _run_chunked(items: Sequence,
     """The engine's one dispatch route: chunks of points as shards on the
     :class:`~repro.parallel.shard.ShardScheduler`.
 
-    Contiguous chunks let each worker amortize its setup (one symbolic
-    build, the expression-compile warmup, one timing model) across the
-    whole chunk.  Chunk ``c`` ships to ``chunk_task`` as
-    ``(chunk_payload(c), global indices, policy, strict)``; the task runs
-    every point through its attempt loop (:func:`_attempt_rows`) and
-    returns ``(rows, stats)``.  So every route and executor share one
-    per-point fault contract:
+    ``indices`` are the caller's (global) indices of the points to run,
+    and a chunk is a list of them.  Contiguous chunks let each worker
+    amortize its setup (one symbolic build, the expression-compile
+    warmup, its timing models) across the whole chunk.  Chunk ``c``
+    ships to ``chunk_task`` as ``(chunk_payload(c), c, policy, strict)``;
+    the task runs every point through its attempt loop
+    (:func:`_attempt_rows`) and returns ``(rows, stats)``.  So every
+    route and executor share one per-point fault contract:
 
     * a point's run inside its chunk is attempt 1, and later attempts
       happen only while ``policy.should_retry`` allows, with backoff
@@ -943,17 +985,18 @@ def _run_chunked(items: Sequence,
     pool it picks raises ``OSError`` before any shard settled (the host
     cannot start worker processes), the run restarts on a
     :class:`SerialExecutor`.  ``chunks`` overrides contiguous slicing
-    with explicit position lists into ``items`` (a partition) — the
-    grouped vector path passes lane-group slices; results still scatter
-    back through the caller's ``indices``.  ``floor`` is the automatic chunk size's floor (see
-    :func:`_auto_chunk_size`).
+    with an explicit partition of ``indices`` — the grouped vector path
+    passes lane-group slices.  ``describe(index)`` is a failed point's
+    ``item`` text, ``record(index, value)`` (if given) sees each
+    computed point, and ``floor`` is the automatic chunk size's floor
+    (see :func:`_auto_chunk_size`).
 
     Returns ``(computed, failures, stages)`` where ``computed`` maps the
     caller's global index to the point value and ``stages`` accumulates
     per-stage seconds and cache counters across every chunk; scheduler
     counters are summed into ``shard_stats`` when given.
     """
-    total = len(items)
+    total = len(indices)
     if chunks is None:
         if executor is not None and shards:
             chunk_size = max(1, -(-total // max(1, int(shards))))
@@ -962,19 +1005,16 @@ def _run_chunked(items: Sequence,
                 total, executor.width if executor is not None else workers,
                 floor=floor)
         chunk_size = max(1, chunk_size)
-        chunks = [list(range(start, min(start + chunk_size, total)))
+        chunks = [list(indices[start:start + chunk_size])
                   for start in range(0, total, chunk_size)]
     else:
-        chunks = [list(positions) for positions in chunks if positions]
-        chunk_size = max((len(positions) for positions in chunks),
-                         default=1)
+        chunks = [chunk for chunk in chunks if chunk]
+        chunk_size = max((len(chunk) for chunk in chunks), default=1)
 
-    def payload(positions: List[int]):
-        return (chunk_payload([items[position] for position in positions]),
-                [indices[position] for position in positions],
-                policy, strict)
+    def payload(chunk: List[int]):
+        return (chunk_payload(chunk), chunk, policy, strict)
 
-    payloads = [payload(positions) for positions in chunks]
+    payloads = [payload(chunk) for chunk in chunks]
     default = executor is None
     if default:
         executor = _default_executor(workers, chunk_task, payloads)
@@ -984,9 +1024,9 @@ def _run_chunked(items: Sequence,
     stages: Dict[str, float] = {}
     counts: Dict[str, float] = {}
 
-    def fail(failure: PointFailure, position: int) -> None:
-        failure.index = indices[position]
-        failure.item = str(describe(items[position]))[:_ITEM_REPR_LIMIT]
+    def fail(failure: PointFailure, index: int) -> None:
+        failure.index = index
+        failure.item = str(describe(index))[:_ITEM_REPR_LIMIT]
         if strict:
             _raise_strict(failure, timeout)
         failures.append(failure)
@@ -999,12 +1039,13 @@ def _run_chunked(items: Sequence,
             rows, stats = result
             for name, value in stats.items():
                 stages[name] = stages.get(name, 0.0) + value
-            for position, row in zip(plan[shard_id], rows):
+            for index, row in zip(plan[shard_id], rows):
                 if row[0] == "ok":
-                    computed[indices[position]] = row[1]
-                    record(indices[position], row[1])
+                    computed[index] = row[1]
+                    if record is not None:
+                        record(index, row[1])
                 else:
-                    fail(row[1], position)
+                    fail(row[1], index)
 
         sizes = [len(positions) for positions in plan]
         while True:
@@ -1032,7 +1073,7 @@ def _run_chunked(items: Sequence,
         split: List[List[int]] = []
         for shard_id in sorted(run.quarantined):
             error = run.quarantined[shard_id]
-            positions = plan[shard_id]
+            chunk = plan[shard_id]
             message, attempts = error.message, 1
             if error.error_type in INFRA_FAULTS:
                 if strict:
@@ -1040,26 +1081,24 @@ def _run_chunked(items: Sequence,
                 message = (f"shard {shard_id} quarantined after "
                            f"{error.attempts} attempts: {error.message}")
                 attempts = error.attempts
-            elif len(positions) > 1:
-                split.append(positions)
+            elif len(chunk) > 1:
+                split.append(chunk)
                 continue
             elif error.error_type == "TaskTimeoutError" and timeout:
                 message = (f"no result within the {timeout:g}s "
                            "per-point timeout")
-            for position in positions:
-                fail(PointFailure(index=indices[position],
-                                  error_type=error.error_type,
+            for index in chunk:
+                fail(PointFailure(index=index, error_type=error.error_type,
                                   message=message, traceback="",
-                                  attempts=attempts), position)
+                                  attempts=attempts), index)
         return split
 
     split = settle(dispatch(chunks, payloads,
                             timeout * chunk_size if timeout else None),
                    chunks)
     if split:
-        alone = [[position] for positions in split
-                 for position in positions]
-        settle(dispatch(alone, [payload(positions) for positions in alone],
+        alone = [[index] for chunk in split for index in chunk]
+        settle(dispatch(alone, [payload(chunk) for chunk in alone],
                         timeout), alone)
         # a chunk resubmitted as shards of one is not a quarantine: only
         # shards whose points failed for good count
@@ -1157,9 +1196,11 @@ class InputSweepResult:
 
 
 def _input_combos(axes) -> Tuple[Dict[str, List[float]],
+                                 List[Dict[str, float]],
                                  List[Dict[str, float]]]:
     """Normalize an axes dict or explicit point list into point dicts
-    (numpy scalars become Python numbers, see :func:`_python_scalar`)."""
+    (numpy scalars become Python numbers, see :func:`_python_scalar`)
+    and the cells that sweep them (``input:``-prefixed names)."""
     if isinstance(axes, dict):
         axes = {name: [_python_scalar(value) for value in values]
                 for name, values in axes.items()}
@@ -1167,37 +1208,16 @@ def _input_combos(axes) -> Tuple[Dict[str, List[float]],
             raise AnalysisError(
                 "input sweep needs at least one value per axis")
         names = list(axes)
-        combos = [dict(zip(names, combo))
-                  for combo in itertools.product(*(axes[name]
-                                                   for name in names))]
-        return axes, combos
-    combos = [{name: _python_scalar(value)
-               for name, value in dict(point).items()} for point in axes]
+        prefixed = [INPUT_PREFIX + name for name in names]
+        values = list(itertools.product(*axes.values()))
+        return (axes, [dict(zip(names, combo)) for combo in values],
+                [dict(zip(prefixed, combo)) for combo in values])
+    combos = _python_cells(axes)
     if not combos:
         raise AnalysisError("input sweep needs at least one point")
-    return {}, combos
-
-
-def _soa_columns(points: List[Dict[str, float]]
-                 ) -> Optional[Dict[str, List[float]]]:
-    """Structure-of-arrays transpose of uniform numeric point dicts.
-
-    Returns ``None`` when the points cannot be batched: ragged key sets
-    or non-numeric / bool values (the scalar path handles those).
-    """
-    if not points or not points[0]:
-        return None
-    names = points[0].keys()
-    cols: Dict[str, List[float]] = {name: [] for name in names}
-    for point in points:
-        if point.keys() != names:
-            return None
-        for name, value in point.items():
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, float)):
-                return None
-            cols[name].append(value)
-    return cols
+    return {}, combos, [{INPUT_PREFIX + name: value
+                         for name, value in combo.items()}
+                        for combo in combos]
 
 
 def _batch_project(sym: SymbolicBET, factory: Callable, machine, k: int,
@@ -1225,78 +1245,6 @@ def _batch_project(sym: SymbolicBET, factory: Callable, machine, k: int,
     return projections, time.perf_counter() - started
 
 
-def _vector_input_batch(sym: SymbolicBET, factory: Callable,
-                        machine: MachineModel, combos, base_inputs,
-                        k: int):
-    """Batch-evaluate a chunk of input points through the vector backend.
-
-    Returns ``(projections, project_seconds)`` — one projection per
-    combo, in order, ``None`` for a lane the batch masked out (the
-    caller's scalar attempt loop reproduces that lane's canonical result
-    or error) — or ``None`` when the chunk cannot be batched at all.
-    """
-    cols = _soa_columns([{**base_inputs, **combo} for combo in combos])
-    if cols is None:
-        return None
-    return _batch_project(sym, factory, machine, k, cols)
-
-
-def _input_chunk_task(payload):
-    """Shard task: bind + project a whole chunk of input points.
-
-    One symbolic build (first chunk per worker; replays after) amortizes
-    across every point, and the machine is fixed across an input sweep,
-    so the timing model is built (and validated) once per chunk, by the
-    first point that needs it.  Each point runs through its attempt loop,
-    errors captured as rows, so chunk-mates always complete.  With
-    ``backend="vector"`` the whole chunk is evaluated as one batch replay
-    (arrays serialized once per chunk); points the batch cannot produce
-    take the scalar loop.
-    """
-    body, indices, policy, strict = payload
-    sym, machine, combos, base_inputs, model_factory, k, backend = body
-    sym = _symbolic_for(sym)
-    before = _stage_snapshot(sym)
-    factory = model_factory or RooflineModel
-    model = None
-    done = None
-    project_seconds = 0.0
-    if backend == "vector":
-        try:
-            model = factory(machine)
-        except Exception:
-            model = None          # each point's attempt loop retries it
-        batched = (_vector_input_batch(sym, factory, machine, combos,
-                                       base_inputs, k)
-                   if model is not None else None)
-        if batched is not None:
-            done, project_seconds = batched
-
-    def evaluate(combo):
-        nonlocal model, project_seconds
-        if model is None:
-            model = factory(machine)
-        bet = sym.bind({**base_inputs, **combo})
-        started = time.perf_counter()
-        projection = project_with_model(bet, model, k)
-        project_seconds += time.perf_counter() - started
-        return projection
-
-    rows = _attempt_rows(evaluate, combos, indices, policy, strict, done)
-    delta = _stage_delta(sym, before, project_seconds)
-    if done is not None:
-        delta["lane_groups"] = 1.0   # one lane array per input chunk
-    return rows, delta
-
-
-def _input_point_to_dict(projection: Dict[str, Any]) -> Dict[str, Any]:
-    return {"runtime": projection["runtime"],
-            "ranking": list(projection["ranking"]),
-            "top_label": projection["top_label"],
-            "memory_fraction": projection["memory_fraction"],
-            "completeness": projection.get("completeness", 1.0)}
-
-
 def _default_input_key(program: Program, machine: MachineModel,
                        axes: Dict[str, List[float]],
                        combos: List[Dict[str, float]],
@@ -1307,6 +1255,13 @@ def _default_input_key(program: Program, machine: MachineModel,
         sorted((name, tuple(values)) for name, values in axes.items())
         if axes else [tuple(sorted(combo.items())) for combo in combos],
         tuple(sorted(base_inputs.items())), entry, k)
+
+
+#: the ``cache_stats`` keys of an :class:`InputSweepResult`
+_INPUT_CACHE_STATS = ("bet_builds", "bet_replays", "bet_shape_rebuilds",
+                      "bet_batch_replays", "lanes_vectorized",
+                      "lanes_fallback", "lane_groups", "compiles",
+                      "compile_cache_hits", "parse_cache_hits")
 
 
 def sweep_inputs(program: Program, machine: MachineModel, axes,
@@ -1335,9 +1290,13 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
     this routes *input*-axis points through
     :meth:`~repro.bet.SymbolicBET.rebind`: the tree structure is built
     (and its expressions compiled) once, then each point replays only the
-    input-dependent annotations.  Points are shipped in contiguous
-    chunks, so each worker amortizes one recorded build across its whole
-    chunk; results are bit-identical to building a fresh BET per point.
+    input-dependent annotations; results are bit-identical to building a
+    fresh BET per point.  It is a view over the cell route of
+    :func:`evaluate_cells`: each point is the cell of its
+    ``input:``-prefixed bindings on ``machine``, so points ship, batch,
+    retry and checkpoint like any cells.  They keep their own names:
+    checkpoint records and failure items name the bindings unprefixed
+    (``n=64.0``).
 
     Parameters
     ----------
@@ -1361,236 +1320,158 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
     backend:
         ``"scalar"`` binds and projects point by point; ``"vector"``
         evaluates each chunk as one array-batched tape replay plus a
-        batched model projection (bit-identical results; lanes the batch
-        cannot vectorize transparently take the scalar path);
-        ``"auto"`` (default) picks vector for sweeps of at least
+        batched model projection (bit-identical results; points with the
+        same input names form one lane array, and lanes the batch cannot
+        vectorize transparently take the scalar path); ``"auto"``
+        (default) picks vector for sweeps of at least
         :data:`VECTOR_MIN_LANES` points.
     executor / shards / topology / chaos:
         Sharded dispatch with supervision and quarantine — see
         :func:`sweep_grid`; semantics are identical here, with each
         chunk of input points forming one shard.
     """
-    axes_dict, combos = _input_combos(axes)
+    axes_dict, combos, cells = _input_combos(axes)
     base = dict(base_inputs or {})
-    backend = _resolve_backend(backend, len(combos))
-    resolved_executor: Optional[SweepExecutor] = None
-    if executor is not None:
-        resolved_executor = resolve_executor(executor, workers=workers,
-                                             topology=topology, chaos=chaos)
-    shard_stats: Dict[str, float] = {}
-    if validate:
-        ensure_valid_machine(machine)
-    started = time.perf_counter()
-
-    ckpt: Optional[SweepCheckpoint] = None
-    if checkpoint:
-        key = checkpoint_key or _default_input_key(
-            program, machine, axes_dict, combos, base, entry, k)
-        ckpt = SweepCheckpoint.load(
-            checkpoint, key, resume=resume,
-            settings=_checkpoint_settings(backend, model_factory,
-                                          resolved_executor))
-
-    prior: Dict[int, Dict[str, Any]] = {}
-    pending_indices: List[int] = []
-    pending_combos: List[Dict[str, float]] = []
-    for index, combo in enumerate(combos):
-        stored = ckpt.get(overrides_key(combo)) if ckpt else None
-        if stored is not None:
-            prior[index] = stored
-        else:
-            pending_indices.append(index)
-            pending_combos.append(combo)
-
-    sym = SymbolicBET(program, entry=entry, library=library)
-
-    def record(global_index: int, projection: Dict[str, Any]) -> None:
-        if ckpt is not None:
-            ckpt.record(overrides_key(combos[global_index]),
-                        _input_point_to_dict(projection))
-
-    try:
-        computed, failures, stages = _run_chunked(
-            pending_combos, pending_indices,
-            chunk_payload=lambda chunk: (sym, machine, list(chunk), base,
-                                         model_factory, k, backend),
-            chunk_task=_input_chunk_task,
-            describe=overrides_key, record=record,
-            workers=workers, strict=strict, policy=policy,
-            timeout=timeout, chunk_size=chunk_size,
-            executor=resolved_executor, shards=shards,
-            shard_stats=shard_stats if resolved_executor else None,
-            floor=(VECTOR_MIN_POINTS if backend == "vector"
-                   else _MIN_CHUNK_POINTS))
-    finally:
-        if ckpt is not None:
-            ckpt.flush()
-
-    points = []
-    for index, combo in enumerate(combos):
-        projection = prior.get(index) or computed.get(index)
-        if projection is not None:
-            points.append(InputPoint(inputs=dict(combo),
-                                     runtime=projection["runtime"],
-                                     ranking=list(projection["ranking"]),
-                                     top_label=projection["top_label"],
-                                     memory_fraction=projection[
-                                         "memory_fraction"],
-                                     completeness=projection.get(
-                                         "completeness", 1.0)))
-    elapsed = time.perf_counter() - started
-    timings = {"build": stages.get("bet_build_seconds", 0.0),
-               "rebind": stages.get("bet_replay_seconds", 0.0),
-               "batch": stages.get("bet_batch_seconds", 0.0),
-               "compile": stages.get("compile_seconds", 0.0),
-               "project": stages.get("project_seconds", 0.0),
-               "total": elapsed,
-               "workers": float(max(workers, 1)),
-               "points": float(len(points)),
-               "failed": float(len(failures)),
-               "resumed": float(len(prior))}
-    cache_stats = {"bet_builds": stages.get("bet_builds", 0.0),
-                   "bet_replays": stages.get("bet_replays", 0.0),
-                   "bet_shape_rebuilds": stages.get("bet_shape_rebuilds",
-                                                    0.0),
-                   "bet_batch_replays": stages.get("bet_batch_replays",
-                                                   0.0),
-                   "lanes_vectorized": stages.get("bet_lanes_vectorized",
-                                                  0.0),
-                   "lanes_fallback": stages.get("bet_lanes_fallback",
-                                                0.0),
-                   "lane_groups": stages.get("lane_groups", 0.0),
-                   "compiles": stages.get("compiles", 0.0),
-                   "compile_cache_hits": stages.get("compile_cache_hits",
-                                                    0.0),
-                   "parse_cache_hits": stages.get("parse_cache_hits",
-                                                  0.0)}
+    if checkpoint and not checkpoint_key:
+        checkpoint_key = _default_input_key(program, machine, axes_dict,
+                                            combos, base, entry, k)
+    result = _evaluate_cell_list(
+        cells, machine, grid_spec={}, has_input_axes=True, bet=None,
+        program=program, inputs=base, entry=entry, library=library,
+        model_factory=model_factory, k=k, workers=workers, strict=strict,
+        policy=policy, timeout=timeout, checkpoint=checkpoint,
+        resume=resume, checkpoint_key=checkpoint_key, validate=validate,
+        chunk_size=chunk_size, backend=backend, executor=executor,
+        shards=shards, topology=topology, chaos=chaos, labels=combos,
+        point=lambda index, projection: InputPoint(combos[index],
+                                                   **projection))
     return InputSweepResult(
-        axes=axes_dict, base_inputs=base,
-        points=points, timings=timings,
-        cache_stats=cache_stats, failures=failures,
-        backend=backend,
-        executor=(resolved_executor.name if resolved_executor else ""),
-        shard_stats=shard_stats,
-        diagnostics=list(ckpt.diagnostics) if ckpt is not None else [])
+        axes=axes_dict, base_inputs=base, points=result.points,
+        timings=result.timings,
+        cache_stats={name: result.cache_stats[name]
+                     for name in _INPUT_CACHE_STATS},
+        failures=result.failures, backend=result.backend,
+        executor=result.executor, shard_stats=result.shard_stats,
+        diagnostics=result.diagnostics)
 
 
-def _lane_batch(source, base_machine: MachineModel, cells, base_inputs,
-                model_factory: Optional[Callable], k: int):
+def _lane_batch(source, machines: _CellMachines, cells, base_inputs,
+                factory: Callable, k: int):
     """Evaluate one lane group's chunk of cells as one lane array
     (DESIGN.md §15).
 
-    Each cell's machine is built and pre-flighted as on the scalar
-    route (machines with equal numeric fields pass or fail together, so
-    each distinct one is validated once); the cells that pass are the
-    lanes.  Their machines form one :class:`~repro.hardware.MachineLanes`,
-    and their inputs either the columns of one batch replay of
-    ``source`` (a :class:`~repro.bet.SymbolicBET`) or, ``source`` being
-    a built tree, that tree's own rows
-    (:class:`~repro.analysis.vectorized.TreeBlocks`).
-    Returns ``(points, project_seconds, counts)`` with ``points`` in
-    chunk order and ``counts`` the lane counters a tree batch adds to
-    the chunk's stages (a replay counts its own).  ``None`` marks a
-    cell for the scalar attempt loop, which reproduces its canonical
-    result or error: a cell whose machine failed, a lane the replay
-    demoted, or every lane when the replay or the projection raised.
+    Each distinct machine of the chunk (:class:`_CellMachines`) is built
+    once; the cells whose machine builds and passes its pre-flight are
+    the lanes.  Lanes that all run on one machine project on it, and
+    its timing model pre-flights it, as on the scalar route; lanes on
+    several machines project on one
+    :class:`~repro.hardware.MachineLanes`, whose models skip the
+    pre-flight, so each machine takes it here.  The lanes' inputs are
+    either the columns of one batch replay of ``source`` (a
+    :class:`~repro.bet.SymbolicBET`) or, ``source`` being a built tree,
+    that tree's own rows (:class:`~repro.analysis.vectorized.TreeBlocks`).
+    Returns ``(projections, project_seconds, counts)`` with
+    ``projections`` in chunk order and ``counts`` the lane counters a
+    tree batch adds to the chunk's stages (a replay counts its own).
+    ``None`` marks a cell for the scalar attempt loop, which reproduces
+    its canonical result or error: a cell whose machine failed, a lane
+    the replay demoted, or every lane when the replay or the projection
+    raised.
     """
-    slots: List[int] = []
-    machines: List[MachineModel] = []
-    valid: Dict[Tuple, bool] = {}
-    for slot, overrides in enumerate(cells):
+    keys = machines.keys(cells)
+    built: Dict[Tuple, Optional[MachineModel]] = {}
+    for key in dict.fromkeys(keys):
         try:
-            machine = _cell_machine(base_machine, overrides)
-            fields = numeric_values(machine)
-            if fields not in valid:
-                valid[fields] = not validate_machine(machine)
+            built[key] = machines.machine(key)
         except Exception:
-            continue
-        if valid[fields]:
-            slots.append(slot)
-            machines.append(machine)
-    points: List[Optional[GridPoint]] = [None] * len(cells)
-    if not slots:
-        return points, 0.0, {}
-    factory = model_factory or RooflineModel
-    lanes = MachineLanes(machines)
+            built[key] = None
+    if len(built) > 1:
+        for key, machine in built.items():
+            if machine is not None and validate_machine(machine):
+                built[key] = None
     projections: List[Optional[Dict]] = [None] * len(cells)
+    lane_machines = [machine for machine in built.values()
+                     if machine is not None]
+    if not lane_machines:
+        return projections, 0.0, {}
+    lanes = cells
+    lane_index: Optional[List[int]] = None   # lanes are the whole chunk
+    if len(lane_machines) < len(built):
+        lane_index = [slot for slot, key in enumerate(keys)
+                      if built[key] is not None]
+        lanes = [cells[slot] for slot in lane_index]
+        keys = [keys[slot] for slot in lane_index]
+    machine = (lane_machines[0] if len(lane_machines) == 1
+               else MachineLanes([built[key] for key in keys]))
     counts: Dict[str, float] = {}
     if isinstance(source, SymbolicBET):
-        cols = input_columns([cells[slot] for slot in slots], base_inputs)
+        cols = input_columns(lanes, base_inputs)
         batched = (None if cols is None else _batch_project(
-            source, factory, lanes, k, cols, lane_index=slots,
+            source, factory, machine, k, cols, lane_index=lane_index,
             out=projections))
     else:
         started = time.perf_counter()
         try:
-            project_batch(TreeBlocks(source, len(slots), lane_index=slots),
-                          factory, lanes, k, out=projections)
+            project_batch(TreeBlocks(source, len(lanes),
+                                     lane_index=lane_index),
+                          factory, machine, k, out=projections)
         except Exception:
             batched = None
-            counts["bet_lanes_fallback"] = float(len(slots))
+            counts["bet_lanes_fallback"] = float(len(lanes))
         else:
             batched = (projections, time.perf_counter() - started)
-            counts["bet_lanes_vectorized"] = float(len(slots))
+            counts["bet_lanes_vectorized"] = float(len(lanes))
     if batched is None:
-        return points, 0.0, counts
+        return [None] * len(cells), 0.0, counts
     counts["lane_groups"] = 1.0
-    for slot, machine in zip(slots, machines):
-        projection = projections[slot]
-        if projection is not None:
-            points[slot] = GridPoint(overrides=dict(cells[slot]),
-                                     machine=machine, **projection)
-    return points, batched[1], counts
+    return projections, batched[1], counts
 
 
 def _grid_chunk_task(payload):
-    """Shard task: a chunk of grid cells (machine overrides and/or
-    ``input:`` axes).
+    """Shard task: a chunk of cells (machine overrides and/or ``input:``
+    axes); one projection dict per computed cell.
 
     ``source`` is the :class:`~repro.bet.SymbolicBET` the cells' inputs
-    bind through, or the built tree machine-only cells re-project.  With
-    ``backend="vector"`` a lane-group slice of at least ``min_lanes``
-    cells — a :class:`~repro.parallel.lanes.LanePack`, or a list of one
-    signature — is one lane array (:func:`_lane_batch`); a residue chunk
-    is not.  Cells a lane array does not produce run the scalar attempt
-    loop, where consecutive cells with identical input bindings reuse
-    the current tree without a rebind.
+    bind through, or the built tree machine-only cells re-project.  A
+    chunk the planner cut as a lane-group slice (``batch``) is one lane
+    array (:func:`_lane_batch`).  Cells a lane array does not produce
+    run the scalar attempt loop, with one timing model per distinct
+    machine, where consecutive cells with identical input bindings
+    reuse the current tree without a rebind.
     """
     body, indices, policy, strict = payload
-    source, base_machine, cells, base_inputs, model_factory, k, backend, \
-        min_lanes = body
+    source, base_machine, cells, base_inputs, model_factory, k, batch = body
     sym = None
     if isinstance(source, SymbolicBET):
         source = sym = _symbolic_for(source)
     before = _stage_snapshot(sym)
-    group = isinstance(cells, LanePack)
-    if group:
-        cells = cells.cells()
-    done = None
-    project_seconds = 0.0
-    counts: Dict[str, float] = {}
-    if backend == "vector" and len(cells) >= min_lanes \
-            and (group or one_lane_group(cells)):
-        done, project_seconds, counts = _lane_batch(
-            source, base_machine, cells, base_inputs, model_factory, k)
+    factory = model_factory or RooflineModel
+    machines = _CellMachines(base_machine)
+    done, project_seconds, counts = (
+        _lane_batch(source, machines, cells, base_inputs, factory, k)
+        if batch else (None, 0.0, {}))
+    models: Dict[Tuple, Any] = {}
     bound_key: Any = None     # the input bindings ``bet`` was bound to
     bet = None if sym is not None else source
 
-    def evaluate(overrides):
+    def evaluate(cell):
         nonlocal bound_key, bet, project_seconds
-        machine = _cell_machine(base_machine, overrides)
+        key = machines.key(cell)
+        machine = machines.machine(key)
         if sym is not None:
-            inputs = {**base_inputs, **_split_overrides(overrides)[1]}
-            key = tuple(sorted(inputs.items()))
-            if bet is None or key != bound_key:
+            inputs = {**base_inputs, **split_overrides(cell)[1]}
+            bound = tuple(sorted(inputs.items()))
+            if bet is None or bound != bound_key:
                 bet = None            # bind state unknown until it lands
                 bet = sym.bind(inputs)
-                bound_key = key
+                bound_key = bound
+        model = models.get(key)
+        if model is None:
+            model = models[key] = factory(machine)
         started = time.perf_counter()
-        projection = project_machine(bet, machine, model_factory, k)
+        projection = project_with_model(bet, model, k)
         project_seconds += time.perf_counter() - started
-        return GridPoint(overrides=dict(overrides), machine=machine,
-                         **projection)
+        return projection
 
     rows = _attempt_rows(evaluate, cells, indices, policy, strict, done)
     delta = _stage_delta(sym, before, project_seconds)
@@ -1642,11 +1523,13 @@ def analyze_matrix(workloads: Sequence[str],
              for options in option_sets]
     started = time.perf_counter()
     computed, failures, _ = _run_chunked(
-        tasks, range(len(tasks)),
-        chunk_payload=lambda chunk: (_analyze_task, list(chunk)),
+        range(len(tasks)),
+        chunk_payload=lambda chunk: (_analyze_task,
+                                     [tasks[index] for index in chunk]),
         chunk_task=_point_chunk_task,
-        describe=lambda task: (f"{task[0]}@"
-                               f"{getattr(task[1], 'name', task[1])}"),
+        describe=lambda index: (
+            f"{tasks[index][0]}@"
+            f"{getattr(tasks[index][1], 'name', tasks[index][1])}"),
         # seed the parent's cache (results from pool workers miss it)
         record=lambda index, analysis: pipeline.remember(
             analysis, **dict(tasks[index][2])),

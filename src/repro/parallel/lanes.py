@@ -10,30 +10,28 @@ axes constrain a lane array (its input columns must be rectangular); the
 machine fields may differ in every lane.  This module is the planning
 layer between the two:
 
-:func:`plan_lane_chunks`
+:func:`plan_lanes`
     partitions an arbitrary cell list into chunks whose cells all share
     one input-key set, so every shipped chunk is a *lane-group slice* —
     the shard unit of the grouped dispatch path.  Cells that cannot
     batch (non-numeric values) land in scalar residue chunks instead of
-    poisoning a group, and so do groups too small to batch.
+    poisoning a group, and so do groups too small to batch.  The two
+    kinds come back apart, so the engine knows which chunks to batch
+    without computing a cell's signature again.
 
-:class:`LanePack` / :func:`pack_cells`
-    the packed SoA transport for one lane-group slice: one column per
-    axis instead of N per-point dicts, so pool/multinode executors
-    serialize each group once.  The pack reconstructs the original cell
-    dicts bit-identically on the worker (:meth:`LanePack.cells`), which
-    keeps checkpoint keys, fallback rebinds, and ``GridPoint.overrides``
-    indistinguishable from the per-dict path.
+:func:`input_columns`
+    one lane group's input bindings as the columns of one batch replay.
 
 The planner never reorders cells *within* a group and never batches
 two groups together, so results scatter back to the caller's original
-cell order through the chunk's explicit position list (see
+cell order through the chunk's explicit index list (see
 ``_run_chunked``'s ``chunks`` parameter in
 :mod:`repro.parallel.engine`).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: axis-name prefix marking an input (workload) parameter in a mixed grid
@@ -72,46 +70,6 @@ def cell_signature(cell: Dict[str, float]) -> Optional[Tuple[str, ...]]:
                         if name.startswith(INPUT_PREFIX)))
 
 
-def one_lane_group(cells: Sequence[Dict[str, Any]]) -> bool:
-    """Whether ``cells`` all share one batchable signature: a lane-group
-    slice as :func:`plan_lane_chunks` cuts them, not a residue chunk."""
-    first = cell_signature(cells[0]) if cells else None
-    return first is not None and all(
-        cell_signature(cell) == first for cell in cells[1:])
-
-
-class LanePack:
-    """One lane-group slice as a packed SoA payload.
-
-    ``columns`` maps each axis name, machine field or
-    ``input:``-prefixed, to its per-lane value list; ``order`` is the
-    key order of the original cell dicts (shared by every cell in the
-    pack, enforced by :func:`pack_cells`).  Values keep their original
-    Python types (``int`` stays ``int``) so :meth:`cells` reconstructs
-    dicts that compare — and checkpoint-key, and machine-name-tag —
-    identically to the originals.
-    """
-
-    __slots__ = ("columns", "order", "count")
-
-    def __init__(self, columns: Dict[str, List[Any]],
-                 order: Tuple[str, ...], count: int):
-        self.columns = columns
-        self.order = order
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def cells(self) -> List[Dict[str, Any]]:
-        """Reconstruct the original per-lane cell dicts, key order and
-        all (the machine name tag iterates dict order, so order is part
-        of bit-identity)."""
-        columns = [self.columns[name] for name in self.order]
-        return [dict(zip(self.order, values)) for values in zip(*columns)] \
-            if columns else [{} for _ in range(self.count)]
-
-
 def input_columns(cells: Sequence[Dict[str, Any]],
                   base_inputs: Dict[str, Any]
                   ) -> Optional[Dict[str, List[Any]]]:
@@ -132,59 +90,64 @@ def input_columns(cells: Sequence[Dict[str, Any]],
     return cols
 
 
-def pack_cells(cells: Sequence[Dict[str, Any]]) -> Optional[LanePack]:
-    """Pack a uniform cell list into one :class:`LanePack`.
-
-    Returns ``None`` when the cells do not share one key *order* (dict
-    order feeds the machine name tag) or hold non-numeric values.  The
-    caller then ships the plain dict list instead (still evaluated as
-    one lane array per chunk); packing is an optimization, never a
-    requirement.
-    """
-    if not cells:
-        return None
-    order = tuple(cells[0])
-    columns: Dict[str, List[Any]] = {name: [] for name in order}
-    for cell in cells:
-        if tuple(cell) != order or cell_signature(cell) is None:
-            return None
-        for name, value in cell.items():
-            columns[name].append(value)
-    return LanePack(columns=columns, order=order, count=len(cells))
-
-
-def plan_lane_chunks(cells: Sequence[Dict[str, Any]],
-                     chunk_size: int,
-                     min_lanes: int = 1) -> List[List[int]]:
+def plan_lanes(cells: Sequence[Dict[str, Any]],
+               chunk_size: int,
+               min_lanes: int = 1
+               ) -> Tuple[List[List[int]], List[List[int]]]:
     """Partition ``cells`` into lane-group-aligned chunks.
 
-    Returns position lists into ``cells``: every chunk is either a slice
-    of one lane group (same input keys, original relative order —
-    vector-eligible) or a slice of the residue (evaluated scalar): the
-    unbatchable cells plus every group of fewer than ``min_lanes``
-    cells, which would run the scalar loop anyway and so share chunks
-    instead of paying one chunk each.  Groups appear in first-encounter
-    order, each split at ``chunk_size``; the residue keeps its own
-    original order.  The lists form an exact partition of
-    ``range(len(cells))``.
+    Returns ``(groups, residue)``, two lists of position lists into
+    ``cells``.  Each of ``groups`` is a slice of one lane group (same
+    input keys, original relative order — vector-eligible); each of
+    ``residue`` a slice of the cells evaluated scalar: the unbatchable
+    cells plus every group of fewer than ``min_lanes`` cells, which
+    would run the scalar loop anyway and so share chunks instead of
+    paying one chunk each.  Groups appear in first-encounter order, each
+    split at ``chunk_size``; the residue keeps its own original order.
+    Together the lists form an exact partition of ``range(len(cells))``.
     """
     chunk_size = max(1, int(chunk_size))
+    # a cell's signature follows from its shape — its keys in order, and
+    # its value types unless every value of the list is a plain int or
+    # float — so cells are bucketed by shape and each bucket signed once
+    if set(map(type, chain.from_iterable(map(dict.values, cells)))) \
+            <= {int, float}:
+        shapes = list(map(tuple, cells))
+    else:
+        shapes = [(*cell, *map(type, cell.values())) for cell in cells]
+    buckets: Dict[Tuple, List[int]] = {}
+    if len(dict.fromkeys(shapes)) == 1:
+        buckets[shapes[0]] = list(range(len(cells)))
+    else:
+        for position, shape in enumerate(shapes):
+            bucket = buckets.get(shape)
+            if bucket is None:
+                bucket = buckets[shape] = []
+            bucket.append(position)
+    # buckets come in first-appearance order, so groups do too
     groups: Dict[Tuple, List[int]] = {}
     residue: List[int] = []
-    for position, cell in enumerate(cells):
-        signature = cell_signature(cell)
-        if signature is None:
-            residue.append(position)
-        else:
-            groups.setdefault(signature, []).append(position)
+    for positions in buckets.values():
+        signature = cell_signature(cells[positions[0]])
+        (residue if signature is None
+         else groups.setdefault(signature, [])).extend(positions)
     chunks: List[List[int]] = []
     for positions in groups.values():
         if len(positions) < min_lanes:
             residue.extend(positions)
             continue
+        positions.sort()       # a group of several shapes interleaves them
         for start in range(0, len(positions), chunk_size):
             chunks.append(positions[start:start + chunk_size])
     residue.sort()
-    for start in range(0, len(residue), chunk_size):
-        chunks.append(residue[start:start + chunk_size])
-    return chunks
+    return chunks, [residue[start:start + chunk_size]
+                    for start in range(0, len(residue), chunk_size)]
+
+
+def plan_lane_chunks(cells: Sequence[Dict[str, Any]],
+                     chunk_size: int,
+                     min_lanes: int = 1) -> List[List[int]]:
+    """:func:`plan_lanes`' chunks as one list: the lane-group slices,
+    then the residue slices."""
+    groups, residue = plan_lanes(cells, chunk_size, min_lanes)
+    return groups + residue

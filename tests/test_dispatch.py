@@ -12,7 +12,9 @@ a point's fault means the same on every route and executor.
 * per-item serial runs checkpoint each cell as it finishes;
 * checkpoints written by the earlier `resilient_map`-based engine
   (commit d5cc2b2) under `tests/fixtures/legacy_checkpoints/`, made by
-  running each sweep below once with `checkpoint=` on that commit.
+  running each sweep below once with `checkpoint=` on that commit, and
+  one vector-backend input sweep written by `sweep_inputs`' own chunk
+  task before input sweeps joined the cell route (commit 8721640).
 """
 
 import dataclasses
@@ -591,6 +593,23 @@ class TestLegacyCheckpoints:
         fresh = sweep_inputs(program, BGQ, axes, base_inputs=inputs)
         assert [(p.inputs, p.runtime, p.ranking) for p in resumed.points] \
             == [(p.inputs, p.runtime, p.ranking) for p in fresh.points]
+
+    def test_vector_input_sweep_resumes_everything(self, pedagogical,
+                                                   tmp_path):
+        # backend "vector", records keyed by the unprefixed bindings
+        # ("n=64.0") and payloads without "overrides"
+        program, inputs = pedagogical
+        axes = {"n": [32.0, 64.0, 96.0, 128.0, 192.0, 256.0, 384.0,
+                      512.0]}
+        path = _legacy(tmp_path, "sweep_inputs_vector.json")
+        resumed = sweep_inputs(program, BGQ, axes, base_inputs=inputs,
+                               checkpoint=path, resume=True)
+        assert resumed.backend == "vector"
+        assert resumed.timings["resumed"] == 8.0
+        assert resumed.timings["project"] == 0.0
+        fresh = sweep_inputs(program, BGQ, axes, base_inputs=inputs)
+        assert [dataclasses.asdict(p) for p in resumed.points] == \
+            [dataclasses.asdict(p) for p in fresh.points]
 
     def test_sweep_machine_checkpoint_is_refused_with_a_code(
             self, pedagogical_bet, tmp_path):

@@ -19,8 +19,7 @@ from repro.parallel.engine import (
     VECTOR_MIN_POINTS, _auto_chunk_size, evaluate_cells,
 )
 from repro.parallel.lanes import (
-    LanePack, cell_signature, input_columns, pack_cells, plan_lane_chunks,
-    split_overrides,
+    cell_signature, input_columns, plan_lane_chunks, split_overrides,
 )
 from repro.hardware import machine_by_name
 from repro.skeleton.parser import parse_skeleton
@@ -102,32 +101,6 @@ class TestLanePlanning:
         assert cell_signature({"input:n": "big"}) is None
         assert cell_signature({"input:n": True}) is None
 
-    def test_pack_cells_roundtrip_bit_identical(self):
-        cells = [{"bandwidth": 1e10, "input:n": 8, "input:m": 2.5},
-                 {"bandwidth": 2e10, "input:n": 9, "input:m": 3.5}]
-        pack = pack_cells(cells)
-        assert isinstance(pack, LanePack)
-        assert len(pack) == 2
-        rebuilt = pack.cells()
-        assert rebuilt == cells
-        # ints stay ints: checkpoint keys must not drift via float()
-        assert isinstance(rebuilt[0]["input:n"], int)
-        assert pack.columns["bandwidth"] == [1e10, 2e10]
-        machine_only = [{"cores": 4}, {"cores": 8}]
-        assert pack_cells(machine_only).cells() == machine_only
-
-    def test_pack_cells_refuses_mixed_groups(self):
-        assert pack_cells([]) is None
-        assert pack_cells([{"input:n": 1.0},
-                           {"input:m": 1.0}]) is None
-        assert pack_cells([{"bandwidth": 1e10},
-                           {"bandwidth": "fast"}]) is None
-        # same signature but ragged key order: dict order feeds the
-        # machine name tag, so these must ship unpacked
-        assert pack_cells(
-            [{"bandwidth": 1e10, "input:n": 1.0},
-             {"input:n": 2.0, "bandwidth": 1e10}]) is None
-
     def test_input_columns_merge_base_then_overrides(self):
         cells = [{"bandwidth": 1e10, "input:n": 8.0},
                  {"bandwidth": 2e10, "input:n": 16.0}]
@@ -187,7 +160,7 @@ class TestLanePlanning:
 
 # every cell draws its own machine: each lane of a lane array carries a
 # different machine, and the optional fields give cells different key
-# sets (one lane array all the same, unpacked).  pr draws 0.0/1.0 with
+# sets (one lane array all the same).  pr draws 0.0/1.0 with
 # inflated likelihood: those lanes flip the branch shape and must take
 # the per-lane scalar fallback, not diverge
 _cell = st.fixed_dictionaries({

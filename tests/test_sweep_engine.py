@@ -16,7 +16,8 @@ from repro.experiments import pipeline
 from repro.hardware import BGQ, XEON_E5_2420
 from repro.parallel import (
     CacheStats, LRUCache, analyze_matrix, bet_cache_stats,
-    build_bet_cached, clear_bet_cache, sweep_grid, sweep_inputs,
+    build_bet_cached, clear_bet_cache, evaluate_cells, sweep_grid,
+    sweep_inputs,
 )
 from repro.workloads import load
 
@@ -231,6 +232,27 @@ class TestSweepGrid:
         name = result.points[0].machine.name
         assert "bandwidth=1e+10" in name and "frequency_hz=2e+09" in name
 
+    def test_point_machines_survive_copies_and_pickles(self,
+                                                      pedagogical_bet):
+        # each point builds its machine on first read; a copy or a
+        # pickle made before that read still names the cell's machine
+        import copy
+        import pickle
+        grid = {"bandwidth": [10e9, 20e9], "cores": [4, 8.0]}
+        fresh = sweep_grid(pedagogical_bet, BGQ, grid).points
+        copies = [copy.deepcopy(point) for point in fresh]
+        pickles = [pickle.loads(pickle.dumps(point)) for point in fresh]
+        for point in fresh:
+            assert point.machine == BGQ.with_overrides(
+                name=f"{BGQ.name}[bandwidth={point.overrides['bandwidth']:g}"
+                     f",cores={point.overrides['cores']:g}]",
+                **point.overrides)
+        assert copies == pickles == fresh
+        assert [type(point.machine.cores) for point in pickles] == \
+            [int, float, int, float]
+        with pytest.raises(AttributeError):
+            fresh[0].speed
+
     def test_render_mentions_every_cell(self, pedagogical_bet):
         result = sweep_grid(pedagogical_bet, BGQ,
                             {"bandwidth": [10e9, 20e9]})
@@ -247,6 +269,47 @@ class TestSweepGrid:
         assert set(result.cache_stats) == \
             {"hits", "misses", "evictions", "quota_evictions",
              "hit_rate"}
+
+    def test_cell_list_grid_is_the_axis_union(self, pedagogical_bet):
+        # each axis lists its values in first-appearance order, equal
+        # values (1 and 1.0) once, as first seen
+        cells = [{"bandwidth": 20e9, "cores": 1}, {"bandwidth": 10e9},
+                 {"cores": 1.0, "bandwidth": 20e9}, {"cores": 4},
+                 {"bandwidth": 10e9, "cores": 2}, {"cores": 4.0}]
+        result = evaluate_cells(BGQ, cells, bet=pedagogical_bet)
+        assert result.grid == {"bandwidth": [20e9, 10e9],
+                               "cores": [1, 4, 2]}
+        assert [type(value) for value in result.grid["cores"]] == \
+            [int, int, int]
+        assert [point.overrides for point in result.points] == cells
+        with pytest.raises(AnalysisError, match="not a number"):
+            evaluate_cells(BGQ, [{"bandwidth": [10e9]}],
+                           bet=pedagogical_bet)
+
+    @pytest.mark.parametrize("entry", ["grid", "cells", "inputs"])
+    def test_fully_resumed_run_reports_no_project_time(
+            self, pedagogical, pedagogical_bet, tmp_path, entry):
+        program, inputs = pedagogical
+        path = str(tmp_path / "sweep.json")
+        runs = {
+            "grid": lambda **kw: sweep_grid(
+                pedagogical_bet, BGQ, {"bandwidth": [10e9, 20e9, 30e9]},
+                **kw),
+            "cells": lambda **kw: evaluate_cells(
+                BGQ, [{"bandwidth": 10e9, "input:n": 100.0},
+                      {"bandwidth": 20e9, "input:n": 200.0},
+                      {"input:n": 300.0}],
+                program=program, inputs=inputs, **kw),
+            "inputs": lambda **kw: sweep_inputs(
+                program, BGQ, {"n": [100.0, 200.0, 300.0]},
+                base_inputs=inputs, **kw)}
+        first = runs[entry](checkpoint=path)
+        assert first.timings["project"] > 0.0
+        resumed = runs[entry](checkpoint=path, resume=True)
+        assert resumed.timings["resumed"] == 3.0
+        # no cell was projected, whatever the run's wall time
+        assert resumed.timings["project"] == 0.0
+        assert resumed.timings["total"] > 0.0
 
     def test_rejects_empty_grid(self, pedagogical_bet):
         with pytest.raises(AnalysisError):
