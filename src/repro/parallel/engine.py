@@ -41,10 +41,15 @@ observable (``timings`` / ``cache_stats``).
 from __future__ import annotations
 
 import itertools
+import os
 import pickle
+import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -63,6 +68,7 @@ from .cache import CacheStats, LRUCache
 from .executors import (
     PoolExecutor, SerialExecutor, SweepExecutor, resolve_executor,
 )
+from .pool import close_idle_pool
 from .lanes import (
     INPUT_PREFIX, input_columns, plan_lanes, split_overrides,
 )
@@ -657,6 +663,7 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
 
     source: Any = (SymbolicBET(program, entry=entry, library=library)
                    if has_input_axes else bet)
+    tape_key = _tape_key(source) if has_input_axes else None
     chunks: Optional[List[List[int]]] = None
     grouped: set = set()      # the cells of lane-group chunks
     if backend == "vector" and pending:
@@ -679,7 +686,8 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
         for chunk in chunks[:len(groups)]:
             grouped.update(chunk)
     def chunk_payload(chunk: List[int]):
-        return (source, base_machine, [cells[index] for index in chunk],
+        return (source, tape_key, base_machine,
+                [cells[index] for index in chunk],
                 base_inputs, model_factory, k,
                 len(chunk) >= min_lanes and chunk[0] in grouped)
 
@@ -781,19 +789,21 @@ def _auto_chunk_size(total: int, workers: int, vector: bool = False,
     point, so each result reaches the checkpoint as soon as it is
     computed.
 
-    On a vector-backend sweep (``vector=True``) the floor rises to
-    :data:`VECTOR_MIN_POINTS`: a chunk is one ``rebind_batch`` lane
-    array, and a batch's fixed cost is amortized only over many more
-    lanes than the :data:`VECTOR_MIN_LANES` crossover, so a pool run
-    splits a vector sweep no finer than that.
+    On a vector-backend sweep (``vector=True``) a chunk is one
+    ``rebind_batch`` lane array, whose fixed cost (one batch replay,
+    one projection matrix, one shipped payload) does not grow with its
+    lanes: each worker gets one chunk, floored at
+    :data:`VECTOR_MIN_POINTS` lanes, so a pool run splits a vector
+    sweep no finer than that.
     """
     if total <= 0:
         return 1
     if workers <= 1:
         return 1 if floor == 1 else total
     if vector:
-        floor = VECTOR_MIN_POINTS
-    per_worker = -(-total // (workers * 4))
+        per_worker, floor = -(-total // workers), VECTOR_MIN_POINTS
+    else:
+        per_worker = -(-total // (workers * 4))
     return max(1, min(total, max(per_worker, floor)))
 
 
@@ -847,35 +857,84 @@ def _checkpoint_settings(backend: str,
         else "legacy",
     }
 
-#: worker-resident symbolic trees: pool workers persist across chunks, so
-#: one recorded build serves every chunk a worker receives for a program
+#: resident symbolic trees, least recently used first: pool workers
+#: persist across chunks and sweeps, so one recorded build serves every
+#: chunk a worker (or the parent, in-process) receives for a program
 _SYM_CACHE: Dict[Tuple, SymbolicBET] = {}
 _SYM_CACHE_LIMIT = 8
+_SYM_LOCK = threading.Lock()
 
 
-def _symbolic_for(sym: SymbolicBET) -> SymbolicBET:
-    """The worker's resident :class:`SymbolicBET` for ``sym``'s program.
+def _reset_sym_lock() -> None:
+    """A forked worker inherits the lock as it was, possibly held by a
+    thread that does not exist in the worker."""
+    global _SYM_LOCK
+    _SYM_LOCK = threading.Lock()
 
-    Shipped instances arrive without tape or tree (they pickle to just the
-    program); keeping the first arrival per content key means later chunks
-    replay an already-recorded tape instead of rebuilding.  Instances with
-    a custom library are not content-keyed and are used as shipped.
+
+os.register_at_fork(after_in_child=_reset_sym_lock)
+
+
+def _tape_key(sym: SymbolicBET) -> Optional[Tuple]:
+    """The resident-tape key of ``sym``: everything that shapes its tape
+    (the program's content, the entry and the builder options), or
+    ``None`` for a custom library, which is not content-keyed.
+
+    A sweep computes it once, in the parent, when it builds its
+    :class:`SymbolicBET`, and ships it with every chunk, so no chunk
+    formats and hashes the program again.
     """
     if sym.library is not None:
-        return sym
-    key = (sym.program.fingerprint(), sym.entry,
-           repr(sorted(sym.builder_kwargs.items())))
-    cached = _SYM_CACHE.get(key)
-    if cached is None:
-        if len(_SYM_CACHE) >= _SYM_CACHE_LIMIT:
-            _SYM_CACHE.pop(next(iter(_SYM_CACHE)))
-        _SYM_CACHE[key] = cached = sym
-    return cached
+        return None
+    return (sym.program.fingerprint(), sym.entry,
+            repr(sorted(sym.builder_kwargs.items())))
+
+
+@contextmanager
+def _symbolic_for(sym: SymbolicBET,
+                  key: Optional[Tuple]) -> Iterator[SymbolicBET]:
+    """Check out the process's resident :class:`SymbolicBET` under
+    ``key`` (see :func:`_tape_key`) for ``sym``'s program, for one
+    chunk.
+
+    Shipped instances arrive without tape or tree (they pickle to just
+    the program); a resident instance means later chunks, and later
+    sweeps on a warm worker, replay an already-recorded tape instead of
+    rebuilding.  Its :meth:`~repro.bet.SymbolicBET.bind` replays in place
+    on one tree, so it serves one chunk at a time: it leaves the cache
+    while the chunk runs and returns, as most recently used, when the
+    chunk ends.  A chunk that finds none (the first, or one running
+    while another thread holds the resident) records a fresh copy, which
+    becomes the resident when it returns.  With no key (a custom
+    library), ``sym`` is used as shipped.
+    """
+    if key is None:
+        yield sym
+        return
+    with _SYM_LOCK:
+        resident = _SYM_CACHE.pop(key, None)
+    if resident is None:
+        resident = SymbolicBET(sym.program, entry=sym.entry,
+                               **sym.builder_kwargs)
+    try:
+        yield resident
+    finally:
+        with _SYM_LOCK:
+            _SYM_CACHE.pop(key, None)
+            _SYM_CACHE[key] = resident
+            if len(_SYM_CACHE) > _SYM_CACHE_LIMIT:
+                del _SYM_CACHE[next(iter(_SYM_CACHE))]
 
 
 def clear_symbolic_cache() -> None:
-    """Drop worker-resident symbolic trees (mainly for tests)."""
-    _SYM_CACHE.clear()
+    """Drop resident symbolic trees: this process's, and the warm pool
+    workers' (by shutting the idle pool down).  For tests and benchmarks
+    that time cold sweeps, and after changing module state that a pooled
+    task or factory reaches only indirectly, which warm workers would
+    still hold as it was at their fork."""
+    with _SYM_LOCK:
+        _SYM_CACHE.clear()
+    close_idle_pool()
 
 
 def _perf_counters() -> Dict[str, float]:
@@ -1432,49 +1491,53 @@ def _grid_chunk_task(payload):
     axes); one projection dict per computed cell.
 
     ``source`` is the :class:`~repro.bet.SymbolicBET` the cells' inputs
-    bind through, or the built tree machine-only cells re-project.  A
-    chunk the planner cut as a lane-group slice (``batch``) is one lane
-    array (:func:`_lane_batch`).  Cells a lane array does not produce
+    bind through (its resident copy under ``tape_key``), or the built
+    tree machine-only cells re-project.  A chunk the planner cut as a
+    lane-group slice (``batch``) is one lane array
+    (:func:`_lane_batch`).  Cells a lane array does not produce
     run the scalar attempt loop, with one timing model per distinct
     machine, where consecutive cells with identical input bindings
     reuse the current tree without a rebind.
     """
     body, indices, policy, strict = payload
-    source, base_machine, cells, base_inputs, model_factory, k, batch = body
-    sym = None
-    if isinstance(source, SymbolicBET):
-        source = sym = _symbolic_for(source)
-    before = _stage_snapshot(sym)
-    factory = model_factory or RooflineModel
-    machines = _CellMachines(base_machine)
-    done, project_seconds, counts = (
-        _lane_batch(source, machines, cells, base_inputs, factory, k)
-        if batch else (None, 0.0, {}))
-    models: Dict[Tuple, Any] = {}
-    bound_key: Any = None     # the input bindings ``bet`` was bound to
-    bet = None if sym is not None else source
-
-    def evaluate(cell):
-        nonlocal bound_key, bet, project_seconds
-        key = machines.key(cell)
-        machine = machines.machine(key)
+    (source, tape_key, base_machine, cells, base_inputs, model_factory,
+     k, batch) = body
+    resident = (_symbolic_for(source, tape_key)
+                if isinstance(source, SymbolicBET) else nullcontext())
+    with resident as sym:
         if sym is not None:
-            inputs = {**base_inputs, **split_overrides(cell)[1]}
-            bound = tuple(sorted(inputs.items()))
-            if bet is None or bound != bound_key:
-                bet = None            # bind state unknown until it lands
-                bet = sym.bind(inputs)
-                bound_key = bound
-        model = models.get(key)
-        if model is None:
-            model = models[key] = factory(machine)
-        started = time.perf_counter()
-        projection = project_with_model(bet, model, k)
-        project_seconds += time.perf_counter() - started
-        return projection
+            source = sym
+        before = _stage_snapshot(sym)
+        factory = model_factory or RooflineModel
+        machines = _CellMachines(base_machine)
+        done, project_seconds, counts = (
+            _lane_batch(source, machines, cells, base_inputs, factory, k)
+            if batch else (None, 0.0, {}))
+        models: Dict[Tuple, Any] = {}
+        bound_key: Any = None     # the input bindings ``bet`` was bound to
+        bet = None if sym is not None else source
 
-    rows = _attempt_rows(evaluate, cells, indices, policy, strict, done)
-    delta = _stage_delta(sym, before, project_seconds)
+        def evaluate(cell):
+            nonlocal bound_key, bet, project_seconds
+            key = machines.key(cell)
+            machine = machines.machine(key)
+            if sym is not None:
+                inputs = {**base_inputs, **split_overrides(cell)[1]}
+                bound = tuple(sorted(inputs.items()))
+                if bet is None or bound != bound_key:
+                    bet = None            # bind state unknown until it lands
+                    bet = sym.bind(inputs)
+                    bound_key = bound
+            model = models.get(key)
+            if model is None:
+                model = models[key] = factory(machine)
+            started = time.perf_counter()
+            projection = project_with_model(bet, model, k)
+            project_seconds += time.perf_counter() - started
+            return projection
+
+        rows = _attempt_rows(evaluate, cells, indices, policy, strict, done)
+        delta = _stage_delta(sym, before, project_seconds)
     delta.update(counts)
     return rows, delta
 

@@ -13,8 +13,9 @@ Three implementations ship:
   slots (the only one in the package), with real crash detection (a
   broken pool becomes crash events and a fresh pool), per-shard
   deadlines, and hung-worker reaping via
-  :func:`~repro.parallel.pool.abandon_pool`; a sweep run without an
-  executor uses it for ``workers > 1``;
+  :func:`~repro.parallel.pool.abandon_pool`; a healthy pool stays warm
+  between sweeps (:mod:`repro.parallel.pool`), and a sweep run without
+  an executor uses it for ``workers > 1``;
 * :class:`MultinodeExecutor` — a simulated cluster over a
   :class:`~repro.multinode.cluster.ClusterTopology`: shard tasks are
   pure, so they execute in-process while a deterministic virtual clock
@@ -39,6 +40,9 @@ chaos suite proves are the paths production faults take.
 
 from __future__ import annotations
 
+import io
+import pickle
+import sys
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
@@ -49,7 +53,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..errors import ExecutorError
 from ..multinode.cluster import CLUSTER_PRESETS, DUAL_NODE, ClusterTopology
 from .chaos import ChaosSchedule
-from .pool import abandon_pool, default_workers, reap_abandoned
+from .pool import (
+    abandon_pool, default_workers, park_pool, reap_abandoned, take_pool,
+)
 from .shard import ShardEnvelope
 
 #: executor names accepted by the CLI and :func:`resolve_executor`
@@ -63,8 +69,12 @@ class SweepExecutor:
 
     Lifecycle: ``open(task)`` → interleaved ``idle_workers`` /
     ``dispatch`` / ``wait`` → ``close()`` (always, in a ``finally``).
-    ``stats`` is a plain name→number dict merged into the scheduler's
-    shard stats under ``executor_*`` keys.
+    One instance may run several sweeps, each from ``open`` to
+    ``close``.  ``close`` ends the sweep, not necessarily the substrate:
+    a :class:`PoolExecutor` leaves a healthy pool warm for the next
+    ``open`` of the same width, in this instance or another.  ``stats``
+    is a plain name→number dict merged into the scheduler's shard stats
+    under ``executor_*`` keys.
     """
 
     name = "base"
@@ -162,12 +172,66 @@ class SerialExecutor(SweepExecutor):
 
 # -- process pool -------------------------------------------------------------
 
-def _pool_shard_task(task: Callable[[Any], Any], shard_id: int,
-                     attempt: int, worker: str,
-                     payload: Any) -> ShardEnvelope:
-    """Worker-side shard runner: execute and seal (module-level, so it
-    pickles)."""
-    return ShardEnvelope.pack(shard_id, attempt, worker, task(payload))
+class _Unloadable(Exception):
+    """A worker could not load a shard: its task or payload did not
+    unpickle, or it names a global the worker may hold stale.
+    ``args[0]`` is the error."""
+
+
+class _Loader(pickle.Unpickler):
+    """Unpickles a shard's task and payload, recording every global
+    (class or function) the pickle names as ``(module, qualname)``.
+
+    With ``known`` given, a name outside it is refused before it is
+    looked up, so a stale worker neither runs nor imports it.
+    """
+
+    def __init__(self, blob: bytes, known: Optional[frozenset]):
+        super().__init__(io.BytesIO(blob))
+        self.known = known
+        self.names: List[Tuple[str, str]] = []
+
+    def find_class(self, module, name):
+        if self.known is not None and (module, name) not in self.known:
+            raise ExecutorError(
+                f"this worker was forked before {module}.{name} was "
+                f"last defined")
+        self.names.append((module, name))
+        return super().find_class(module, name)
+
+
+def _pool_shard_task(blob: bytes, known: Optional[frozenset],
+                     shard_id: int, attempt: int, worker: str
+                     ) -> Tuple[List[Tuple[str, str]], ShardEnvelope]:
+    """Worker-side shard runner: unpickle, execute and seal
+    (module-level, so it pickles).
+
+    The task and payload arrive pickled (``blob``), so a worker that
+    cannot load them reports :class:`_Unloadable` instead of dying
+    inside the pool's call queue.  ``known`` is ``None`` on workers
+    forked during this sweep; on a warm pool it holds the globals the
+    parent still binds to the objects the workers hold, and a shard
+    that names any other is :class:`_Unloadable`.  Returns the globals
+    the shard named, with its envelope.
+    """
+    loader = _Loader(blob, known)
+    try:
+        task, payload = loader.load()
+    except Exception as exc:
+        raise _Unloadable(exc) from None
+    return loader.names, ShardEnvelope.pack(shard_id, attempt, worker,
+                                            task(payload))
+
+
+def _resolve(name: Tuple[str, str]) -> Any:
+    """This process's object for a pickled global name, or ``None``."""
+    module, qualname = name
+    obj = sys.modules.get(module)
+    for part in qualname.split("."):
+        if obj is None:
+            return None
+        obj = getattr(obj, part, None)
+    return obj
 
 
 def _start_pool(workers: int) -> ProcessPoolExecutor:
@@ -216,13 +280,17 @@ def _start_pool(workers: int) -> ProcessPoolExecutor:
 class _Slot:
     """One pool worker slot's in-flight bookkeeping."""
 
-    __slots__ = ("shard_id", "attempt", "future", "deadline", "zombie")
+    __slots__ = ("shard_id", "attempt", "blob", "timeout", "future",
+                 "deadline", "zombie")
 
-    def __init__(self, shard_id, attempt, future, deadline):
+    def __init__(self, shard_id, attempt, blob, timeout, future):
         self.shard_id = shard_id
         self.attempt = attempt
+        self.blob = blob          #: the pickled task and payload
+        self.timeout = timeout
         self.future = future
-        self.deadline = deadline
+        self.deadline = (time.monotonic() + timeout
+                         if timeout is not None else None)
         self.zombie = False     #: timed out; slot unusable until it ends
 
 
@@ -235,11 +303,36 @@ class PoolExecutor(SweepExecutor):
     timeout event while its slot is quarantined as a zombie until the
     hung future resolves (the pool cannot pre-empt one worker).  When
     every slot is a zombie, the pool is abandoned and replaced so the
-    remaining shards still run; on close, a pool holding zombies is
-    abandoned — workers terminated and reaped — instead of waited on,
-    so no child process outlives the sweep.  Workers are started by
+    remaining shards still run.  Workers are started by
     :func:`_start_pool`; when they cannot be, :meth:`open` (or a pool
     replacement) raises its ``OSError``.
+
+    The pool outlives the sweep.  :meth:`close` parks a healthy pool
+    with nothing in flight (:func:`~repro.parallel.pool.park_pool`), and
+    the next :meth:`open` of the same width takes it back instead of
+    forking, so its workers keep their resident tapes and compiled
+    expressions.  A pool holding zombies is abandoned — workers
+    terminated and reaped — and one with a shard still in flight (the
+    sweep raised) is shut down, so no hung child outlives the sweep.
+
+    Warm workers hold every module as the parent held it when they
+    forked, so they never run a global the parent has since defined,
+    redefined or replaced.  Each shard ships pickled, and the executor
+    remembers, per pool, the globals its workers loaded together with
+    the parent's objects for them (kept alive, so no later object can
+    take their place).  On a warm pool a shard may name only globals
+    that the parent still binds to those objects.  Names from
+    ``__main__`` are never remembered: a script, REPL or notebook
+    redefines freely, helpers its functions call included, which no
+    pickled name reaches, so its work always runs on workers forked
+    during its sweep.  A shard that names anything else, or that a warm
+    worker cannot unpickle, reruns with every other shard in flight on
+    freshly forked workers, with no crash reported.  A fresh worker that
+    cannot load a shard either fails it as a task fault.  Not checked:
+    module state a remembered function reaches only indirectly (a helper
+    it calls, a module constant); after changing such state,
+    :func:`~repro.parallel.clear_symbolic_cache` shuts the idle pool
+    down.
     """
 
     name = "pool"
@@ -254,6 +347,11 @@ class PoolExecutor(SweepExecutor):
         self.chaos = chaos
         self._task: Optional[Callable[[Any], Any]] = None
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: globals the pool's workers loaded, with the parent's objects
+        self._loaded: Dict[Tuple[str, str], Any] = {}
+        #: on a warm pool, the loaded globals a shard may name; ``None``
+        #: while the workers were forked during this sweep
+        self._known: Optional[frozenset] = None
         self._slots: Dict[str, Optional[_Slot]] = {}
         self._events: List[Event] = []
 
@@ -263,7 +361,15 @@ class PoolExecutor(SweepExecutor):
 
     def open(self, task):
         self._task = task
-        self._pool = _start_pool(self.workers)
+        warm = take_pool(self.workers)
+        if warm is None:
+            self._pool, self._loaded, self._known = \
+                _start_pool(self.workers), {}, None
+        else:
+            self._pool, self._loaded = warm
+            self._known = frozenset(
+                name for name, obj in self._loaded.items()
+                if _resolve(name) is obj)
         self._slots = {f"pool-{index}": None
                        for index in range(self.workers)}
         self._events = []
@@ -299,20 +405,40 @@ class PoolExecutor(SweepExecutor):
                 self._events.append(("timeout", shard_id, worker, None))
                 self.stats["timeouts"] += 1
                 return
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
         try:
-            future = self._pool.submit(_pool_shard_task, self._task,
-                                       shard_id, attempt, worker, payload)
-        except (BrokenExecutor, OSError, RuntimeError):
-            self._rebuild()
-            self._events.append(("crash", -1, worker, [shard_id]))
+            blob = pickle.dumps((self._task, payload))
+        except Exception as exc:
+            self._events.append(("failed", shard_id, worker, exc))
             return
-        self._slots[worker] = _Slot(shard_id, attempt, future, deadline)
+        self._submit(worker, shard_id, attempt, blob, timeout)
+
+    def _submit(self, worker: str, shard_id: int, attempt: int,
+                blob: bytes, timeout: Optional[float]) -> None:
+        """Run a pickled shard on ``worker``'s slot."""
+        try:
+            future = self._pool.submit(_pool_shard_task, blob,
+                                       self._known, shard_id, attempt,
+                                       worker)
+        except (BrokenExecutor, OSError, RuntimeError):
+            self._events.extend(self._crash([(worker, shard_id)]))
+            return
+        self._slots[worker] = _Slot(shard_id, attempt, blob, timeout,
+                                    future)
+
+    def _crash(self, lost: List[Tuple[str, int]]) -> List[Event]:
+        """The pool broke: the ``lost`` shards died with it, and so did
+        every shard still in flight on it.  One crash event each, and a
+        fresh pool."""
+        for worker, slot in self._slots.items():
+            if slot is not None and not slot.zombie:
+                lost.append((worker, slot.shard_id))
+        self._rebuild()
+        return [("crash", -1, worker, [shard_id])
+                for worker, shard_id in lost]
 
     def _rebuild(self, crashed: bool = True):
-        """Replace a broken (or wholly hung) pool; every live slot's
-        shard is lost."""
+        """Replace a broken, wholly hung or stale pool; every live
+        slot's shard is lost."""
         self.stats["pool_rebuilds"] += 1
         self.stats["crashes"] += float(crashed)
         if self._pool is not None:
@@ -320,8 +446,24 @@ class PoolExecutor(SweepExecutor):
             reap_abandoned()
             self._pool = None     # close() must not touch it again
         self._pool = _start_pool(self.workers)
+        # the new workers hold whatever the parent binds now
+        self._loaded = {name: obj for name, obj in self._loaded.items()
+                        if _resolve(name) is obj}
+        self._known = None
         for worker in self._slots:
             self._slots[worker] = None
+
+    def _refresh(self, stale: List[Tuple[str, _Slot]]) -> None:
+        """Warm workers could not (or must not) load the ``stale``
+        shards: fork fresh ones, and rerun those shards and every other
+        one in flight on them, under the same slots and attempts."""
+        rerun = stale + [(worker, slot)
+                         for worker, slot in self._slots.items()
+                         if slot is not None and not slot.zombie]
+        self._rebuild(crashed=False)
+        for worker, slot in rerun:
+            self._submit(worker, slot.shard_id, slot.attempt, slot.blob,
+                         slot.timeout)
 
     def wait(self):
         """Events of the next completion, deadline or crash.
@@ -340,6 +482,9 @@ class PoolExecutor(SweepExecutor):
             if all(slot.zombie for slot in live.values()):
                 return []
             events, freed = self._poll(live)
+            if self._events:
+                events.extend(self._events)
+                self._events = []
             if events or freed:
                 return events
 
@@ -358,6 +503,7 @@ class PoolExecutor(SweepExecutor):
         freed = False
         now = time.monotonic()
         lost: List[Tuple[str, int]] = []
+        stale: List[Tuple[str, _Slot]] = []
         for worker, slot in live.items():
             if slot.future.done():
                 self._slots[worker] = None
@@ -365,10 +511,17 @@ class PoolExecutor(SweepExecutor):
                     freed = True
                     continue      # already reported as a timeout
                 try:
-                    envelope = slot.future.result()
+                    names, envelope = slot.future.result()
                 except (BrokenExecutor, OSError) as exc:
                     del exc
                     lost.append((worker, slot.shard_id))
+                    continue
+                except _Unloadable as exc:
+                    if self._known is not None:
+                        stale.append((worker, slot))
+                    else:
+                        events.append(("failed", slot.shard_id, worker,
+                                       exc.args[0]))
                     continue
                 except Exception as exc:
                     events.append(("failed", slot.shard_id, worker, exc))
@@ -376,6 +529,8 @@ class PoolExecutor(SweepExecutor):
                 if self.chaos is not None and self.chaos.take(
                         "corrupt", slot.shard_id, slot.attempt, worker):
                     envelope = envelope.corrupted()
+                if self._known is None:
+                    self._remember(names)
                 events.append(("result", slot.shard_id, worker, envelope))
             elif (slot.deadline is not None and now >= slot.deadline
                   and not slot.zombie):
@@ -383,25 +538,32 @@ class PoolExecutor(SweepExecutor):
                 self.stats["timeouts"] += 1
                 events.append(("timeout", slot.shard_id, worker, None))
         if lost:
-            # one broken future means the whole pool is gone: the shards
-            # whose futures raised died with it, and so did every shard
-            # still in flight on the surviving slots
-            for worker, slot in self._slots.items():
-                if slot is not None and not slot.zombie:
-                    lost.append((worker, slot.shard_id))
-            events.extend(("crash", -1, worker, [shard_id])
-                          for worker, shard_id in lost)
-            self._rebuild()
+            # one broken future means the whole pool is gone
+            lost.extend((worker, slot.shard_id) for worker, slot in stale)
+            events.extend(self._crash(lost))
+        elif stale:
+            self._refresh(stale)
         return events, freed
+
+    def _remember(self, names: List[Tuple[str, str]]) -> None:
+        """Workers forked during this sweep loaded ``names``, so they
+        hold what the parent binds to them now (``__main__`` excepted)."""
+        for name in names:
+            if name[0] != "__main__" and name not in self._loaded:
+                obj = _resolve(name)
+                if obj is not None:
+                    self._loaded[name] = obj
 
     def close(self):
         if self._pool is None:
             return
-        if any(slot is not None and slot.zombie
-               for slot in self._slots.values()):
+        busy = [slot for slot in self._slots.values() if slot is not None]
+        if any(slot.zombie for slot in busy):
             abandon_pool(self._pool)
-        else:
+        elif busy:
             self._pool.shutdown(wait=True, cancel_futures=True)
+        else:
+            park_pool(self._pool, self.workers, self._loaded)
         reap_abandoned()
         self._pool = None
         self._slots = {}

@@ -699,7 +699,7 @@ class AnalysisService:
             self._diag("SKOP716", f"warm-cache load failed: {exc}")
             return
         from ..bet.symbolic import SymbolicBET
-        from ..parallel.engine import _symbolic_for
+        from ..parallel.engine import _symbolic_for, _tape_key
         for entry in entries:
             if not isinstance(entry, dict):
                 continue
@@ -713,9 +713,11 @@ class AnalysisService:
                 tenant = str(entry.get("tenant", DEFAULT_TENANT))
                 self._bet_for(program, inputs, tenant,
                               self._build_budget())
-                # seed the engine's worker-resident tape cache too, so
-                # the first served sweep replays instead of re-recording
-                _symbolic_for(SymbolicBET(program)).bind(dict(inputs))
+                # seed the engine's resident tape cache too, so the
+                # first served sweep replays instead of re-recording
+                sym = SymbolicBET(program)
+                with _symbolic_for(sym, _tape_key(sym)) as resident:
+                    resident.bind(dict(inputs))
             except Exception as exc:
                 self._count("warm_cache_errors")
                 self._diag("SKOP716",

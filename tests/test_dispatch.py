@@ -9,6 +9,10 @@ a point's fault means the same on every route and executor.
 * the default executor (`workers=2`, none named): hung cells, strict
   timeouts, hung-worker reaping, pickling fallbacks, cross-process
   retries, and hosts that cannot start worker processes;
+* the warm pool: a hung sweep's pool is never kept; work that names a
+  global defined, redefined or replaced after the warm workers forked,
+  or anything from `__main__`, reruns on freshly forked workers;
+* threads sweeping one program in-process each bind their own tape;
 * per-item serial runs checkpoint each cell as it finishes;
 * checkpoints written by the earlier `resilient_map`-based engine
   (commit d5cc2b2) under `tests/fixtures/legacy_checkpoints/`, made by
@@ -22,8 +26,12 @@ import errno
 import multiprocessing
 import os
 import shutil
+import subprocess
 import sys
+import textwrap
+import threading
 import time
+import types
 
 import pytest
 
@@ -41,6 +49,7 @@ from repro.parallel import (
 )
 from repro.parallel import executors
 from repro.parallel.engine import _auto_chunk_size
+from repro.parallel.pool import close_idle_pool, take_pool
 from repro.workloads import load
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -117,12 +126,16 @@ class _InterruptAt:
 
 class _ForkRefused:
     """Stands in for `ProcessPoolExecutor` on a host that refuses to fork:
-    the pool object builds, but starting its workers fails."""
+    the pool object builds, but starting its workers fails.  ``starts``
+    counts the attempts."""
+
+    starts = 0
 
     def __init__(self, max_workers=None):
         self._processes = {}
 
     def submit(self, *args, **kwargs):
+        type(self).starts += 1
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -132,7 +145,11 @@ class _ForkRefused:
 def _pool_refused(max_workers=None):
     """Stands in for `ProcessPoolExecutor` where a sandbox forbids even
     building the pool."""
+    _pool_refused.starts += 1
     raise PermissionError(errno.EPERM, "Operation not permitted")
+
+
+_pool_refused.starts = 0
 
 
 def _slow_square(item):
@@ -150,8 +167,60 @@ def _frame_depth(_item):
 def _pool_depth_from(extra_frames):
     if extra_frames:
         return _pool_depth_from(extra_frames - 1)
+    close_idle_pool()           # fork this call's worker, at this depth
     run = ShardScheduler(PoolExecutor(workers=1)).run(_frame_depth, [0])
     return run.results[0]
+
+
+def _refuse_load():
+    raise RuntimeError("this factory does not load in a worker")
+
+
+class _LoadsNowhere:
+    """Model factory that pickles but cannot be unpickled."""
+
+    def __call__(self, machine):
+        return RooflineModel(machine)
+
+    def __reduce__(self):
+        return (_refuse_load, ())
+
+
+#: a module the tests add to ``sys.modules`` after the pool is warm
+_LATE_MODULE = """
+from repro.hardware import RooflineModel
+
+
+class LateRoofline:
+    \"\"\"A model factory defined after the pool's workers forked.\"\"\"
+
+    def __call__(self, machine):
+        return RooflineModel(machine)
+"""
+
+
+#: a module the tests define, run on the warm pool, then define again
+#: with another ``scale``
+_VERSIONED_MODULE = """
+from dataclasses import replace
+
+from repro.hardware import RooflineModel
+
+
+class Versioned:
+    \"\"\"A model factory whose definition the tests change.\"\"\"
+
+    def __call__(self, machine):
+        return versioned(machine)
+
+
+def versioned(machine):
+    return RooflineModel(replace(machine,
+                                 bandwidth=machine.bandwidth * {scale}))
+"""
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 #: a lambda pickles by name, and ``<lambda>`` names nothing importable
@@ -505,7 +574,9 @@ class TestPoolCannotStart:
                                       fake):
         serial = sweep_grid(pedagogical_bet, BGQ, GRID4)
         monkeypatch.setattr(executors, "ProcessPoolExecutor", fake)
+        monkeypatch.setattr(fake, "starts", 0)
         result = sweep_grid(pedagogical_bet, BGQ, GRID4, workers=2)
+        assert fake.starts >= 1
         assert not result.failures
         assert _signature(result) == _signature(serial)
 
@@ -517,22 +588,190 @@ class TestPoolCannotStart:
         serial = analyze_matrix(["pedagogical"], machines)
         clear_cache()
         monkeypatch.setattr(executors, "ProcessPoolExecutor", _ForkRefused)
+        monkeypatch.setattr(_ForkRefused, "starts", 0)
         fanned = analyze_matrix(["pedagogical"], machines, workers=2)
+        assert _ForkRefused.starts >= 1
         assert [r.projected_total for r in fanned] == \
             [r.projected_total for r in serial]
 
     def test_start_errors_reach_the_caller(self, monkeypatch):
         monkeypatch.setattr(executors, "ProcessPoolExecutor", _ForkRefused)
+        monkeypatch.setattr(_ForkRefused, "starts", 0)
         with pytest.raises(OSError) as info:
             executors._start_pool(2)
+        assert _ForkRefused.starts == 1
         assert info.value.errno == errno.EAGAIN
 
     def test_named_pool_raises_the_error(self, pedagogical_bet,
                                          monkeypatch):
         monkeypatch.setattr(executors, "ProcessPoolExecutor", _ForkRefused)
+        monkeypatch.setattr(_ForkRefused, "starts", 0)
         with pytest.raises(OSError):
             sweep_grid(pedagogical_bet, BGQ, GRID4, workers=2,
                        executor="pool")
+        assert _ForkRefused.starts == 1
+
+
+class TestWarmPoolDispatch:
+    """A pool outlives its sweep only when nothing is wrong with it."""
+
+    MIXED16 = {"bandwidth": [(10 + i) * 1e9 for i in range(8)],
+               "input:n": [100.0, 200.0]}
+
+    def test_hung_sweep_pool_is_not_kept(self, pedagogical_bet):
+        baseline = len(_live_children())
+        result = sweep_grid(pedagogical_bet, BGQ, GRID4, workers=2,
+                            timeout=0.3, model_factory=_HangOn(30e9))
+        assert [f.index for f in result.failures] == [2]
+        assert take_pool(2) is None
+        leaked = _wait_for_children(baseline)
+        assert len(leaked) <= baseline, leaked
+
+    def test_factory_defined_after_the_fork_reruns_on_fresh_workers(
+            self, pedagogical, monkeypatch, capfd):
+        program, inputs = pedagogical
+        run = dict(program=program, inputs=inputs, executor="pool",
+                   workers=2)
+        assert not sweep_grid(None, BGQ, self.MIXED16, **run).failures
+        late = types.ModuleType("late_factory_module")
+        exec(_LATE_MODULE, late.__dict__)
+        monkeypatch.setitem(sys.modules, late.__name__, late)
+        result = sweep_grid(None, BGQ, self.MIXED16,
+                            model_factory=late.LateRoofline(), **run)
+        serial = sweep_grid(None, BGQ, self.MIXED16, program=program,
+                            inputs=inputs,
+                            model_factory=late.LateRoofline())
+        assert not result.failures
+        assert _signature(result) == _signature(serial)
+        assert result.shard_stats["executor_crashes"] == 0
+        assert result.shard_stats["shard_reassignments"] == 0
+        assert result.shard_stats["executor_pool_rebuilds"] == 1
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("factory", ["Versioned", "versioned"])
+    def test_redefined_factory_reruns_on_fresh_workers(
+            self, pedagogical_bet, monkeypatch, factory):
+        # pickle names a class or function; a warm worker would find its
+        # own definition under that name, the one before the change
+        module = types.ModuleType("versioned_factory_module")
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        exec(_VERSIONED_MODULE.format(scale=1.0), module.__dict__)
+
+        def sweep(**kwargs):
+            model_factory = getattr(module, factory)
+            if isinstance(model_factory, type):
+                model_factory = model_factory()
+            return sweep_grid(pedagogical_bet, BGQ, GRID4,
+                              model_factory=model_factory, **kwargs)
+
+        first = sweep(workers=2, executor="pool")
+        exec(_VERSIONED_MODULE.format(scale=0.25), module.__dict__)
+        second = sweep(workers=2, executor="pool")
+        assert not first.failures and not second.failures
+        assert _signature(second) == _signature(sweep())
+        assert _signature(second) != _signature(first)
+        assert second.shard_stats["executor_crashes"] == 0
+        assert second.shard_stats["shard_reassignments"] == 0
+        assert second.shard_stats["executor_pool_rebuilds"] == 1
+        third = sweep(workers=2, executor="pool")
+        assert _signature(third) == _signature(second)
+        assert third.shard_stats["executor_pool_rebuilds"] == 0
+
+    def test_main_definitions_always_run_on_fresh_workers(self):
+        # a script's helper that its factory calls is not named by the
+        # pickle, so nothing from __main__ runs on a warm worker
+        script = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {SRC!r})
+            from dataclasses import replace
+            from repro.hardware import BGQ, RooflineModel
+            from repro.parallel import sweep_grid
+            from repro.workloads import load
+
+            def scaled(machine):
+                return machine
+
+            def factory(machine):
+                return RooflineModel(scaled(machine))
+
+            program, inputs = load("pedagogical")
+            grid = {{"bandwidth": [10e9, 20e9, 30e9, 40e9],
+                     "input:n": [100.0, 200.0]}}
+
+            def runtimes(**kwargs):
+                result = sweep_grid(None, BGQ, grid, program=program,
+                                    inputs=inputs, model_factory=factory,
+                                    **kwargs)
+                assert not result.failures
+                return [point.runtime for point in result.points]
+
+            first = runtimes(workers=2, executor="pool")
+
+            def scaled(machine):
+                return replace(machine, bandwidth=machine.bandwidth / 4)
+
+            second = runtimes(workers=2, executor="pool")
+            assert second != first
+            assert second == runtimes()
+            print("ok")
+        """)
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"]
+
+    def test_work_no_worker_can_load_fails_like_a_raising_task(
+            self, pedagogical_bet):
+        assert not sweep_grid(pedagogical_bet, BGQ, GRID4, workers=2,
+                              executor="pool").failures
+        result = sweep_grid(pedagogical_bet, BGQ, GRID4, workers=2,
+                            executor="pool", model_factory=_LoadsNowhere())
+        assert not result.points
+        assert [(f.error_type, f.attempts) for f in result.failures] == \
+            [("RuntimeError", 1)] * 4
+        assert "does not load" in result.failures[0].message
+        assert result.shard_stats["executor_crashes"] == 0
+        assert result.shard_stats["executor_pool_rebuilds"] == 1
+
+
+def test_threads_sweeping_one_program_bind_their_own_tapes():
+    """In-process sweeps share the resident tape of a program; a thread
+    checks it out for a chunk, so concurrent sweeps of one program never
+    replay on each other's tree."""
+    program, inputs = load("cfd")
+    name, base = next(iter(inputs.items()))
+
+    def points(offset):
+        return [{name: base * (0.5 + (index + offset) / 10)}
+                for index in range(10)]
+
+    def signature(offset):
+        result = sweep_inputs(program, BGQ, points(offset),
+                              base_inputs=inputs, backend="scalar")
+        return [(p.inputs, p.runtime, tuple(p.ranking))
+                for p in result.points]
+
+    expected = {offset: signature(offset) for offset in range(3)}
+    wrong = []
+
+    def sweep(offset):
+        for _ in range(5):
+            if signature(offset) != expected[offset]:
+                wrong.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweep, args=(offset,))
+                   for offset in expected]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 # -- checkpoints written by the earlier engine --------------------------------

@@ -1,15 +1,22 @@
 """Tests for the sharded sweep executor layer (`repro.parallel.shard`,
 `repro.parallel.executors`): shard planning, result-envelope integrity,
 work-stealing dispatch, supervision (crash/heartbeat/reassign), poison
-quarantine, the three executors' bit-for-bit equivalence, and the
-hung-worker pool-abandonment regression."""
+quarantine, the three executors' bit-for-bit equivalence, the
+hung-worker pool-abandonment regression, and the warm pool's lifecycle
+(reuse, a worker killed while idle, concurrent sweeps, interpreter
+exit)."""
 
 import functools
-import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -26,7 +33,11 @@ from repro.parallel import (
     ShardScheduler, SupervisionLog, SweepExecutor, plan_shards,
     resolve_executor, sweep_grid,
 )
+from repro.parallel import executors
+from repro.parallel.pool import close_idle_pool
 from repro.workloads import load
+
+from .test_dispatch import SRC, _live_children, _wait_for_children
 
 
 def _square(item):
@@ -45,6 +56,33 @@ def _die_once(flag_path, item):
             handle.write("killed")
         os.kill(os.getpid(), signal.SIGKILL)
     return _square(item)
+
+
+class _InlinePool:
+    """Stands in for a started process pool: runs each submit at once,
+    in-process."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _BreaksOnSecondSubmit(_InlinePool):
+    """A pool whose first shard stays in flight, and which is found
+    broken when the second is submitted."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits == 1:
+            return Future()
+        raise BrokenProcessPool("a worker died")
 
 
 def _run(executor, payloads, task=_square, **kwargs):
@@ -351,19 +389,112 @@ class TestPoolExecutor:
         assert any(kind == "fault" and "WorkerCrashError" in detail
                    for kind, _, _, detail in outcome.log.events)
 
-    def test_no_children_leak_after_clean_close(self):
-        before = len(multiprocessing.active_children())
+    def test_failed_submit_loses_every_shard_in_flight(self, monkeypatch):
+        # the pool that refuses the second shard took the first one down
+        # with it: both must surface as crashes, or the first is stranded
+        pools = [_BreaksOnSecondSubmit()]
+        monkeypatch.setattr(executors, "_start_pool", lambda workers: (
+            pools.pop(0) if pools else _InlinePool()))
         outcome = _run(PoolExecutor(workers=2), PAYLOADS)
         assert outcome.ok
+        assert _merge(outcome, PAYLOADS) == EXPECTED
+        crashed = [shard for kind, shard, _, detail in outcome.log.events
+                   if kind == "fault" and detail == "WorkerCrashError"]
+        assert sorted(crashed) == [0, 1]
+        assert outcome.stats["executor_crashes"] == 1
+        assert outcome.stats["shard_reassignments"] == 2
+
+    def test_no_children_leak_after_clean_close(self):
+        # a clean close parks the pool: its two workers stay up for the
+        # next sweep, and closing the idle pool stops them
+        before = len(_live_children())
+        outcome = _run(PoolExecutor(workers=2), PAYLOADS)
+        assert outcome.ok
+        assert len(_live_children()) == before + 2
+        close_idle_pool()
+        assert len(_wait_for_children(before)) <= before
+
+
+def _pid_alive(pid):
+    """Is ``pid`` a live process (a zombie counts as dead)?"""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestWarmPool:
+    def test_consecutive_sweeps_run_on_the_same_workers(self):
+        first = _run(PoolExecutor(workers=2), PAYLOADS)
+        workers = sorted(child.pid for child in _live_children())
+        second = _run(PoolExecutor(workers=2), PAYLOADS)
+        assert first.ok and second.ok
+        assert _merge(second, PAYLOADS) == EXPECTED
+        assert len(workers) == 2
+        assert sorted(child.pid for child in _live_children()) == workers
+        assert second.stats["executor_pool_rebuilds"] == 0
+
+    def test_worker_killed_while_idle_is_replaced_before_the_sweep(self):
+        assert _run(PoolExecutor(workers=2), PAYLOADS).ok
+        victim = _live_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
         deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            leaked = [child for child
-                      in multiprocessing.active_children()
-                      if child.is_alive()]
-            if len(leaked) <= before:
-                break
-            time.sleep(0.1)
-        assert len(leaked) <= before
+        while victim.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not victim.is_alive()
+        outcome = _run(PoolExecutor(workers=2), PAYLOADS)
+        assert outcome.ok
+        assert _merge(outcome, PAYLOADS) == EXPECTED
+        assert outcome.stats["executor_crashes"] == 0
+        assert outcome.stats["shard_reassignments"] == 0
+        assert victim.pid not in [child.pid for child in _live_children()]
+
+    def test_concurrent_sweeps_leave_one_idle_pool(self):
+        before = len(_live_children())
+        outcomes = []
+
+        def sweep():
+            outcomes.append(_run(PoolExecutor(workers=2), PAYLOADS))
+
+        threads = [threading.Thread(target=sweep) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(outcomes) == 2
+        assert all(outcome.ok and _merge(outcome, PAYLOADS) == EXPECTED
+                   for outcome in outcomes)
+        # one pool of two workers is parked; the other was shut down
+        assert len(_wait_for_children(before + 2)) == before + 2
+
+    def test_interpreter_exit_stops_the_idle_pool(self):
+        script = textwrap.dedent(f"""
+            import multiprocessing, sys
+            sys.path.insert(0, {SRC!r})
+            from repro.parallel import PoolExecutor, ShardScheduler
+            run = ShardScheduler(PoolExecutor(workers=2)).run(
+                abs, [-1, -2, -3, -4])
+            assert run.ok
+            print(" ".join(str(child.pid) for child
+                           in multiprocessing.active_children()))
+        """)
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2          # the parked pool's workers
+        deadline = time.monotonic() + 10.0
+        while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_pid_alive, pids))
 
 
 # -- executor resolution ------------------------------------------------------

@@ -402,3 +402,83 @@ end
         text = format_skeleton(program)
         assert 'as "time_loop"' in text
         assert 'as "mode"' in text
+
+
+class TestFingerprintPerSweep:
+    """A sweep formats and hashes its program once, in the parent, and
+    ships the resident-tape key with every chunk; nothing remembers a
+    fingerprint, so a program edited in place keys anew."""
+
+    #: one ``while expect`` site, measured at 6 trips, written as 2
+    LOOP = ("def main(n)\n  for i = 0 : n\n    while expect ?\n"
+            "      comp 1 flops\n    end\n  end\nend\n")
+
+    @staticmethod
+    def _count_formats(monkeypatch):
+        from repro.skeleton import printer
+        calls = []
+        original = printer.format_skeleton
+
+        def counting(program):
+            calls.append(program)
+            return original(program)
+
+        monkeypatch.setattr(printer, "format_skeleton", counting)
+        return calls
+
+    def test_one_format_per_program_across_a_multi_chunk_sweep(
+            self, monkeypatch):
+        from repro.hardware import BGQ
+        from repro.parallel import sweep_inputs
+        program = parse_skeleton(SIMPLE)
+        calls = self._count_formats(monkeypatch)
+        points = [{"n": float(n)} for n in range(10, 42)]
+        result = sweep_inputs(program, BGQ, points, backend="scalar",
+                              executor="serial", chunk_size=8)
+        assert result.shard_stats["shards_planned"] == 4
+        assert len(result.points) == 32
+        assert calls == [program]
+
+    def test_pickled_copy_fingerprints_like_a_fresh_parse(self):
+        import pickle
+        program = parse_skeleton(SIMPLE)
+        copy = pickle.loads(pickle.dumps(program))
+        assert copy.fingerprint() == program.fingerprint() == \
+            parse_skeleton(SIMPLE).fingerprint()
+
+    def _annotated(self):
+        from repro.hardware import BGQ
+        from repro.simulate import collect_branch_stats
+        measured = parse_skeleton(self.LOOP.replace("?", "6"))
+        stats = collect_branch_stats(measured, BGQ, inputs={"n": 100.0},
+                                     seed=19)
+        return parse_skeleton(self.LOOP.replace("?", "2")), stats
+
+    def test_in_place_annotation_renews_the_fingerprint(self):
+        from repro.simulate import annotate_skeleton
+        target, stats = self._annotated()
+        before = target.fingerprint()
+        assert annotate_skeleton(target, stats) == 1
+        assert target.fingerprint() != before
+        assert target.fingerprint() == \
+            parse_skeleton(format_skeleton(target)).fingerprint()
+
+    def test_sweep_after_an_in_place_edit_sees_the_edit(self):
+        # the first sweep leaves a resident tape for the program; the
+        # second must not replay it for the annotated statements
+        from repro.hardware import BGQ
+        from repro.parallel import sweep_inputs
+        from repro.simulate import annotate_skeleton
+        target, stats = self._annotated()
+        points = [{"n": n} for n in (50.0, 100.0, 150.0)]
+
+        def runtimes(program):
+            result = sweep_inputs(program, BGQ, points, backend="scalar")
+            assert not result.failures
+            return [point.runtime for point in result.points]
+
+        before = runtimes(target)
+        annotate_skeleton(target, stats)
+        after = runtimes(target)
+        assert after != before
+        assert after == runtimes(parse_skeleton(format_skeleton(target)))

@@ -234,10 +234,10 @@ class TestBackendDispatch:
         assert _auto_chunk_size(64, 2) == 16         # floored at minimum
 
     def test_auto_chunk_size_lane_aware(self):
-        # a vector-eligible sweep is never chunked below the batching
-        # threshold: lanes starved under VECTOR_MIN_POINTS would run
-        # scalar for no reason
-        assert _auto_chunk_size(1000, 4, vector=True) == 64
+        # a vector-eligible sweep ships one lane array per worker, and is
+        # never chunked below the batching threshold: lanes starved under
+        # VECTOR_MIN_POINTS would run scalar for no reason
+        assert _auto_chunk_size(1000, 4, vector=True) == 250
         assert _auto_chunk_size(64, 2, vector=True) == 64
         assert _auto_chunk_size(40, 8, vector=True) == 40
         assert _auto_chunk_size(100, 1, vector=True) == 100
