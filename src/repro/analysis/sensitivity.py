@@ -189,8 +189,9 @@ def sweep_machine(bet: BETNode,
         faults with deterministic backoff; ``timeout`` bounds each point
         on the parallel path.
     checkpoint / resume / checkpoint_key:
-        Periodic JSON checkpointing of completed values, resumable after
-        an interruption (see :class:`repro.parallel.SweepCheckpoint`).
+        JSON checkpointing of completed values, written once per settled
+        chunk and resumable after an interruption (see
+        :class:`repro.parallel.SweepCheckpoint`).
     validate:
         Pre-flight the base machine before any work.
     backend:

@@ -36,9 +36,6 @@ class Context:
         env.update(updates)
         return Context(env, self.prob * prob_factor)
 
-    def with_prob(self, prob: float) -> "Context":
-        return Context(self.env, prob)
-
     def assign(self, name: str, value: Number) -> "Context":
         """Copy with one variable rebound (probability unchanged)."""
         env = dict(self.env)

@@ -69,15 +69,6 @@ class EvalBudget:
                 f"build exceeded its {self.max_seconds:g}s budget"
                 + (f" at {where}" if where else ""))
 
-    # -- contexts -------------------------------------------------------
-    def check_contexts(self, count: int, where: str = "") -> None:
-        if self.max_contexts is not None and count > self.max_contexts:
-            raise BudgetExceededError(
-                "contexts", self.max_contexts,
-                f"{count} live contexts exceed the budget ceiling "
-                f"{self.max_contexts}"
-                + (f" at {where}" if where else ""))
-
     # -- expressions ----------------------------------------------------
     def check_expr(self, expr, where: str = "") -> None:
         """Bound the node count and depth of one expression tree.

@@ -35,7 +35,7 @@ orderable by source position, and JSON-round-trippable via
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 #: severity levels, most severe first (order is used for sorting/summary)
@@ -177,9 +177,6 @@ class Diagnostic:
             "hint": self.hint,
             "phase": self.phase,
         }
-
-    def with_phase(self, phase: str) -> "Diagnostic":
-        return replace(self, phase=phase)
 
 
 def diagnostic_from_dict(payload: Dict[str, Any]) -> Diagnostic:

@@ -419,7 +419,8 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         Per-cell bound in seconds, enforced by executors that can
         pre-empt a worker (the process pool; in-process runs cannot).
     checkpoint / resume / checkpoint_key:
-        Path for periodic JSON checkpoints of completed cells;
+        Path for a JSON checkpoint of completed cells, written once per
+        settled chunk;
         ``resume=True`` skips cells already checkpointed (the key —
         defaulting to a hash of the rendered BET, the machine, and the
         grid — must match, else :class:`~repro.errors.CheckpointError`).
@@ -557,14 +558,15 @@ def evaluate_cells(base_machine: MachineModel,
     if not input_names and bet is None:
         raise AnalysisError("evaluate_cells needs a built BET for "
                             "machine-only cells")
+    keys = None
     if checkpoint and not checkpoint_key:
-        cell_keys = tuple(overrides_key(cell) for cell in cells)
+        keys = list(map(overrides_key, cells))
         checkpoint_key = (
             sweep_key(program.fingerprint(),
                       tuple(sorted((inputs or {}).items())), entry,
-                      repr(base_machine), cell_keys, k)
+                      repr(base_machine), tuple(keys), k)
             if input_names else
-            sweep_key(render_tree(bet), repr(base_machine), cell_keys, k))
+            sweep_key(render_tree(bet), repr(base_machine), tuple(keys), k))
     # the axis union, for the result's informational grid field: values
     # in first-appearance order, equal ones (1 and 1.0) merged
     spec: Dict[str, Dict[float, None]] = {}
@@ -584,7 +586,7 @@ def evaluate_cells(base_machine: MachineModel,
         policy=policy, timeout=timeout, checkpoint=checkpoint,
         resume=resume, checkpoint_key=checkpoint_key, validate=validate,
         chunk_size=chunk_size, backend=backend, executor=executor,
-        shards=shards, topology=topology, chaos=chaos)
+        shards=shards, topology=topology, chaos=chaos, keys=keys)
 
 
 def _evaluate_cell_list(cells: List[Dict[str, float]],
@@ -613,7 +615,8 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                         topology,
                         chaos,
                         labels: Optional[Sequence[Dict[str, float]]] = None,
-                        point: Optional[Callable[[int, Dict], Any]] = None
+                        point: Optional[Callable[[int, Dict], Any]] = None,
+                        keys: Optional[List[str]] = None
                         ) -> GridResult:
     """Shared evaluation core of every cell list — :func:`sweep_grid`'s
     cross products, :func:`evaluate_cells`' explicit lists and
@@ -625,7 +628,9 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
     :func:`_min_group_lanes` cells run the per-cell scalar loop.
 
     ``labels`` name the cells in checkpoint records and failure items
-    (default: the cells themselves); ``point(index, projection)`` makes
+    (default: the cells themselves), and ``keys`` are their checkpoint
+    keys when the caller made them already (default: computed here, once
+    per sweep); ``point(index, projection)`` makes
     one result point (default: a :class:`GridPoint`, see
     :func:`_grid_point`).  The parameters mirror :func:`sweep_grid`'s, with
     ``checkpoint_key`` already defaulted by the caller.
@@ -652,8 +657,10 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
             checkpoint, checkpoint_key, resume=resume,
             settings=_checkpoint_settings(backend, model_factory,
                                           resolved_executor))
-        for index, label in enumerate(labels):
-            stored = ckpt.get(overrides_key(label))
+        if keys is None:
+            keys = list(map(overrides_key, labels))
+        for index, key in enumerate(keys):
+            stored = ckpt.get(key)
             if stored is not None:
                 prior[index] = _projection(stored)
     pending = ([index for index in range(len(cells)) if index not in prior]
@@ -703,8 +710,9 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
             chunk_task=_grid_chunk_task,
             describe=lambda index: overrides_key(labels[index]),
             record=None if ckpt is None else (
-                lambda index, projection: ckpt.record(
-                    overrides_key(labels[index]), projection)),
+                lambda points: ckpt.update(
+                    {keys[index]: projection
+                     for index, projection in points.items()})),
             workers=workers, strict=strict, policy=policy,
             timeout=timeout, chunk_size=chunk_size,
             executor=resolved_executor, shards=shards,
@@ -1001,7 +1009,7 @@ def _run_chunked(indices: Sequence[int],
                  chunk_payload: Callable[[List[int]], Any],
                  chunk_task: Callable,
                  describe: Callable[[int], str],
-                 record: Optional[Callable[[int, Any], None]],
+                 record: Optional[Callable[[Dict[int, Any]], None]],
                  workers: int,
                  strict: bool,
                  policy: Optional[RetryPolicy],
@@ -1046,9 +1054,10 @@ def _run_chunked(indices: Sequence[int],
     :class:`SerialExecutor`.  ``chunks`` overrides contiguous slicing
     with an explicit partition of ``indices`` — the grouped vector path
     passes lane-group slices.  ``describe(index)`` is a failed point's
-    ``item`` text, ``record(index, value)`` (if given) sees each
-    computed point, and ``floor`` is the automatic chunk size's floor
-    (see :func:`_auto_chunk_size`).
+    ``item`` text, ``record(points)`` (if given) sees each settled
+    chunk's computed points once, as ``{index: value}`` — the
+    checkpoint writes them with one file write — and ``floor`` is the
+    automatic chunk size's floor (see :func:`_auto_chunk_size`).
 
     Returns ``(computed, failures, stages)`` where ``computed`` maps the
     caller's global index to the point value and ``stages`` accumulates
@@ -1098,12 +1107,16 @@ def _run_chunked(indices: Sequence[int],
             rows, stats = result
             for name, value in stats.items():
                 stages[name] = stages.get(name, 0.0) + value
+            settled = {index: row[1]
+                       for index, row in zip(plan[shard_id], rows)
+                       if row[0] == "ok"}
+            computed.update(settled)
+            # before fail() can raise: a strict chunk ends at its first
+            # exhausted point, and the points before it still count
+            if record is not None and settled:
+                record(settled)
             for index, row in zip(plan[shard_id], rows):
-                if row[0] == "ok":
-                    computed[index] = row[1]
-                    if record is not None:
-                        record(index, row[1])
-                else:
+                if row[0] != "ok":
                     fail(row[1], index)
 
         sizes = [len(positions) for positions in plan]
@@ -1584,6 +1597,12 @@ def analyze_matrix(workloads: Sequence[str],
              for name in workloads
              for machine in machines
              for options in option_sets]
+
+    def remember(analyses: Dict[int, Any]) -> None:
+        # seed the parent's cache (results from pool workers miss it)
+        for index, analysis in analyses.items():
+            pipeline.remember(analysis, **dict(tasks[index][2]))
+
     started = time.perf_counter()
     computed, failures, _ = _run_chunked(
         range(len(tasks)),
@@ -1593,9 +1612,7 @@ def analyze_matrix(workloads: Sequence[str],
         describe=lambda index: (
             f"{tasks[index][0]}@"
             f"{getattr(tasks[index][1], 'name', tasks[index][1])}"),
-        # seed the parent's cache (results from pool workers miss it)
-        record=lambda index, analysis: pipeline.remember(
-            analysis, **dict(tasks[index][2])),
+        record=remember,
         workers=workers, strict=strict, policy=policy, timeout=timeout,
         chunk_size=None, floor=1)
     failed = {failure.index: failure for failure in failures}

@@ -239,12 +239,14 @@ def factory_tag(model_factory: Optional[Callable]) -> str:
 
 
 class SweepCheckpoint:
-    """Periodic JSON checkpoint of a sweep's completed points.
+    """JSON checkpoint of a sweep's completed points.
 
     The file holds ``{"version", "key", "completed": {cell_key: payload}}``
     where ``key`` fingerprints the sweep configuration (see
     :func:`sweep_key`) and each payload is the engine's JSON-ready view of
-    one completed point.  Writes are crash-atomic: the payload goes to a
+    one completed point.  The engine stores each settled chunk's points
+    with one :meth:`update`, so a sweep rewrites the file once per chunk,
+    not once per point.  Writes are crash-atomic: the payload goes to a
     temp file, is ``fsync``'d, the previous snapshot is preserved as
     ``<path>.bak``, and only then does ``os.replace`` publish the new
     file — a crash at *any* instant leaves at least one valid snapshot
@@ -257,17 +259,16 @@ class SweepCheckpoint:
 
     VERSION = 1
 
-    def __init__(self, path: str, key: str, flush_every: int = 1,
+    def __init__(self, path: str, key: str,
                  settings: Optional[Dict[str, str]] = None):
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
         self.path = str(path)
         self.key = key
-        self.flush_every = flush_every
         self.settings: Dict[str, str] = dict(settings or {})
         self.completed: Dict[str, Dict[str, Any]] = {}
         self.diagnostics: List[Any] = []
-        self._pending = 0
+        #: True while the file holds everything this checkpoint holds,
+        #: so :meth:`flush` has nothing to write
+        self._saved = False
         #: set False when the path cannot be written (missing parent,
         #: path is a directory, permission denied): the sweep keeps
         #: running, persistence is disabled, and one SKOP701 diagnostic
@@ -278,13 +279,21 @@ class SweepCheckpoint:
     def backup_path(self) -> str:
         return f"{self.path}.bak"
 
+    def _snapshot(self) -> Dict[str, Any]:
+        """The v1 object the file holds."""
+        payload = {"version": self.VERSION, "key": self.key,
+                   "completed": self.completed}
+        if self.settings:
+            payload["settings"] = self.settings
+        return payload
+
     @classmethod
     def _read_snapshot(cls, path: str, key: str,
                        settings: Optional[Dict[str, str]] = None):
         """Parse one snapshot file.
 
-        Returns ``("ok", completed)``, ``("missing", None)``,
-        ``("corrupt", reason)``, or raises
+        Returns ``("ok", payload)`` (its ``completed`` an object),
+        ``("missing", None)``, ``("corrupt", reason)``, or raises
         :class:`~repro.errors.CheckpointError` for a *valid* file with
         the wrong version, key, or evaluation settings (salvaging those
         would silently mix sweeps).
@@ -321,10 +330,9 @@ class SweepCheckpoint:
                 f"different evaluation settings ({changes}); its points "
                 "are not comparable with this run — delete it or rerun "
                 "with the original settings")
-        completed = payload.get("completed", {})
-        if not isinstance(completed, dict):
+        if not isinstance(payload.setdefault("completed", {}), dict):
             return ("corrupt", "'completed' is not an object")
-        return ("ok", completed)
+        return ("ok", payload)
 
     def _note_salvage(self, message: str) -> None:
         from ..diagnostics import Diagnostic
@@ -343,13 +351,12 @@ class SweepCheckpoint:
 
     @classmethod
     def load(cls, path: str, key: str, resume: bool = False,
-             flush_every: int = 1,
              settings: Optional[Dict[str, str]] = None,
              ) -> "SweepCheckpoint":
         """Open a checkpoint, resuming prior progress when asked.
 
-        ``resume=False`` starts fresh (an existing file is overwritten on
-        the first flush).  ``resume=True`` loads completed points; a
+        ``resume=False`` starts fresh (an existing file is replaced by
+        the first write).  ``resume=True`` loads completed points; a
         corrupt or truncated file is salvaged from the ``.bak`` snapshot
         (with a ``SKOP701`` diagnostic) rather than raised, while a
         valid file written by a different sweep configuration, format
@@ -358,8 +365,7 @@ class SweepCheckpoint:
         computed under a different backend, cache model, or executor are
         not comparable and must never be silently merged.
         """
-        checkpoint = cls(path, key, flush_every=flush_every,
-                         settings=settings)
+        checkpoint = cls(path, key, settings=settings)
         problem = checkpoint._path_problem()
         if problem is not None:
             # an unusable path (missing directory, path *is* a
@@ -379,7 +385,8 @@ class SweepCheckpoint:
         state, value = cls._read_snapshot(checkpoint.path, key,
                                           settings=settings)
         if state == "ok":
-            checkpoint.completed = value
+            checkpoint.completed = value["completed"]
+            checkpoint._saved = value == checkpoint._snapshot()
             return checkpoint
         if state == "missing" and not os.path.exists(
                 checkpoint.backup_path):
@@ -388,10 +395,10 @@ class SweepCheckpoint:
         backup_state, backup_value = cls._read_snapshot(
             checkpoint.backup_path, key, settings=settings)
         if backup_state == "ok":
-            checkpoint.completed = backup_value
+            checkpoint.completed = backup_value["completed"]
             checkpoint._note_salvage(
                 f"checkpoint is unreadable ({reason}); salvaged "
-                f"{len(backup_value)} completed point(s) from the last "
+                f"{len(checkpoint)} completed point(s) from the last "
                 f"valid snapshot {checkpoint.backup_path}")
         else:
             checkpoint._note_salvage(
@@ -411,32 +418,36 @@ class SweepCheckpoint:
         return self.completed.get(cell_key)
 
     def record(self, cell_key: str, payload: Dict[str, Any]) -> None:
-        """Record one completed point; flushes every ``flush_every``."""
-        self.completed[cell_key] = payload
-        self._pending += 1
-        if self._pending >= self.flush_every:
-            self.flush()
+        """Store one completed point and write the file."""
+        self.update({cell_key: payload})
+
+    def update(self, points: Dict[str, Dict[str, Any]]) -> None:
+        """Store several completed points — the engine passes one settled
+        chunk's — and write the file once."""
+        self.completed.update(points)
+        self._saved = False
+        self.flush()
 
     def flush(self) -> None:
-        """Crash-atomically persist the checkpoint to disk.
+        """Crash-atomically write the checkpoint; a no-op while the file
+        already holds every point and setting stored here (a sweep's
+        closing flush after its last chunk was written, or a resume that
+        computed nothing).
 
         Write order: temp file → ``fsync`` (the bytes are durable before
         any rename) → previous snapshot renamed to ``.bak`` → temp
         renamed over the main path.  Whatever instant a crash lands on,
         either the main file or the backup is a complete valid snapshot
-        and :meth:`load` finds it.
+        and :meth:`load` finds it.  The snapshot is one line from one
+        ``json.dumps`` call, which runs CPython's C encoder.
         """
-        if not self.persist:
-            self._pending = 0
+        if self._saved or not self.persist:
             return
-        payload = {"version": self.VERSION, "key": self.key,
-                   "completed": self.completed}
-        if self.settings:
-            payload["settings"] = self.settings
+        text = json.dumps(self._snapshot(), sort_keys=True)
         tmp = f"{self.path}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
             if os.path.exists(self.path):
@@ -449,7 +460,7 @@ class SweepCheckpoint:
             self._note_salvage(
                 f"checkpoint cannot be written ({exc}); the sweep "
                 "continues without checkpoint persistence")
-        self._pending = 0
+        self._saved = True
 
 
 # -- deterministic fault injection (test harness) -----------------------------

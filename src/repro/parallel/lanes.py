@@ -142,12 +142,3 @@ def plan_lanes(cells: Sequence[Dict[str, Any]],
     residue.sort()
     return chunks, [residue[start:start + chunk_size]
                     for start in range(0, len(residue), chunk_size)]
-
-
-def plan_lane_chunks(cells: Sequence[Dict[str, Any]],
-                     chunk_size: int,
-                     min_lanes: int = 1) -> List[List[int]]:
-    """:func:`plan_lanes`' chunks as one list: the lane-group slices,
-    then the residue slices."""
-    groups, residue = plan_lanes(cells, chunk_size, min_lanes)
-    return groups + residue

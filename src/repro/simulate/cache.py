@@ -83,9 +83,6 @@ class _LRULevel:
             total = self.capacity
         self._resident_total = total
 
-    def resident_bytes(self) -> float:
-        return self._resident_total
-
     def clear(self) -> None:
         self.resident.clear()
         self._resident_total = 0.0
@@ -139,13 +136,6 @@ class CacheSimulator:
         if self.accesses == 0:
             return 0.0
         return 1.0 - (self.l1_hits + self.llc_hits) / self.accesses
-
-    @property
-    def dram_fraction(self) -> float:
-        """Alias of :attr:`llc_miss_rate`: an access missing both levels
-        is served by DRAM (the hierarchy is inclusive, so there is no
-        other place left)."""
-        return self.llc_miss_rate
 
     def clear(self) -> None:
         self.l1.clear()

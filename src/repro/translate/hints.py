@@ -11,7 +11,7 @@ sample arguments the branch profiler should run the original code with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 
 @dataclass
@@ -35,10 +35,3 @@ class InputHints:
     sizes: Dict[str, float] = field(default_factory=dict)
     profile_args: Tuple = ()
     profile_kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def merged_sizes(self,
-                     overrides: Optional[Dict[str, float]] = None) \
-            -> Dict[str, float]:
-        out = dict(self.sizes)
-        out.update(overrides or {})
-        return out

@@ -13,7 +13,8 @@ a point's fault means the same on every route and executor.
   global defined, redefined or replaced after the warm workers forked,
   or anything from `__main__`, reruns on freshly forked workers;
 * threads sweeping one program in-process each bind their own tape;
-* per-item serial runs checkpoint each cell as it finishes;
+* per-item serial runs checkpoint each cell as it finishes, and a
+  lane-array chunk is written once, whatever its size;
 * checkpoints written by the earlier `resilient_map`-based engine
   (commit d5cc2b2) under `tests/fixtures/legacy_checkpoints/`, made by
   running each sweep below once with `checkpoint=` on that commit, and
@@ -364,6 +365,34 @@ def test_interrupted_serial_grid_keeps_finished_cells(pedagogical_bet,
     assert resumed.timings["resumed"] == 2.0
     assert _signature(resumed) == \
         _signature(sweep_grid(pedagogical_bet, BGQ, grid))
+
+
+@pytest.mark.parametrize("options, writes", [
+    ({}, 1),
+    ({"executor": "serial", "shards": 4}, 4),
+], ids=["one-chunk", "four-shards"])
+def test_checkpoint_is_written_once_per_settled_chunk(
+        pedagogical, tmp_path, monkeypatch, options, writes):
+    """A serial 200-point input sweep is one lane-array chunk, or four
+    with ``shards=4``: its checkpoint is written once per chunk, not
+    once per point, and the closing flush writes nothing more."""
+    program, inputs = pedagogical
+    path = str(tmp_path / "sweep.json")
+    published = []
+    replace = os.replace
+
+    def counting_replace(source, target):
+        if os.fspath(target) == path:
+            published.append(source)
+        return replace(source, target)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    axes = {"n": [float(n) for n in range(64, 264)]}
+    result = sweep_inputs(program, BGQ, axes, base_inputs=inputs,
+                          checkpoint=path, checkpoint_key="k", **options)
+    assert len(result.points) == 200 and not result.failures
+    assert len(published) == writes
+    assert len(SweepCheckpoint.load(path, "k", resume=True)) == 200
 
 
 def test_dispatch_state_is_freed_without_the_cycle_collector(

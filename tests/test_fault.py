@@ -332,20 +332,20 @@ class TestSweepCheckpoint:
                                       sweep_key("a"), resume=True)
         assert len(loaded) == 0
 
-    def test_flush_every_batches_writes(self, tmp_path):
-        import os
+    def test_flush_writes_only_what_the_file_lacks(self, tmp_path):
+        import json
         path = str(tmp_path / "ckpt.json")
-        checkpoint = SweepCheckpoint(path, sweep_key("a"), flush_every=3)
-        checkpoint.record("c1", {})
-        checkpoint.record("c2", {})
-        assert not os.path.exists(path)
-        checkpoint.record("c3", {})
-        assert os.path.exists(path)
-        assert not os.path.exists(path + ".tmp")
-
-    def test_rejects_unusable_flush_every(self, tmp_path):
-        with pytest.raises(ValueError):
-            SweepCheckpoint(str(tmp_path / "c.json"), "k", flush_every=0)
+        key = sweep_key("a")
+        SweepCheckpoint(path, key).record("c1", {"x": 1})
+        SweepCheckpoint.load(path, key, resume=True).flush()
+        assert not os.path.exists(path + ".bak")    # nothing was written
+        settings = {"backend": "scalar"}
+        SweepCheckpoint.load(path, key, resume=True,
+                             settings=settings).flush()
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)["settings"] == settings
+        SweepCheckpoint.load(path, key, resume=False).flush()
+        assert len(SweepCheckpoint.load(path, key, resume=True)) == 0
 
     def test_sweep_key_is_content_stable(self):
         assert sweep_key("a", (1, 2)) == sweep_key("a", (1, 2))
@@ -419,7 +419,7 @@ class TestCheckpointResume:
         grid = {"bandwidth": [10e9, 20e9, 30e9, 40e9, 50e9]}
 
         # phase 1: the 4th model build dies; strict aborts the run with
-        # three cells already checkpointed (flush_every=1)
+        # three cells already checkpointed, each in its own chunk
         recorder1 = CallRecorder(str(tmp_path / "phase1.log"))
         dying = FaultInjector(RooflineModel, fail_on={4},
                               recorder=recorder1)

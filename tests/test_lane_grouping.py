@@ -19,7 +19,7 @@ from repro.parallel.engine import (
     VECTOR_MIN_POINTS, _auto_chunk_size, evaluate_cells,
 )
 from repro.parallel.lanes import (
-    cell_signature, input_columns, plan_lane_chunks, split_overrides,
+    cell_signature, input_columns, plan_lanes, split_overrides,
 )
 from repro.hardware import machine_by_name
 from repro.skeleton.parser import parse_skeleton
@@ -126,7 +126,8 @@ class TestLanePlanning:
             else:
                 cells.append({name: make(n) for name, make
                               in shapes[group].items()})
-        chunks = plan_lane_chunks(cells, size)
+        groups, residue = plan_lanes(cells, size)
+        chunks = groups + residue
         flat = sorted(pos for chunk in chunks for pos in chunk)
         assert flat == list(range(len(cells)))      # exact partition
         for chunk in chunks:
@@ -146,9 +147,10 @@ class TestLanePlanning:
                           float(position)})
         cells.append({"note": "odd"})
         big = [pos for pos in range(12) if pos % 3]
-        assert plan_lane_chunks(cells, 100, min_lanes=8) == [
-            big, sorted(set(range(13)) - set(big))]
-        assert len(plan_lane_chunks(cells, 100)) == 4
+        assert plan_lanes(cells, 100, min_lanes=8) == (
+            [big], [sorted(set(range(13)) - set(big))])
+        groups, residue = plan_lanes(cells, 100)
+        assert len(groups + residue) == 4
 
     def test_auto_chunk_size_vector_floor(self):
         assert _auto_chunk_size(1000, 4, vector=True) >= \
