@@ -10,7 +10,8 @@ separates the two:
 * during one ordinary :class:`~repro.bet.builder.BETBuilder` build, a
   recorder rides along and emits a flat **annotation tape**: one closure
   per input-dependent computation, reading and writing a register file
-  (environment dicts, probability floats, escape-mass accumulators);
+  (environment dicts, probability floats, escape-mass accumulators),
+  plus its lane-array twin for :meth:`SymbolicBET.rebind_batch`;
 * :meth:`SymbolicBET.rebind` replays the tape against new inputs, updating
   ``prob`` / ``num_iter`` / ``context`` / ``own_metrics`` in place on the
   existing tree and recomputing ENR — no :class:`BETNode`, no
@@ -34,10 +35,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import arrayops as _aops
 from ..arrayops import is_array, truthy, vmin, vmax, vwhere
-from ..errors import BudgetExceededError
 from ..expressions.compile import compile_expr, compile_expr_vector
 from ..expressions.expr import as_expr
-from ..hardware.instmix import LibraryDatabase
 from ..hardware.metrics import Metrics
 from ..skeleton.ast_nodes import Comp, ForLoop, Load, Store
 from ..skeleton.bst import Program
@@ -201,11 +200,10 @@ class _Recorder:
     copying the template at each replay, so no reset ops are needed.
     """
 
-    def __init__(self, vector: bool = False):
+    def __init__(self):
         self.tape: List[Callable] = []
-        #: vector twin tape (``vop(R, S)`` per op) — only recorded when the
-        #: owner wants batch replays, so scalar-only use pays nothing
-        self.vtape: Optional[List[Callable]] = [] if vector else None
+        #: vector twin tape (``vop(R, S)`` per op), for batch replays
+        self.vtape: List[Callable] = []
         self.template: List[Any] = [None]           # R[0] = inputs
         self.ONE = self.reg(1.0)
         #: per-tree cache shared by every batch of this recording
@@ -241,21 +239,10 @@ class _Recorder:
         self._body = None
         self._keep = None
 
-    def replay(self, inputs: Dict[str, float], budget=None) -> None:
+    def replay(self, inputs: Dict[str, float]) -> None:
         R = list(self.template)
         R[0] = inputs
-        if budget is None or budget.max_seconds is None:
-            for op in self.tape:
-                op(R)
-            return
-        # wall-clock-guarded replay: the per-op check is hoisted to every
-        # 256 ops so a tape of cheap closures stays cheap, while a hung
-        # replay is still cut off within a fraction of its budget
-        budget.start_clock()
-        check = budget.check_clock
-        for index, op in enumerate(self.tape):
-            if not index % 256:
-                check("symbolic replay")
+        for op in self.tape:
             op(R)
 
     def replay_batch(self, cols: Dict[str, Any], sink: "_BatchSink") -> None:
@@ -289,10 +276,10 @@ class _Recorder:
              shared.reuse_traffic) = base
             node.own_metrics = shared
         self.emit(op)
-        if self.vtape is not None:
-            def vop(R, S, node=node, base=base):
-                S.metrics[node] = list(base)
-            self.vemit(vop)
+
+        def vop(R, S, node=node, base=base):
+            S.metrics[node] = list(base)
+        self.vemit(vop)
 
     # -- builder hooks (in build order) -----------------------------------
     def on_build(self, program: Program, func, root: BETNode,
@@ -316,27 +303,26 @@ class _Recorder:
             R[er] = env
             root.context = env
         self.emit(op)
-        if self.vtape is not None:
-            vparam_fns = tuple((name, _vcompiled(expr))
-                               for name, expr in program.params.items())
+        vparam_fns = tuple((name, _vcompiled(expr))
+                           for name, expr in program.params.items())
 
-            def vop(R, S, er=er, param_fns=vparam_fns,
-                    func_params=func_params, root=root):
-                inputs = R[0]
-                env = {}
-                for name, fn in param_fns:
-                    env[name] = (inputs[name] if name in inputs
-                                 else fn(env, S.bad))
-                for name, value in inputs.items():
-                    env.setdefault(name, value)
-                for param in func_params:
-                    if param not in env:
-                        # lane-uniform: the scalar rebuild raises the
-                        # canonical ModelError for every lane
-                        S.bad |= True
-                R[er] = env
-                S.ctx[root] = env
-            self.vemit(vop)
+        def vop(R, S, er=er, param_fns=vparam_fns,
+                func_params=func_params, root=root):
+            inputs = R[0]
+            env = {}
+            for name, fn in param_fns:
+                env[name] = (inputs[name] if name in inputs
+                             else fn(env, S.bad))
+            for name, value in inputs.items():
+                env.setdefault(name, value)
+            for param in func_params:
+                if param not in env:
+                    # lane-uniform: the scalar rebuild raises the
+                    # canonical ModelError for every lane
+                    S.bad |= True
+            R[er] = env
+            S.ctx[root] = env
+        self.vemit(vop)
         self.bind_ctx(init_ctx, er, self.ONE)
         self._block_reset(root)
 
@@ -389,10 +375,10 @@ class _Recorder:
                 if (R[prob_reg] > _EPS) != alive:
                     raise ShapeChanged
             self.emit(op)
-            if self.vtape is not None:
-                def vop(R, S, prob_reg=prob_reg, alive=alive):
-                    S.mark((R[prob_reg] > _EPS) != alive)
-                self.vemit(vop)
+
+            def vop(R, S, prob_reg=prob_reg, alive=alive):
+                S.mark((R[prob_reg] > _EPS) != alive)
+            self.vemit(vop)
             return merged
 
         def op(R, in_regs=in_regs, groups=groups_t,
@@ -422,34 +408,33 @@ class _Recorder:
                         acc = min(acc + R[in_regs[index][1]], 1.0)
                     R[prob_reg] = acc
         self.emit(op)
-        if self.vtape is not None:
-            # lane-wise partition guard: a lane matches the recorded merge
-            # iff its liveness pattern is identical AND each member env
-            # equals its group's representative AND no member env equals
-            # an *earlier* group's representative (the scan joins the
-            # first matching group, so order is part of the shape)
-            member = frozenset(i for g in groups_t for i in g)
+        # lane-wise partition guard: a lane matches the recorded merge
+        # iff its liveness pattern is identical AND each member env
+        # equals its group's representative AND no member env equals
+        # an *earlier* group's representative (the scan joins the
+        # first matching group, so order is part of the shape)
+        member = frozenset(i for g in groups_t for i in g)
 
-            def vop(R, S, in_regs=in_regs, groups=groups_t,
-                    out_regs=tuple(out_regs), member=member):
-                for index, (env_reg, prob_reg) in enumerate(in_regs):
-                    live = R[prob_reg] > _EPS
-                    S.mark(live != (index in member))
-                for gi, group in enumerate(groups):
-                    rep = R[in_regs[group[0]][0]]
-                    for j in range(gi):
-                        rep_j = R[in_regs[groups[j][0]][0]]
-                        for index in group:
-                            S.mark(_env_eq(R[in_regs[index][0]], rep_j))
+        def vop(R, S, in_regs=in_regs, groups=groups_t,
+                out_regs=tuple(out_regs), member=member):
+            for index, (env_reg, prob_reg) in enumerate(in_regs):
+                live = R[prob_reg] > _EPS
+                S.mark(live != (index in member))
+            for gi, group in enumerate(groups):
+                rep = R[in_regs[group[0]][0]]
+                for j in range(gi):
+                    rep_j = R[in_regs[groups[j][0]][0]]
+                    for index in group:
+                        S.mark(_env_eq(R[in_regs[index][0]], rep_j))
+                for index in group[1:]:
+                    S.mark(_vnot(_env_eq(R[in_regs[index][0]], rep)))
+            for (env_reg, prob_reg), group in zip(out_regs, groups):
+                if len(group) > 1:
+                    acc = R[in_regs[group[0]][1]]
                     for index in group[1:]:
-                        S.mark(_vnot(_env_eq(R[in_regs[index][0]], rep)))
-                for (env_reg, prob_reg), group in zip(out_regs, groups):
-                    if len(group) > 1:
-                        acc = R[in_regs[group[0]][1]]
-                        for index in group[1:]:
-                            acc = vmin(acc + R[in_regs[index][1]], 1.0)
-                        R[prob_reg] = acc
-            self.vemit(vop)
+                        acc = vmin(acc + R[in_regs[index][1]], 1.0)
+                    R[prob_reg] = acc
+        self.vemit(vop)
         return merged
 
     def on_assign(self, statement, src_ctx: Context,
@@ -465,17 +450,16 @@ class _Recorder:
             env[name] = value
             R[dst_er] = env
         self.emit(op)
-        if self.vtape is not None:
-            vfn = _vcompiled(statement.expr)
+        vfn = _vcompiled(statement.expr)
 
-            def vop(R, S, src_er=src_er, dst_er=dst_er, fn=vfn,
-                    name=statement.name):
-                src = R[src_er]
-                value = fn(src, S.bad)
-                env = dict(src)
-                env[name] = value
-                R[dst_er] = env
-            self.vemit(vop)
+        def vop(R, S, src_er=src_er, dst_er=dst_er, fn=vfn,
+                name=statement.name):
+            src = R[src_er]
+            value = fn(src, S.bad)
+            env = dict(src)
+            env[name] = value
+            R[dst_er] = env
+        self.vemit(vop)
         self.bind_ctx(new_ctx, dst_er, src_pr)
 
     def _emit_prob_context(self, node: BETNode,
@@ -489,12 +473,12 @@ class _Recorder:
                 node.prob = min(R[prob_reg], 1.0)
                 node.context = R[env_reg]
             self.emit(op)
-            if self.vtape is not None:
-                def vop(R, S, node=node, env_reg=env_reg,
-                        prob_reg=prob_reg):
-                    S.prob[node] = vmin(R[prob_reg], 1.0)
-                    S.ctx[node] = R[env_reg]
-                self.vemit(vop)
+
+            def vop(R, S, node=node, env_reg=env_reg,
+                    prob_reg=prob_reg):
+                S.prob[node] = vmin(R[prob_reg], 1.0)
+                S.ctx[node] = R[env_reg]
+            self.vemit(vop)
             return
 
         def op(R, node=node, regs=regs):
@@ -509,27 +493,27 @@ class _Recorder:
                     best_env, best_p = env_reg, p
             node.context = R[best_env]
         self.emit(op)
-        if self.vtape is not None:
-            def vop(R, S, node=node, regs=regs):
-                total = 0
-                for env_reg, prob_reg in regs:
-                    total = total + R[prob_reg]
-                S.prob[node] = vmin(total, 1.0)
-                # argmax-prob env with first-max-wins (strict >), tracked
-                # as a per-lane index when probabilities are lane-varying
-                best_idx = 0
-                best_p = R[regs[0][1]]
-                for j in range(1, len(regs)):
-                    p = R[regs[j][1]]
-                    take = p > best_p
-                    best_idx = vwhere(take, j, best_idx)
-                    best_p = vwhere(take, p, best_p)
-                envs = tuple(R[env_reg] for env_reg, _ in regs)
-                if is_array(best_idx):
-                    S.ctx[node] = _LaneSelect(envs, best_idx)
-                else:
-                    S.ctx[node] = envs[best_idx]
-            self.vemit(vop)
+
+        def vop(R, S, node=node, regs=regs):
+            total = 0
+            for env_reg, prob_reg in regs:
+                total = total + R[prob_reg]
+            S.prob[node] = vmin(total, 1.0)
+            # argmax-prob env with first-max-wins (strict >), tracked
+            # as a per-lane index when probabilities are lane-varying
+            best_idx = 0
+            best_p = R[regs[0][1]]
+            for j in range(1, len(regs)):
+                p = R[regs[j][1]]
+                take = p > best_p
+                best_idx = vwhere(take, j, best_idx)
+                best_p = vwhere(take, p, best_p)
+            envs = tuple(R[env_reg] for env_reg, _ in regs)
+            if is_array(best_idx):
+                S.ctx[node] = _LaneSelect(envs, best_idx)
+            else:
+                S.ctx[node] = envs[best_idx]
+        self.vemit(vop)
 
     def on_leaf(self, node: BETNode, contexts: List[Context],
                 block: Optional[BETNode], metrics: Metrics, spec) -> None:
@@ -556,12 +540,12 @@ class _Recorder:
                     bm.reuse_bytes += base[10]
                     bm.reuse_traffic += base[11]
                 self.emit(add)
-                if self.vtape is not None:
-                    def vadd(R, S, block=block, base=base):
-                        bm = S.metrics[block]
-                        for i in range(12):
-                            bm[i] = bm[i] + base[i]
-                    self.vemit(vadd)
+
+                def vadd(R, S, block=block, base=base):
+                    bm = S.metrics[block]
+                    for i in range(12):
+                        bm[i] = bm[i] + base[i]
+                self.vemit(vadd)
             return
         self._emit_characteristic(node, block, regs, spec)
 
@@ -575,7 +559,6 @@ class _Recorder:
         # one reused Metrics per leaf op (see _block_reset); fields the
         # statement kind never touches keep their creation-time zeros
         shared = _RAW(static_size=static)
-        vop = None
         if isinstance(stmt, Comp):
             f_flops = _compiled(stmt.flops)
             f_divs = _compiled(stmt.div_flops)
@@ -602,32 +585,31 @@ class _Recorder:
                 shared.vec_flops = acc_v
                 node.own_metrics = shared
                 _iadd_metrics(block.own_metrics, shared)
-            if self.vtape is not None:
-                vf_flops = _vcompiled(stmt.flops)
-                vf_divs = _vcompiled(stmt.div_flops)
-                vf_iops = _vcompiled(stmt.iops)
+            vf_flops = _vcompiled(stmt.flops)
+            vf_divs = _vcompiled(stmt.div_flops)
+            vf_iops = _vcompiled(stmt.iops)
 
-                def vop(R, S, node=node, block=block, regs=regs,
-                        f_flops=vf_flops, f_divs=vf_divs, f_iops=vf_iops,
-                        vec=vectorizable, static=static):
-                    bad = S.bad
-                    acc_f = acc_i = acc_d = acc_v = 0.0
-                    for env_reg, prob_reg in regs:
-                        env = R[env_reg]
-                        p = R[prob_reg]
-                        flops = vmax(0.0, f_flops(env, bad))
-                        divs = vmax(0.0, f_divs(env, bad))
-                        iops = vmax(0.0, f_iops(env, bad))
-                        acc_f = acc_f + flops * p
-                        acc_i = acc_i + iops * p
-                        acc_d = acc_d + vmin(divs, flops) * p
-                        acc_v = acc_v + (flops if vec else 0.0) * p
-                    own = [acc_f, acc_i, acc_d, acc_v,
-                           0.0, 0.0, 0.0, 0.0, static, 0.0, 0.0, 0.0]
-                    S.metrics[node] = own
-                    bm = S.metrics[block]
-                    for i in range(12):
-                        bm[i] = bm[i] + own[i]
+            def vop(R, S, node=node, block=block, regs=regs,
+                    f_flops=vf_flops, f_divs=vf_divs, f_iops=vf_iops,
+                    vec=vectorizable, static=static):
+                bad = S.bad
+                acc_f = acc_i = acc_d = acc_v = 0.0
+                for env_reg, prob_reg in regs:
+                    env = R[env_reg]
+                    p = R[prob_reg]
+                    flops = vmax(0.0, f_flops(env, bad))
+                    divs = vmax(0.0, f_divs(env, bad))
+                    iops = vmax(0.0, f_iops(env, bad))
+                    acc_f = acc_f + flops * p
+                    acc_i = acc_i + iops * p
+                    acc_d = acc_d + vmin(divs, flops) * p
+                    acc_v = acc_v + (flops if vec else 0.0) * p
+                own = [acc_f, acc_i, acc_d, acc_v,
+                       0.0, 0.0, 0.0, 0.0, static, 0.0, 0.0, 0.0]
+                S.metrics[node] = own
+                bm = S.metrics[block]
+                for i in range(12):
+                    bm[i] = bm[i] + own[i]
         elif isinstance(stmt, (Load, Store)):
             f_count = _compiled(stmt.count)
             is_load = isinstance(stmt, Load)
@@ -712,75 +694,73 @@ class _Recorder:
                     shared.footprint_bytes = acc_b
                     node.own_metrics = shared
                     _iadd_metrics(block.own_metrics, shared)
-            if self.vtape is not None:
-                vf_count = _vcompiled(stmt.count)
-                count_i = 4 if is_load else 5
-                bytes_i = 6 if is_load else 7
-                if annotated:
-                    vf_stride = (_vcompiled(stmt.stride)
-                                 if stmt.stride is not None else None)
-                    vf_fp = (_vcompiled(stmt.footprint)
-                             if stmt.footprint is not None else None)
-                    vf_reuse = (_vcompiled(stmt.reuse)
-                                if stmt.reuse is not None else None)
+            vf_count = _vcompiled(stmt.count)
+            count_i = 4 if is_load else 5
+            bytes_i = 6 if is_load else 7
+            if annotated:
+                vf_stride = (_vcompiled(stmt.stride)
+                             if stmt.stride is not None else None)
+                vf_fp = (_vcompiled(stmt.footprint)
+                         if stmt.footprint is not None else None)
+                vf_reuse = (_vcompiled(stmt.reuse)
+                            if stmt.reuse is not None else None)
 
-                    def vop(R, S, node=node, block=block, regs=regs,
-                            f_count=vf_count,
-                            element_bytes=stmt.element_bytes, static=static,
-                            count_i=count_i, bytes_i=bytes_i,
-                            f_stride=vf_stride, f_fp=vf_fp,
-                            f_reuse=vf_reuse):
-                        bad = S.bad
-                        acc_n = acc_b = acc_fp = acc_rb = acc_rt = 0.0
-                        for env_reg, prob_reg in regs:
-                            env = R[env_reg]
-                            p = R[prob_reg]
-                            count = vmax(0.0, f_count(env, bad))
-                            nbytes = count * element_bytes
-                            span = nbytes
-                            if f_stride is not None:
-                                span = nbytes * vmax(1.0, f_stride(env, bad))
-                            footprint = span
-                            if f_fp is not None:
-                                footprint = vmax(0.0, f_fp(env, bad))
-                            acc_n = acc_n + count * p
-                            acc_b = acc_b + nbytes * p
-                            acc_fp = acc_fp + footprint * p
-                            if f_reuse is not None:
-                                window = vmax(f_reuse(env, bad), footprint)
-                                acc_rb = acc_rb + (nbytes * window) * p
-                                acc_rt = acc_rt + nbytes * p
-                        own = [0.0] * 8 + [static, acc_fp, acc_rb, acc_rt]
-                        own[count_i] = acc_n
-                        own[bytes_i] = acc_b
-                        S.metrics[node] = own
-                        bm = S.metrics[block]
-                        for i in range(12):
-                            bm[i] = bm[i] + own[i]
-                else:
-                    def vop(R, S, node=node, block=block, regs=regs,
-                            f_count=vf_count,
-                            element_bytes=stmt.element_bytes, static=static,
-                            count_i=count_i, bytes_i=bytes_i):
-                        bad = S.bad
-                        acc_n = acc_b = 0.0
-                        for env_reg, prob_reg in regs:
-                            p = R[prob_reg]
-                            count = vmax(0.0, f_count(R[env_reg], bad))
-                            acc_n = acc_n + count * p
-                            acc_b = acc_b + (count * element_bytes) * p
-                        own = [0.0] * 8 + [static, acc_b, 0.0, 0.0]
-                        own[count_i] = acc_n
-                        own[bytes_i] = acc_b
-                        S.metrics[node] = own
-                        bm = S.metrics[block]
-                        for i in range(12):
-                            bm[i] = bm[i] + own[i]
+                def vop(R, S, node=node, block=block, regs=regs,
+                        f_count=vf_count,
+                        element_bytes=stmt.element_bytes, static=static,
+                        count_i=count_i, bytes_i=bytes_i,
+                        f_stride=vf_stride, f_fp=vf_fp,
+                        f_reuse=vf_reuse):
+                    bad = S.bad
+                    acc_n = acc_b = acc_fp = acc_rb = acc_rt = 0.0
+                    for env_reg, prob_reg in regs:
+                        env = R[env_reg]
+                        p = R[prob_reg]
+                        count = vmax(0.0, f_count(env, bad))
+                        nbytes = count * element_bytes
+                        span = nbytes
+                        if f_stride is not None:
+                            span = nbytes * vmax(1.0, f_stride(env, bad))
+                        footprint = span
+                        if f_fp is not None:
+                            footprint = vmax(0.0, f_fp(env, bad))
+                        acc_n = acc_n + count * p
+                        acc_b = acc_b + nbytes * p
+                        acc_fp = acc_fp + footprint * p
+                        if f_reuse is not None:
+                            window = vmax(f_reuse(env, bad), footprint)
+                            acc_rb = acc_rb + (nbytes * window) * p
+                            acc_rt = acc_rt + nbytes * p
+                    own = [0.0] * 8 + [static, acc_fp, acc_rb, acc_rt]
+                    own[count_i] = acc_n
+                    own[bytes_i] = acc_b
+                    S.metrics[node] = own
+                    bm = S.metrics[block]
+                    for i in range(12):
+                        bm[i] = bm[i] + own[i]
+            else:
+                def vop(R, S, node=node, block=block, regs=regs,
+                        f_count=vf_count,
+                        element_bytes=stmt.element_bytes, static=static,
+                        count_i=count_i, bytes_i=bytes_i):
+                    bad = S.bad
+                    acc_n = acc_b = 0.0
+                    for env_reg, prob_reg in regs:
+                        p = R[prob_reg]
+                        count = vmax(0.0, f_count(R[env_reg], bad))
+                        acc_n = acc_n + count * p
+                        acc_b = acc_b + (count * element_bytes) * p
+                    own = [0.0] * 8 + [static, acc_b, 0.0, 0.0]
+                    own[count_i] = acc_n
+                    own[bytes_i] = acc_b
+                    S.metrics[node] = own
+                    bm = S.metrics[block]
+                    for i in range(12):
+                        bm[i] = bm[i] + own[i]
         else:                                        # pragma: no cover
             raise ShapeChanged
         self.emit(op)
-        if vop is not None:
-            self.vemit(vop)
+        self.vemit(vop)
 
     def on_lib(self, node: BETNode, ctx: Context, statement, mix) -> None:
         env_reg, prob_reg = self.regs(ctx)
@@ -795,44 +775,43 @@ class _Recorder:
             node.prob = R[prob_reg]
             node.context = env
         self.emit(op)
-        if self.vtape is not None:
-            vfn = _vcompiled(statement.size)
-            sbase = _metrics_base(static)
+        vfn = _vcompiled(statement.size)
+        sbase = _metrics_base(static)
 
-            def vop(R, S, node=node, env_reg=env_reg, prob_reg=prob_reg,
-                    fn=vfn, mix=mix, sbase=sbase):
-                env = R[env_reg]
-                size = vmax(0.0, fn(env, S.bad))
-                # InstructionMix.to_metrics, field for field (size is
-                # clamped non-negative, so its guard never fires), then
-                # the builder's `+ static` — adding the zero fields too,
-                # matching the chained Metrics.__add__ float-for-float
-                flops = mix.flops_per_element * size
-                loads = mix.loads_per_element * size
-                stores = mix.stores_per_element * size
-                bytes_moved = mix.bytes_per_element * size
-                accesses = loads + stores
-                positive = accesses > 0
-                denom = vwhere(positive, accesses, 1.0)
-                load_fraction = vwhere(positive, loads / denom, 1.0)
-                S.metrics[node] = [
-                    flops + sbase[0],
-                    (mix.iops_per_element * size
-                     + mix.overhead_iops) + sbase[1],
-                    mix.div_per_element * size + sbase[2],
-                    (flops if mix.vectorizable else 0.0) + sbase[3],
-                    loads + sbase[4],
-                    stores + sbase[5],
-                    bytes_moved * load_fraction + sbase[6],
-                    bytes_moved * (1.0 - load_fraction) + sbase[7],
-                    1 + sbase[8],
-                    bytes_moved + sbase[9],
-                    sbase[10],
-                    sbase[11],
-                ]
-                S.prob[node] = R[prob_reg]
-                S.ctx[node] = env
-            self.vemit(vop)
+        def vop(R, S, node=node, env_reg=env_reg, prob_reg=prob_reg,
+                fn=vfn, mix=mix, sbase=sbase):
+            env = R[env_reg]
+            size = vmax(0.0, fn(env, S.bad))
+            # InstructionMix.to_metrics, field for field (size is
+            # clamped non-negative, so its guard never fires), then
+            # the builder's `+ static` — adding the zero fields too,
+            # matching the chained Metrics.__add__ float-for-float
+            flops = mix.flops_per_element * size
+            loads = mix.loads_per_element * size
+            stores = mix.stores_per_element * size
+            bytes_moved = mix.bytes_per_element * size
+            accesses = loads + stores
+            positive = accesses > 0
+            denom = vwhere(positive, accesses, 1.0)
+            load_fraction = vwhere(positive, loads / denom, 1.0)
+            S.metrics[node] = [
+                flops + sbase[0],
+                (mix.iops_per_element * size
+                 + mix.overhead_iops) + sbase[1],
+                mix.div_per_element * size + sbase[2],
+                (flops if mix.vectorizable else 0.0) + sbase[3],
+                loads + sbase[4],
+                stores + sbase[5],
+                bytes_moved * load_fraction + sbase[6],
+                bytes_moved * (1.0 - load_fraction) + sbase[7],
+                1 + sbase[8],
+                bytes_moved + sbase[9],
+                sbase[10],
+                sbase[11],
+            ]
+            S.prob[node] = R[prob_reg]
+            S.ctx[node] = env
+        self.vemit(vop)
 
     def on_call(self, node: BETNode, ctx: Context, callee, statement,
                 entry_ctx: Context, program: Program) -> None:
@@ -856,24 +835,23 @@ class _Recorder:
             node.prob = R[caller_pr]
             node.context = env
         self.emit(op)
-        if self.vtape is not None:
-            vparam_fns = tuple((param, _vcompiled(arg)) for param, arg
-                               in zip(callee.params, statement.args))
+        vparam_fns = tuple((param, _vcompiled(arg)) for param, arg
+                           in zip(callee.params, statement.args))
 
-            def vop(R, S, node=node, caller_er=caller_er,
-                    caller_pr=caller_pr, dst_er=dst_er,
-                    global_names=global_names, param_fns=vparam_fns):
-                caller_env = R[caller_er]
-                env = {}
-                for name in global_names:
-                    if name in caller_env:
-                        env[name] = caller_env[name]
-                for param, fn in param_fns:
-                    env[param] = fn(caller_env, S.bad)
-                R[dst_er] = env
-                S.prob[node] = R[caller_pr]
-                S.ctx[node] = env
-            self.vemit(vop)
+        def vop(R, S, node=node, caller_er=caller_er,
+                caller_pr=caller_pr, dst_er=dst_er,
+                global_names=global_names, param_fns=vparam_fns):
+            caller_env = R[caller_er]
+            env = {}
+            for name in global_names:
+                if name in caller_env:
+                    env[name] = caller_env[name]
+            for param, fn in param_fns:
+                env[param] = fn(caller_env, S.bad)
+            R[dst_er] = env
+            S.prob[node] = R[caller_pr]
+            S.ctx[node] = env
+        self.vemit(vop)
         self.bind_ctx(entry_ctx, dst_er, self.ONE)
         self._block_reset(node)
 
@@ -882,15 +860,13 @@ class _Recorder:
                      survivor: Optional[Context]) -> Optional[int]:
         env_reg, prob_reg = self.regs(ctx)
         trips_reg = self.reg()
-        vop = None
         if isinstance(statement, ForLoop):
             f_lo = _compiled(statement.lo)
             f_hi = _compiled(statement.hi)
             f_step = _compiled(statement.step)
-            if self.vtape is not None:
-                vf_lo = _vcompiled(statement.lo)
-                vf_hi = _vcompiled(statement.hi)
-                vf_step = _vcompiled(statement.step)
+            vf_lo = _vcompiled(statement.lo)
+            vf_hi = _vcompiled(statement.hi)
+            vf_step = _vcompiled(statement.step)
             if zero_trip:
                 def op(R, node=node, env_reg=env_reg, prob_reg=prob_reg,
                        f_lo=f_lo, f_hi=f_hi, f_step=f_step,
@@ -908,18 +884,18 @@ class _Recorder:
                     node.context = env
                     node.num_iter = float(trips)
                     R[trips_reg] = trips
-                if self.vtape is not None:
-                    def vop(R, S, node=node, env_reg=env_reg,
-                            prob_reg=prob_reg, f_lo=vf_lo, f_hi=vf_hi,
-                            f_step=vf_step, trips_reg=trips_reg):
-                        env = R[env_reg]
-                        trips = _vtrips(f_lo(env, S.bad), f_hi(env, S.bad),
-                                        f_step(env, S.bad), S)
-                        S.mark(truthy(trips > 0))
-                        S.prob[node] = R[prob_reg]
-                        S.ctx[node] = env
-                        S.num_iter[node] = _vfloat(trips)
-                        R[trips_reg] = trips
+
+                def vop(R, S, node=node, env_reg=env_reg,
+                        prob_reg=prob_reg, f_lo=vf_lo, f_hi=vf_hi,
+                        f_step=vf_step, trips_reg=trips_reg):
+                    env = R[env_reg]
+                    trips = _vtrips(f_lo(env, S.bad), f_hi(env, S.bad),
+                                    f_step(env, S.bad), S)
+                    S.mark(truthy(trips > 0))
+                    S.prob[node] = R[prob_reg]
+                    S.ctx[node] = env
+                    S.num_iter[node] = _vfloat(trips)
+                    R[trips_reg] = trips
             else:
                 body_er = self.reg()
 
@@ -943,34 +919,34 @@ class _Recorder:
                     node.context = env
                     node.num_iter = float(trips)
                     R[trips_reg] = trips
-                if self.vtape is not None:
-                    def vop(R, S, node=node, env_reg=env_reg,
-                            prob_reg=prob_reg, f_lo=vf_lo, f_hi=vf_hi,
-                            f_step=vf_step, trips_reg=trips_reg,
-                            body_er=body_er, var=statement.var):
-                        env = R[env_reg]
-                        lo = f_lo(env, S.bad)
-                        step = f_step(env, S.bad)
-                        trips = _vtrips(lo, f_hi(env, S.bad), step, S)
-                        S.mark(truthy(trips <= 0))
-                        body_env = dict(env)
-                        if (is_array(lo) or is_array(step)
-                                or is_array(trips)):
-                            # the midpoint product must stay within exact-
-                            # integer float range, or scalar int arithmetic
-                            # would round differently
-                            _aops.check_exact(lo, S.bad)
-                            _aops.check_exact(step, S.bad)
-                            mid = _aops.mark_unsafe(step * (trips - 1),
-                                                    S.bad)
-                            body_env[var] = lo + mid / 2
-                        else:
-                            body_env[var] = lo + step * (trips - 1) / 2
-                        R[body_er] = body_env
-                        S.prob[node] = R[prob_reg]
-                        S.ctx[node] = env
-                        S.num_iter[node] = _vfloat(trips)
-                        R[trips_reg] = trips
+
+                def vop(R, S, node=node, env_reg=env_reg,
+                        prob_reg=prob_reg, f_lo=vf_lo, f_hi=vf_hi,
+                        f_step=vf_step, trips_reg=trips_reg,
+                        body_er=body_er, var=statement.var):
+                    env = R[env_reg]
+                    lo = f_lo(env, S.bad)
+                    step = f_step(env, S.bad)
+                    trips = _vtrips(lo, f_hi(env, S.bad), step, S)
+                    S.mark(truthy(trips <= 0))
+                    body_env = dict(env)
+                    if (is_array(lo) or is_array(step)
+                            or is_array(trips)):
+                        # the midpoint product must stay within exact-
+                        # integer float range, or scalar int arithmetic
+                        # would round differently
+                        _aops.check_exact(lo, S.bad)
+                        _aops.check_exact(step, S.bad)
+                        mid = _aops.mark_unsafe(step * (trips - 1),
+                                                S.bad)
+                        body_env[var] = lo + mid / 2
+                    else:
+                        body_env[var] = lo + step * (trips - 1) / 2
+                    R[body_er] = body_env
+                    S.prob[node] = R[prob_reg]
+                    S.ctx[node] = env
+                    S.num_iter[node] = _vfloat(trips)
+                    R[trips_reg] = trips
                 self.bind_ctx(body_ctx, body_er, self.ONE)
         else:                                          # WhileLoop
             f_trips = _compiled(statement.expect)
@@ -988,26 +964,24 @@ class _Recorder:
                 node.context = env
                 node.num_iter = float(trips)
                 R[trips_reg] = trips
-            if self.vtape is not None:
-                vf_trips = _vcompiled(statement.expect)
+            vf_trips = _vcompiled(statement.expect)
 
-                def vop(R, S, node=node, env_reg=env_reg,
-                        prob_reg=prob_reg, f_trips=vf_trips,
-                        trips_reg=trips_reg, zero_trip=zero_trip):
-                    env = R[env_reg]
-                    trips = f_trips(env, S.bad)
-                    S.mark(truthy(trips < 0))
-                    S.mark((trips <= 0) != zero_trip)
-                    S.prob[node] = R[prob_reg]
-                    S.ctx[node] = env
-                    S.num_iter[node] = _vfloat(trips)
-                    R[trips_reg] = trips
+            def vop(R, S, node=node, env_reg=env_reg,
+                    prob_reg=prob_reg, f_trips=vf_trips,
+                    trips_reg=trips_reg, zero_trip=zero_trip):
+                env = R[env_reg]
+                trips = f_trips(env, S.bad)
+                S.mark(truthy(trips < 0))
+                S.mark((trips <= 0) != zero_trip)
+                S.prob[node] = R[prob_reg]
+                S.ctx[node] = env
+                S.num_iter[node] = _vfloat(trips)
+                R[trips_reg] = trips
             if not zero_trip:
                 # while bodies see the loop context env unchanged
                 self.bind_ctx(body_ctx, env_reg, self.ONE)
         self.emit(op)
-        if vop is not None:
-            self.vemit(vop)
+        self.vemit(vop)
         if zero_trip:
             # survivor = ctx.fork(1.0): same probability, copied env
             self.bind_ctx(survivor, env_reg, prob_reg)
@@ -1043,58 +1017,58 @@ class _Recorder:
                 raise ShapeChanged
             R[survivor_pr] = min(prob, 1.0)
         self.emit(op)
-        if self.vtape is not None:
-            def vop(R, S, node=node, prob_reg=prob_reg,
-                    trips_reg=trips_reg, body_break=body_break,
-                    body_return=body_return, parent_return=parent_return,
-                    survivor_pr=survivor_pr):
-                trips = R[trips_reg]
-                p_break = vmin(R[body_break], 1.0)
-                p_return = vmin(R[body_return], 1.0)
-                exit_per_iter = vmin(p_break + p_return, 1.0)
-                if not (is_array(trips) or is_array(exit_per_iter)
-                        or is_array(p_return)):
-                    # uniform lanes: replicate the scalar op exactly
-                    returned = 0.0
-                    if exit_per_iter > _EPS:
+
+        def vop(R, S, node=node, prob_reg=prob_reg,
+                trips_reg=trips_reg, body_break=body_break,
+                body_return=body_return, parent_return=parent_return,
+                survivor_pr=survivor_pr):
+            trips = R[trips_reg]
+            p_break = vmin(R[body_break], 1.0)
+            p_return = vmin(R[body_return], 1.0)
+            exit_per_iter = vmin(p_break + p_return, 1.0)
+            if not (is_array(trips) or is_array(exit_per_iter)
+                    or is_array(p_return)):
+                # uniform lanes: replicate the scalar op exactly
+                returned = 0.0
+                if exit_per_iter > _EPS:
+                    try:
+                        S.num_iter[node] = expected_break_iterations(
+                            exit_per_iter, trips)
+                        ever = 1.0 - (1.0 - exit_per_iter) ** trips
+                        returned = ever * (p_return / exit_per_iter)
+                    except Exception:
+                        S.mark(True)
+            else:
+                # expected_break_iterations has branchy exact-scalar
+                # semantics; run it per lane on true Python values
+                np = _aops.np
+                n = S.lanes
+                t_list = _tolist(trips, n)
+                e_list = _tolist(exit_per_iter, n)
+                pr_list = _tolist(p_return, n)
+                ni_list = _tolist(S.num_iter.get(node, node.num_iter),
+                                  n)
+                ret = np.zeros(n, dtype=np.float64)
+                ni = np.empty(n, dtype=np.float64)
+                for i in range(n):
+                    e = e_list[i]
+                    ni[i] = ni_list[i]
+                    if e > _EPS:
                         try:
-                            S.num_iter[node] = expected_break_iterations(
-                                exit_per_iter, trips)
-                            ever = 1.0 - (1.0 - exit_per_iter) ** trips
-                            returned = ever * (p_return / exit_per_iter)
+                            ni[i] = expected_break_iterations(
+                                e, t_list[i])
+                            ever = 1.0 - (1.0 - e) ** t_list[i]
+                            ret[i] = ever * (pr_list[i] / e)
                         except Exception:
-                            S.mark(True)
-                else:
-                    # expected_break_iterations has branchy exact-scalar
-                    # semantics; run it per lane on true Python values
-                    np = _aops.np
-                    n = S.lanes
-                    t_list = _tolist(trips, n)
-                    e_list = _tolist(exit_per_iter, n)
-                    pr_list = _tolist(p_return, n)
-                    ni_list = _tolist(S.num_iter.get(node, node.num_iter),
-                                      n)
-                    ret = np.zeros(n, dtype=np.float64)
-                    ni = np.empty(n, dtype=np.float64)
-                    for i in range(n):
-                        e = e_list[i]
-                        ni[i] = ni_list[i]
-                        if e > _EPS:
-                            try:
-                                ni[i] = expected_break_iterations(
-                                    e, t_list[i])
-                                ever = 1.0 - (1.0 - e) ** t_list[i]
-                                ret[i] = ever * (pr_list[i] / e)
-                            except Exception:
-                                S.bad[i] = True
-                    returned = ret
-                    S.num_iter[node] = ni
-                R[parent_return] = (R[parent_return]
-                                    + R[prob_reg] * returned)
-                prob = R[prob_reg] * (1.0 - returned)
-                S.mark((prob < 0) | (prob > 1 + 1e-9))
-                R[survivor_pr] = vmin(prob, 1.0)
-            self.vemit(vop)
+                            S.bad[i] = True
+                returned = ret
+                S.num_iter[node] = ni
+            R[parent_return] = (R[parent_return]
+                                + R[prob_reg] * returned)
+            prob = R[prob_reg] * (1.0 - returned)
+            S.mark((prob < 0) | (prob > 1 + 1e-9))
+            R[survivor_pr] = vmin(prob, 1.0)
+        self.vemit(vop)
         self.bind_ctx(survivor, env_reg, survivor_pr)
 
     # -- branches ----------------------------------------------------------
@@ -1107,10 +1081,10 @@ class _Recorder:
             if R[rem] > _EPS:
                 raise ShapeChanged
         self.emit(op)
-        if self.vtape is not None:
-            def vop(R, S, rem=token["rem"]):
-                S.mark(R[rem] > _EPS)
-            self.vemit(vop)
+
+        def vop(R, S, rem=token["rem"]):
+            S.mark(R[rem] > _EPS)
+        self.vemit(vop)
 
     def _arm_p(self, arm) -> Tuple[str, Optional[Callable]]:
         if arm.kind in ("cond", "prob"):
@@ -1138,22 +1112,21 @@ class _Recorder:
             if p_arm > _EPS:
                 raise ShapeChanged
         self.emit(op)
-        if self.vtape is not None:
-            vkind, vfn = self._varm_p(arm)
+        vkind, vfn = self._varm_p(arm)
 
-            def vop(R, S, er=token["er"], rem=token["rem"], kind=vkind,
-                    fn=vfn):
-                rv = R[rem]
-                S.mark(rv <= _EPS)
-                if kind == "cond":
-                    p_arm = vwhere(truthy(fn(R[er], S.bad)), rv, 0.0)
-                else:
-                    p_raw = fn(R[er], S.bad)
-                    S.mark(_vnot((p_raw >= 0.0)
-                                 & (p_raw <= 1.0 + 1e-9)))
-                    p_arm = vmin(p_raw, rv)
-                S.mark(p_arm > _EPS)
-            self.vemit(vop)
+        def vop(R, S, er=token["er"], rem=token["rem"], kind=vkind,
+                fn=vfn):
+            rv = R[rem]
+            S.mark(rv <= _EPS)
+            if kind == "cond":
+                p_arm = vwhere(truthy(fn(R[er], S.bad)), rv, 0.0)
+            else:
+                p_raw = fn(R[er], S.bad)
+                S.mark(_vnot((p_raw >= 0.0)
+                             & (p_raw <= 1.0 + 1e-9)))
+                p_arm = vmin(p_raw, rv)
+            S.mark(p_arm > _EPS)
+        self.vemit(vop)
 
     def on_arm_taken(self, token: Dict[str, int], arm, node: BETNode,
                      entry_ctx: Context) -> int:
@@ -1181,30 +1154,29 @@ class _Recorder:
             node.context = R[er]
             R[scale_reg] = scale
         self.emit(op)
-        if self.vtape is not None:
-            vkind, vfn = self._varm_p(arm)
+        vkind, vfn = self._varm_p(arm)
 
-            def vop(R, S, er=token["er"], pr=token["pr"],
-                    rem=token["rem"], kind=vkind, fn=vfn, node=node,
-                    scale_reg=scale_reg):
-                rv = R[rem]
-                S.mark(rv <= _EPS)
-                if kind == "cond":
-                    p_arm = vwhere(truthy(fn(R[er], S.bad)), rv, 0.0)
-                elif kind == "prob":
-                    p_raw = fn(R[er], S.bad)
-                    S.mark(_vnot((p_raw >= 0.0)
-                                 & (p_raw <= 1.0 + 1e-9)))
-                    p_arm = vmin(p_raw, rv)
-                else:
-                    p_arm = rv
-                S.mark(p_arm <= _EPS)
-                R[rem] = rv - p_arm
-                scale = R[pr] * p_arm
-                S.prob[node] = scale
-                S.ctx[node] = R[er]
-                R[scale_reg] = scale
-            self.vemit(vop)
+        def vop(R, S, er=token["er"], pr=token["pr"],
+                rem=token["rem"], kind=vkind, fn=vfn, node=node,
+                scale_reg=scale_reg):
+            rv = R[rem]
+            S.mark(rv <= _EPS)
+            if kind == "cond":
+                p_arm = vwhere(truthy(fn(R[er], S.bad)), rv, 0.0)
+            elif kind == "prob":
+                p_raw = fn(R[er], S.bad)
+                S.mark(_vnot((p_raw >= 0.0)
+                             & (p_raw <= 1.0 + 1e-9)))
+                p_arm = vmin(p_raw, rv)
+            else:
+                p_arm = rv
+            S.mark(p_arm <= _EPS)
+            R[rem] = rv - p_arm
+            scale = R[pr] * p_arm
+            S.prob[node] = scale
+            S.ctx[node] = R[er]
+            R[scale_reg] = scale
+        self.vemit(vop)
         # arm entry context: copy of the branch context env at full mass
         self.bind_ctx(entry_ctx, token["er"], self.ONE)
         self._block_reset(node)
@@ -1234,17 +1206,17 @@ class _Recorder:
                     raise ShapeChanged
                 R[new_pr] = min(prob, 1.0)
         self.emit(op)
-        if self.vtape is not None:
-            def vop(R, S, scale_reg=scale_reg, arm_regs=arm_regs,
-                    parent_regs=parent_regs, pairs=tuple(pairs)):
-                scale = R[scale_reg]
-                for src, dst in zip(arm_regs, parent_regs):
-                    R[dst] = R[dst] + R[src] * scale
-                for exit_pr, new_pr in pairs:
-                    prob = R[exit_pr] * scale
-                    S.mark((prob < 0) | (prob > 1 + 1e-9))
-                    R[new_pr] = vmin(prob, 1.0)
-            self.vemit(vop)
+
+        def vop(R, S, scale_reg=scale_reg, arm_regs=arm_regs,
+                parent_regs=parent_regs, pairs=tuple(pairs)):
+            scale = R[scale_reg]
+            for src, dst in zip(arm_regs, parent_regs):
+                R[dst] = R[dst] + R[src] * scale
+            for exit_pr, new_pr in pairs:
+                prob = R[exit_pr] * scale
+                S.mark((prob < 0) | (prob > 1 + 1e-9))
+                R[new_pr] = vmin(prob, 1.0)
+        self.vemit(vop)
 
     def on_branch_end(self, token: Dict[str, int],
                       residual: Optional[Context]) -> None:
@@ -1253,10 +1225,10 @@ class _Recorder:
                 if R[rem] > _EPS:
                     raise ShapeChanged
             self.emit(op)
-            if self.vtape is not None:
-                def vop(R, S, rem=token["rem"]):
-                    S.mark(R[rem] > _EPS)
-                self.vemit(vop)
+
+            def vop(R, S, rem=token["rem"]):
+                S.mark(R[rem] > _EPS)
+            self.vemit(vop)
             return
         residual_pr = self.reg()
 
@@ -1269,14 +1241,14 @@ class _Recorder:
                 raise ShapeChanged
             R[residual_pr] = min(prob, 1.0)
         self.emit(op)
-        if self.vtape is not None:
-            def vop(R, S, pr=token["pr"], rem=token["rem"],
-                    residual_pr=residual_pr):
-                S.mark(_vnot(R[rem] > _EPS))
-                prob = R[pr] * R[rem]
-                S.mark((prob < 0) | (prob > 1 + 1e-9))
-                R[residual_pr] = vmin(prob, 1.0)
-            self.vemit(vop)
+
+        def vop(R, S, pr=token["pr"], rem=token["rem"],
+                residual_pr=residual_pr):
+            S.mark(_vnot(R[rem] > _EPS))
+            prob = R[pr] * R[rem]
+            S.mark((prob < 0) | (prob > 1 + 1e-9))
+            R[residual_pr] = vmin(prob, 1.0)
+        self.vemit(vop)
         self.bind_ctx(residual, token["er"], residual_pr)
 
     def on_escape(self, kind: str, statement, node: BETNode, ctx: Context,
@@ -1307,26 +1279,25 @@ class _Recorder:
             if alive:
                 R[survivor_pr] = prob
         self.emit(op)
-        if self.vtape is not None:
-            vfn = _vcompiled(statement.prob)
+        vfn = _vcompiled(statement.prob)
 
-            def vop(R, S, node=node, env_reg=env_reg, prob_reg=prob_reg,
-                    escape_reg=escape_reg, fn=vfn, alive=alive,
-                    survivor_pr=survivor_pr):
-                env = R[env_reg]
-                p = fn(env, S.bad)
-                S.mark(_vnot((p >= 0.0) & (p <= 1.0 + 1e-9)))
-                p = vmin(p, 1.0)
-                R[escape_reg] = R[escape_reg] + R[prob_reg] * p
-                S.prob[node] = R[prob_reg] * p
-                S.ctx[node] = env
-                prob = R[prob_reg] * (1.0 - p)
-                S.mark((prob < 0) | (prob > 1 + 1e-9))
-                prob = vmin(prob, 1.0)
-                S.mark((prob > _EPS) != alive)
-                if alive:
-                    R[survivor_pr] = prob
-            self.vemit(vop)
+        def vop(R, S, node=node, env_reg=env_reg, prob_reg=prob_reg,
+                escape_reg=escape_reg, fn=vfn, alive=alive,
+                survivor_pr=survivor_pr):
+            env = R[env_reg]
+            p = fn(env, S.bad)
+            S.mark(_vnot((p >= 0.0) & (p <= 1.0 + 1e-9)))
+            p = vmin(p, 1.0)
+            R[escape_reg] = R[escape_reg] + R[prob_reg] * p
+            S.prob[node] = R[prob_reg] * p
+            S.ctx[node] = env
+            prob = R[prob_reg] * (1.0 - p)
+            S.mark((prob < 0) | (prob > 1 + 1e-9))
+            prob = vmin(prob, 1.0)
+            S.mark((prob > _EPS) != alive)
+            if alive:
+                R[survivor_pr] = prob
+        self.vemit(vop)
         if alive:
             self.bind_ctx(survivor, env_reg, survivor_pr)
 
@@ -1374,29 +1345,27 @@ class _LaneSelect:
 class SymbolicBET:
     """One BET build per program, replayed across input bindings.
 
-    The first :meth:`bind` performs an ordinary recorded build; later
-    binds replay the annotation tape in place on the same tree.  When the
-    replay detects a structural change (or hits any error), it falls back
-    to a full recorded rebuild, so the returned tree is always exactly
-    what a fresh :class:`BETBuilder` would produce for those inputs — the
-    returned root may therefore be a *different object* after a rebuild.
+    It builds ``main`` with the default instruction library and no
+    budget; builds with other options go through
+    :func:`~repro.bet.builder.build_bet`.  The first :meth:`bind` (or
+    :meth:`rebind_batch`) performs an ordinary recorded build, which
+    records both tapes: the scalar tape that later binds replay in place
+    on the same tree, and its vector twin that batch replays run.  When
+    the replay detects a structural change (or hits any error), it falls
+    back to a full recorded rebuild, so the returned tree is always
+    exactly what a fresh :class:`BETBuilder` would produce for those
+    inputs — the returned root may therefore be a *different object*
+    after a rebuild.
 
     Instances pickle without tape or tree (closures cannot cross process
     boundaries); an unpickled copy simply re-records on first bind, which
     is how sweep workers amortize one build per chunk.
     """
 
-    def __init__(self, program: Program, entry: str = "main",
-                 library: Optional[LibraryDatabase] = None,
-                 **builder_kwargs):
+    def __init__(self, program: Program):
         self.program = program
-        self.entry = entry
-        self.library = library
-        self.builder_kwargs = builder_kwargs
-        self.budget = builder_kwargs.get("budget")
         self._recorder: Optional[_Recorder] = None
         self._root: Optional[BETNode] = None
-        self._want_vector = False   # record vector twins on next build
         self.stats: Dict[str, float] = {
             "builds": 0.0,          # full recorded builds
             "replays": 0.0,         # tape replays (cache hits)
@@ -1415,14 +1384,14 @@ class SymbolicBET:
         return self._root
 
     def input_names(self) -> Tuple[str, ...]:
-        """The entry function's input parameter names.
+        """The input parameter names of ``main``.
 
         The bindable surface of :meth:`bind` / :meth:`rebind_batch` —
         callers that construct input axes programmatically (the sweep
         CLI, the :mod:`repro.explore` space validation) check axis names
         against this instead of discovering a typo deep inside a build.
         """
-        return tuple(self.program.function(self.entry).params)
+        return tuple(self.program.entry.params)
 
     def bind(self, inputs: Optional[Dict[str, float]] = None) -> BETNode:
         """Evaluate the BET for ``inputs``; replay when the shape holds."""
@@ -1430,12 +1399,8 @@ class SymbolicBET:
         if self._recorder is not None:
             started = perf_counter()
             try:
-                self._recorder.replay(inputs, budget=self.budget)
+                self._recorder.replay(inputs)
                 self._root.compute_enr(1.0)
-            except BudgetExceededError:
-                # a crossed budget is a diagnosis, not a shape change —
-                # a rebuild would only hang for longer
-                raise
             except Exception:
                 # structural change or evaluation error: a full rebuild
                 # either produces the new tree or raises the canonical
@@ -1461,7 +1426,9 @@ class SymbolicBET:
         whose ``bad`` mask flags every lane that must be re-bound through
         the scalar path (shape divergence, domain errors, values outside
         float64's exact-integer range).  Masked lanes aside, annotations
-        are bit-identical to a fresh scalar build per point.
+        are bit-identical to a fresh scalar build per point.  With no
+        tape recorded yet, it first records one on lane 0's inputs; a
+        tape a :meth:`bind` recorded serves as it is.
 
         ``lane_index`` is an optional non-contiguous index map: entry
         *i* names the caller-side position lane *i* came from (a lane
@@ -1472,9 +1439,6 @@ class SymbolicBET:
         arithmetic itself.
         """
         np = _aops.np
-        if self.budget is not None:
-            raise ValueError("batch replay does not enforce build "
-                             "budgets; bind points individually instead")
         if not inputs:
             raise ValueError("batch rebind needs at least one input "
                              "column")
@@ -1499,10 +1463,9 @@ class SymbolicBET:
                 raise ValueError(
                     f"lane_index has {len(index_map)} entries for "
                     f"{lanes} lanes")
-        if self._recorder is None or self._recorder.vtape is None:
-            # (re)record with vector twins enabled; a builder error for
-            # lane 0 propagates exactly as a scalar bind would raise it
-            self._want_vector = True
+        if self._recorder is None:
+            # a builder error for lane 0 propagates exactly as a scalar
+            # bind would raise it
             self._record({name: float(col[0])
                           for name, col in cols.items()})
         started = perf_counter()
@@ -1550,12 +1513,11 @@ class SymbolicBET:
 
     def _record(self, inputs: Dict[str, float]) -> BETNode:
         started = perf_counter()
-        recorder = _Recorder(vector=self._want_vector)
-        builder = BETBuilder(self.program, library=self.library,
-                             **self.builder_kwargs)
+        recorder = _Recorder()
+        builder = BETBuilder(self.program)
         builder._rec = recorder
         self._recorder = None             # stale tape must not survive
-        root = builder.build(entry=self.entry, inputs=inputs)
+        root = builder.build(inputs=inputs)
         recorder.finish()
         self._recorder = recorder
         self._root = root
@@ -1565,24 +1527,11 @@ class SymbolicBET:
 
     # -- pickling ----------------------------------------------------------
     def __getstate__(self):
-        return {"program": self.program, "entry": self.entry,
-                "library": self.library,
-                "builder_kwargs": self.builder_kwargs,
-                "stats": dict(self.stats)}
+        return {"program": self.program, "stats": dict(self.stats)}
 
     def __setstate__(self, state):
-        self.program = state["program"]
-        self.entry = state["entry"]
-        self.library = state["library"]
-        self.builder_kwargs = state["builder_kwargs"]
-        self.budget = self.builder_kwargs.get("budget")
-        self.stats = state["stats"]
-        for key in ("batch_replays", "batch_seconds",
-                    "lanes_vectorized", "lanes_fallback"):
-            self.stats.setdefault(key, 0.0)
-        self._recorder = None
-        self._root = None
-        self._want_vector = False
+        self.__init__(state["program"])
+        self.stats.update(state["stats"])
 
 
 class BatchBET:

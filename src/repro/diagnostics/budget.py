@@ -13,7 +13,7 @@ build/evaluation may consume:
     Ceiling on live probabilistic contexts (overrides the builder's
     ``max_contexts`` when tighter).
 ``max_seconds``
-    Wall-clock bound for one BET build (and one symbolic replay).
+    Wall-clock bound for one BET build.
 
 Exceeding a budget raises :class:`~repro.errors.BudgetExceededError`
 (strict mode) or quarantines the offending subtree (degraded mode).
@@ -51,7 +51,7 @@ class EvalBudget:
 
     # -- wall clock -----------------------------------------------------
     def start_clock(self) -> None:
-        """Arm the wall-clock ceiling (call at build/replay start)."""
+        """Arm the wall-clock ceiling (call at build start)."""
         if self.max_seconds is not None:
             self._deadline = time.perf_counter() + self.max_seconds
         else:

@@ -202,8 +202,6 @@ def explore(axes: Dict[str, Sequence[float]],
             program: Optional[Program] = None,
             inputs: Optional[Dict[str, float]] = None,
             bet=None,
-            entry: str = "main",
-            library=None,
             model_factory: Optional[Callable] = None,
             k: int = 10,
             budget: int = 256,
@@ -231,6 +229,10 @@ def explore(axes: Dict[str, Sequence[float]],
         ``{axis: values}`` — machine fields and/or ``input:<name>``
         workload inputs; the space is their (never-materialized) cross
         product, or pass a prebuilt :class:`GridSpace`.
+    program / inputs / bet:
+        The workload: ``program``'s ``main`` bound to ``inputs``, which
+        ``input:`` axes overlay per cell; or, for a machine-only space,
+        a built ``bet`` (default: built from ``program``).
     objectives:
         Objective specs (``"runtime"``, ``"bandwidth:min"``,
         ``"input:n:max"`` …) or :class:`~repro.explore.Objective`
@@ -271,18 +273,17 @@ def explore(axes: Dict[str, Sequence[float]],
             raise AnalysisError(
                 f"axes {input_axes} sweep workload inputs; pass "
                 "program= (and optionally inputs=) to explore")
-        known = set(program.function(entry).params)
+        known = set(program.entry.params)
         for name in input_axes:
             if name[len(INPUT_PREFIX):] not in known:
                 raise AnalysisError(
-                    f"axis {name!r} names no input of {entry!r}; "
+                    f"axis {name!r} names no input of 'main'; "
                     f"inputs: {sorted(known)}")
     elif bet is None:
         if program is None:
             raise AnalysisError("explore needs a program= or a built "
                                 "bet= for machine-only spaces")
-        bet = build_bet(program, dict(inputs or {}), entry=entry,
-                        library=library)
+        bet = build_bet(program, dict(inputs or {}))
     for name in space.names:
         if not name.startswith(INPUT_PREFIX) \
                 and not hasattr(base_machine, name):
@@ -310,7 +311,7 @@ def explore(axes: Dict[str, Sequence[float]],
         # than a generic "different sweep" refusal
         checkpoint_key = sweep_key(
             "explore", space.fingerprint(), workload_id,
-            tuple(sorted(base_inputs.items())), entry,
+            tuple(sorted(base_inputs.items())), "main",
             repr(base_machine), k, seed)
 
     archive: Dict[int, Dict[str, Any]] = {}
@@ -329,12 +330,12 @@ def explore(axes: Dict[str, Sequence[float]],
         cells = [space.cell(index) for index in indices]
         batch = evaluate_cells(
             base_machine, cells, bet=bet, program=program,
-            inputs=base_inputs, entry=entry, library=library,
-            model_factory=model_factory, k=k, workers=workers,
-            policy=policy, timeout=timeout, backend=backend,
-            executor=executor, shards=shards, topology=topology,
-            chaos=chaos, checkpoint=checkpoint, resume=resume_flag,
-            checkpoint_key=checkpoint_key, validate=False)
+            inputs=base_inputs, model_factory=model_factory, k=k,
+            workers=workers, policy=policy, timeout=timeout,
+            backend=backend, executor=executor, shards=shards,
+            topology=topology, chaos=chaos, checkpoint=checkpoint,
+            resume=resume_flag, checkpoint_key=checkpoint_key,
+            validate=False)
         eval_seconds += batch.timings.get("total", 0.0)
         failures += len(batch.failures)
         for name, value in (batch.cache_stats or {}).items():
@@ -518,8 +519,6 @@ def verify_frontier(result: ExploreResult,
                     program: Optional[Program] = None,
                     inputs: Optional[Dict[str, float]] = None,
                     bet=None,
-                    entry: str = "main",
-                    library=None,
                     model_factory: Optional[Callable] = None,
                     k: int = 10) -> int:
     """Re-derive every frontier point from scratch; raise on any drift.
@@ -541,8 +540,7 @@ def verify_frontier(result: ExploreResult,
         if program is not None:
             fresh_bet = build_bet(program,
                                   inputs={**dict(inputs or {}),
-                                          **input_part},
-                                  entry=entry, library=library)
+                                          **input_part})
         else:
             if bet is None:
                 raise AnalysisError(
@@ -582,12 +580,10 @@ def verify_frontier(result: ExploreResult,
         if batch_bet is None and not has_input_axes:
             # machine-only cells need a built BET; the per-point pass
             # above guarantees program is not None here
-            batch_bet = build_bet(program, inputs=dict(inputs or {}),
-                                  entry=entry, library=library)
+            batch_bet = build_bet(program, inputs=dict(inputs or {}))
         batch = evaluate_cells(
             base_machine, cells, bet=batch_bet, program=program,
-            inputs=inputs, entry=entry, library=library,
-            model_factory=model_factory, k=k,
+            inputs=inputs, model_factory=model_factory, k=k,
             backend="vector", validate=False)
         by_key = {overrides_key(point.overrides): point
                   for point in batch.points}

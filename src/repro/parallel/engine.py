@@ -7,8 +7,8 @@ batch jobs: a grid of machine parameters, or a matrix of
 layer:
 
 * :func:`build_bet_cached` — memoized BET construction keyed by
-  (program fingerprint, frozen inputs, entry), so one tree serves every
-  sweep point of a session;
+  (program fingerprint, frozen inputs), so one tree serves every sweep
+  point of a session;
 * :func:`sweep_grid` — an N-dimensional machine-parameter grid projected
   over one BET, with process-pool fan-out and deterministic (row-major)
   point ordering;
@@ -81,7 +81,7 @@ from .shard import INFRA_FAULTS, ShardScheduler
 # -- BET-build memoization ----------------------------------------------------
 
 #: one tree serves every sweep point: BETs keyed by
-#: (program fingerprint, frozen inputs, entry)
+#: (program fingerprint, frozen inputs)
 _BET_CACHE = LRUCache(maxsize=64)
 
 
@@ -90,18 +90,17 @@ def _freeze_inputs(inputs: Optional[Dict[str, float]]) -> Tuple:
 
 
 def build_bet_cached(program: Program,
-                     inputs: Optional[Dict[str, float]] = None,
-                     entry: str = "main") -> BETNode:
-    """Build (or fetch) the BET for ``program`` with ``inputs``.
+                     inputs: Optional[Dict[str, float]] = None) -> BETNode:
+    """Build (or fetch) the BET of ``program``'s ``main`` with ``inputs``.
 
     The cache key is the program's content :meth:`~Program.fingerprint`
     plus the frozen inputs, so equivalent programs share one tree no
     matter how many sweeps re-request it.  Returned trees are shared —
     treat them as read-only (all analysis passes do).
     """
-    key = (program.fingerprint(), _freeze_inputs(inputs), entry)
+    key = (program.fingerprint(), _freeze_inputs(inputs))
     return _BET_CACHE.get_or_create(
-        key, lambda: build_bet(program, inputs=inputs, entry=entry))
+        key, lambda: build_bet(program, inputs=inputs))
 
 
 def bet_cache_stats() -> CacheStats:
@@ -376,9 +375,6 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
                validate: bool = True,
                program: Optional[Program] = None,
                inputs: Optional[Dict[str, float]] = None,
-               entry: str = "main",
-               library=None,
-               chunk_size: Optional[int] = None,
                backend: str = "auto",
                executor=None,
                shards: Optional[int] = None,
@@ -427,16 +423,10 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
     validate:
         Pre-flight the base machine
         (:func:`~repro.hardware.validate_machine`) before any work.
-    program / inputs / entry / library:
-        The workload behind ``input:`` axes: per-cell bindings are
-        ``inputs`` overlaid with the cell's input-axis values.
-    chunk_size:
-        Cells per shipped chunk (default: about four chunks per worker;
-        on the vector backend one chunk per worker, floored at
-        :data:`VECTOR_MIN_POINTS` cells; scalar grids with input axes
-        floor it at 16 cells, while scalar machine-only grids have no
-        floor and ship one cell per chunk on one worker, so each cell
-        is checkpointed as it finishes).
+    program / inputs:
+        The workload behind ``input:`` axes: per-cell bindings of its
+        ``main`` are ``inputs`` overlaid with the cell's input-axis
+        values.
     backend:
         ``"scalar"``, ``"vector"``, or ``"auto"`` (default).  The vector
         backend evaluates each chunk as one lane array (DESIGN.md §15):
@@ -450,9 +440,15 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         Sharded dispatch (DESIGN.md §12).  ``executor`` names a
         :class:`~repro.parallel.executors.SweepExecutor` (``"serial"`` /
         ``"pool"`` / ``"multinode"``) or is an instance; the grid is
-        split into ``shards`` work units (default: about four per
-        executor worker) scheduled with work-stealing, crash/heartbeat
-        supervision, and poison-shard quarantine.  ``topology`` selects
+        split into ``shards`` work units scheduled with work-stealing,
+        crash/heartbeat supervision, and poison-shard quarantine.  With
+        no ``shards`` (or no executor named), chunks are sized
+        automatically: about four per worker; on the
+        vector backend one per worker, floored at
+        :data:`VECTOR_MIN_POINTS` cells; scalar grids with input axes
+        floor them at 16 cells, while scalar machine-only grids have no
+        floor and ship one cell per chunk on one worker, so each cell is
+        checkpointed as it finishes.  ``topology`` selects
         the simulated cluster for ``"multinode"``; ``chaos`` injects a
         :class:`~repro.parallel.chaos.ChaosSchedule` of executor-layer
         faults.  ``executor=None`` (default) dispatches through the same
@@ -482,7 +478,7 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         if input_axes:
             checkpoint_key = sweep_key(
                 program.fingerprint(), tuple(sorted((inputs or {}).items())),
-                entry, repr(base_machine),
+                "main", repr(base_machine),
                 sorted((name, tuple(values))
                        for name, values in grid.items()), k)
         else:
@@ -490,12 +486,11 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
     return _evaluate_cell_list(
         _grid_cells(grid), base_machine, grid_spec=grid,
         has_input_axes=bool(input_axes), bet=bet, program=program,
-        inputs=inputs, entry=entry, library=library,
-        model_factory=model_factory, k=k, workers=workers, strict=strict,
-        policy=policy, timeout=timeout, checkpoint=checkpoint,
-        resume=resume, checkpoint_key=checkpoint_key, validate=validate,
-        chunk_size=chunk_size, backend=backend, executor=executor,
-        shards=shards, topology=topology, chaos=chaos)
+        inputs=inputs, model_factory=model_factory, k=k, workers=workers,
+        strict=strict, policy=policy, timeout=timeout,
+        checkpoint=checkpoint, resume=resume,
+        checkpoint_key=checkpoint_key, validate=validate, backend=backend,
+        executor=executor, shards=shards, topology=topology, chaos=chaos)
 
 
 def evaluate_cells(base_machine: MachineModel,
@@ -513,9 +508,6 @@ def evaluate_cells(base_machine: MachineModel,
                    validate: bool = True,
                    program: Optional[Program] = None,
                    inputs: Optional[Dict[str, float]] = None,
-                   entry: str = "main",
-                   library=None,
-                   chunk_size: Optional[int] = None,
                    backend: str = "auto",
                    executor=None,
                    shards: Optional[int] = None,
@@ -563,7 +555,7 @@ def evaluate_cells(base_machine: MachineModel,
         keys = list(map(overrides_key, cells))
         checkpoint_key = (
             sweep_key(program.fingerprint(),
-                      tuple(sorted((inputs or {}).items())), entry,
+                      tuple(sorted((inputs or {}).items())), "main",
                       repr(base_machine), tuple(keys), k)
             if input_names else
             sweep_key(render_tree(bet), repr(base_machine), tuple(keys), k))
@@ -581,12 +573,12 @@ def evaluate_cells(base_machine: MachineModel,
         cells, base_machine,
         grid_spec={name: list(values) for name, values in spec.items()},
         has_input_axes=bool(input_names), bet=bet, program=program,
-        inputs=inputs, entry=entry, library=library,
-        model_factory=model_factory, k=k, workers=workers, strict=strict,
-        policy=policy, timeout=timeout, checkpoint=checkpoint,
-        resume=resume, checkpoint_key=checkpoint_key, validate=validate,
-        chunk_size=chunk_size, backend=backend, executor=executor,
-        shards=shards, topology=topology, chaos=chaos, keys=keys)
+        inputs=inputs, model_factory=model_factory, k=k, workers=workers,
+        strict=strict, policy=policy, timeout=timeout,
+        checkpoint=checkpoint, resume=resume,
+        checkpoint_key=checkpoint_key, validate=validate, backend=backend,
+        executor=executor, shards=shards, topology=topology, chaos=chaos,
+        keys=keys)
 
 
 def _evaluate_cell_list(cells: List[Dict[str, float]],
@@ -596,8 +588,6 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                         bet: Optional[BETNode],
                         program: Optional[Program],
                         inputs: Optional[Dict[str, float]],
-                        entry: str,
-                        library,
                         model_factory: Optional[Callable],
                         k: int,
                         workers: int,
@@ -608,7 +598,6 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                         resume: bool,
                         checkpoint_key: Optional[str],
                         validate: bool,
-                        chunk_size: Optional[int],
                         backend: str,
                         executor,
                         shards: Optional[int],
@@ -668,9 +657,9 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
     pending_cells = ([cells[index] for index in pending] if prior
                      else cells)
 
-    source: Any = (SymbolicBET(program, entry=entry, library=library)
-                   if has_input_axes else bet)
-    tape_key = _tape_key(source) if has_input_axes else None
+    source: Any = SymbolicBET(program) if has_input_axes else bet
+    # the resident-tape key (see _symbolic_for), computed once per sweep
+    tape_key = program.fingerprint() if has_input_axes else None
     chunks: Optional[List[List[int]]] = None
     grouped: set = set()      # the cells of lane-group chunks
     if backend == "vector" and pending:
@@ -681,8 +670,6 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                  if resolved_executor is not None else workers)
         if resolved_executor is not None and shards:
             group_size = max(1, -(-len(pending) // max(1, int(shards))))
-        elif chunk_size is not None:
-            group_size = max(1, chunk_size)
         else:
             group_size = _auto_chunk_size(len(pending), width, vector=True)
         groups, residue = plan_lanes(pending_cells, group_size, min_lanes)
@@ -714,8 +701,7 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
                     {keys[index]: projection
                      for index, projection in points.items()})),
             workers=workers, strict=strict, policy=policy,
-            timeout=timeout, chunk_size=chunk_size,
-            executor=resolved_executor, shards=shards,
+            timeout=timeout, executor=resolved_executor, shards=shards,
             shard_stats=shard_stats if resolved_executor else None,
             chunks=chunks, floor=floor)
     finally:
@@ -868,7 +854,7 @@ def _checkpoint_settings(backend: str,
 #: resident symbolic trees, least recently used first: pool workers
 #: persist across chunks and sweeps, so one recorded build serves every
 #: chunk a worker (or the parent, in-process) receives for a program
-_SYM_CACHE: Dict[Tuple, SymbolicBET] = {}
+_SYM_CACHE: Dict[str, SymbolicBET] = {}
 _SYM_CACHE_LIMIT = 8
 _SYM_LOCK = threading.Lock()
 
@@ -883,27 +869,15 @@ def _reset_sym_lock() -> None:
 os.register_at_fork(after_in_child=_reset_sym_lock)
 
 
-def _tape_key(sym: SymbolicBET) -> Optional[Tuple]:
-    """The resident-tape key of ``sym``: everything that shapes its tape
-    (the program's content, the entry and the builder options), or
-    ``None`` for a custom library, which is not content-keyed.
-
-    A sweep computes it once, in the parent, when it builds its
-    :class:`SymbolicBET`, and ships it with every chunk, so no chunk
-    formats and hashes the program again.
-    """
-    if sym.library is not None:
-        return None
-    return (sym.program.fingerprint(), sym.entry,
-            repr(sorted(sym.builder_kwargs.items())))
-
-
 @contextmanager
-def _symbolic_for(sym: SymbolicBET,
-                  key: Optional[Tuple]) -> Iterator[SymbolicBET]:
-    """Check out the process's resident :class:`SymbolicBET` under
-    ``key`` (see :func:`_tape_key`) for ``sym``'s program, for one
-    chunk.
+def _symbolic_for(sym: SymbolicBET, key: str) -> Iterator[SymbolicBET]:
+    """Check out the process's resident :class:`SymbolicBET` for
+    ``sym``'s program, for one chunk.
+
+    ``key`` is the program's :meth:`~Program.fingerprint`, which is all
+    that shapes a tape.  A sweep computes it once, in the parent, and
+    ships it with every chunk, so no chunk formats and hashes the
+    program again.
 
     Shipped instances arrive without tape or tree (they pickle to just
     the program); a resident instance means later chunks, and later
@@ -913,17 +887,12 @@ def _symbolic_for(sym: SymbolicBET,
     while the chunk runs and returns, as most recently used, when the
     chunk ends.  A chunk that finds none (the first, or one running
     while another thread holds the resident) records a fresh copy, which
-    becomes the resident when it returns.  With no key (a custom
-    library), ``sym`` is used as shipped.
+    becomes the resident when it returns.
     """
-    if key is None:
-        yield sym
-        return
     with _SYM_LOCK:
         resident = _SYM_CACHE.pop(key, None)
     if resident is None:
-        resident = SymbolicBET(sym.program, entry=sym.entry,
-                               **sym.builder_kwargs)
+        resident = SymbolicBET(sym.program)
     try:
         yield resident
     finally:
@@ -1014,7 +983,6 @@ def _run_chunked(indices: Sequence[int],
                  strict: bool,
                  policy: Optional[RetryPolicy],
                  timeout: Optional[float],
-                 chunk_size: Optional[int],
                  executor: Optional[SweepExecutor] = None,
                  shards: Optional[int] = None,
                  shard_stats: Optional[Dict[str, float]] = None,
@@ -1067,17 +1035,16 @@ def _run_chunked(indices: Sequence[int],
     total = len(indices)
     if chunks is None:
         if executor is not None and shards:
-            chunk_size = max(1, -(-total // max(1, int(shards))))
-        elif chunk_size is None:
-            chunk_size = _auto_chunk_size(
+            size = max(1, -(-total // max(1, int(shards))))
+        else:
+            size = _auto_chunk_size(
                 total, executor.width if executor is not None else workers,
                 floor=floor)
-        chunk_size = max(1, chunk_size)
-        chunks = [list(indices[start:start + chunk_size])
-                  for start in range(0, total, chunk_size)]
+        chunks = [list(indices[start:start + size])
+                  for start in range(0, total, size)]
     else:
         chunks = [chunk for chunk in chunks if chunk]
-        chunk_size = max((len(chunk) for chunk in chunks), default=1)
+    chunk_size = max(map(len, chunks), default=1)
 
     def payload(chunk: List[int]):
         return (chunk_payload(chunk), chunk, policy, strict)
@@ -1320,13 +1287,12 @@ def _batch_project(sym: SymbolicBET, factory: Callable, machine, k: int,
 def _default_input_key(program: Program, machine: MachineModel,
                        axes: Dict[str, List[float]],
                        combos: List[Dict[str, float]],
-                       base_inputs: Dict[str, float],
-                       entry: str, k: int) -> str:
+                       base_inputs: Dict[str, float], k: int) -> str:
     return sweep_key(
         program.fingerprint(), repr(machine),
         sorted((name, tuple(values)) for name, values in axes.items())
         if axes else [tuple(sorted(combo.items())) for combo in combos],
-        tuple(sorted(base_inputs.items())), entry, k)
+        tuple(sorted(base_inputs.items())), "main", k)
 
 
 #: the ``cache_stats`` keys of an :class:`InputSweepResult`
@@ -1338,12 +1304,9 @@ _INPUT_CACHE_STATS = ("bet_builds", "bet_replays", "bet_shape_rebuilds",
 
 def sweep_inputs(program: Program, machine: MachineModel, axes,
                  base_inputs: Optional[Dict[str, float]] = None,
-                 entry: str = "main",
-                 library=None,
                  model_factory: Optional[Callable] = None,
                  k: int = 10,
                  workers: int = 1,
-                 chunk_size: Optional[int] = None,
                  strict: bool = False,
                  policy: Optional[RetryPolicy] = None,
                  timeout: Optional[float] = None,
@@ -1377,10 +1340,8 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
         row-major order (last axis varies fastest) — or an explicit
         sequence of ``{input: value, ...}`` dicts, swept in order.
     base_inputs:
-        Bindings held constant across the sweep (per-point values win).
-    chunk_size:
-        Points per shipped chunk (default: spread pending points about
-        four chunks per worker; serial runs use one chunk).
+        Bindings held constant across the sweep (per-point values win);
+        the swept program is its ``main``.
     strict / policy / timeout / checkpoint / resume / checkpoint_key:
         The per-*point* fault contract of every sweep (see
         :func:`_run_chunked`): a failing point is retried individually
@@ -1400,21 +1361,23 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
     executor / shards / topology / chaos:
         Sharded dispatch with supervision and quarantine — see
         :func:`sweep_grid`; semantics are identical here, with each
-        chunk of input points forming one shard.
+        chunk of input points forming one shard.  With no ``shards``,
+        pending points spread about four chunks per worker, and a
+        serial run ships one chunk.
     """
     axes_dict, combos, cells = _input_combos(axes)
     base = dict(base_inputs or {})
     if checkpoint and not checkpoint_key:
         checkpoint_key = _default_input_key(program, machine, axes_dict,
-                                            combos, base, entry, k)
+                                            combos, base, k)
     result = _evaluate_cell_list(
         cells, machine, grid_spec={}, has_input_axes=True, bet=None,
-        program=program, inputs=base, entry=entry, library=library,
-        model_factory=model_factory, k=k, workers=workers, strict=strict,
-        policy=policy, timeout=timeout, checkpoint=checkpoint,
-        resume=resume, checkpoint_key=checkpoint_key, validate=validate,
-        chunk_size=chunk_size, backend=backend, executor=executor,
-        shards=shards, topology=topology, chaos=chaos, labels=combos,
+        program=program, inputs=base, model_factory=model_factory, k=k,
+        workers=workers, strict=strict, policy=policy, timeout=timeout,
+        checkpoint=checkpoint, resume=resume,
+        checkpoint_key=checkpoint_key, validate=validate, backend=backend,
+        executor=executor, shards=shards, topology=topology, chaos=chaos,
+        labels=combos,
         point=lambda index, projection: InputPoint(combos[index],
                                                    **projection))
     return InputSweepResult(
@@ -1614,7 +1577,7 @@ def analyze_matrix(workloads: Sequence[str],
             f"{getattr(tasks[index][1], 'name', tasks[index][1])}"),
         record=remember,
         workers=workers, strict=strict, policy=policy, timeout=timeout,
-        chunk_size=None, floor=1)
+        floor=1)
     failed = {failure.index: failure for failure in failures}
     results = [computed[index] if index in computed else failed[index]
                for index in range(len(tasks))]

@@ -699,7 +699,7 @@ class AnalysisService:
             self._diag("SKOP716", f"warm-cache load failed: {exc}")
             return
         from ..bet.symbolic import SymbolicBET
-        from ..parallel.engine import _symbolic_for, _tape_key
+        from ..parallel.engine import _symbolic_for
         for entry in entries:
             if not isinstance(entry, dict):
                 continue
@@ -713,10 +713,11 @@ class AnalysisService:
                 tenant = str(entry.get("tenant", DEFAULT_TENANT))
                 self._bet_for(program, inputs, tenant,
                               self._build_budget())
-                # seed the engine's resident tape cache too, so the
-                # first served sweep replays instead of re-recording
+                # seed the engine's resident tape cache too (both tapes),
+                # so the first served sweep, scalar or lane array,
+                # replays instead of re-recording
                 sym = SymbolicBET(program)
-                with _symbolic_for(sym, _tape_key(sym)) as resident:
+                with _symbolic_for(sym, program.fingerprint()) as resident:
                     resident.bind(dict(inputs))
             except Exception as exc:
                 self._count("warm_cache_errors")

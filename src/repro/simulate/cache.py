@@ -130,13 +130,6 @@ class CacheSimulator:
             return 0.0
         return 1.0 - self.l1_hits / self.accesses
 
-    @property
-    def llc_miss_rate(self) -> float:
-        """Fraction of accesses served by neither L1 nor the LLC."""
-        if self.accesses == 0:
-            return 0.0
-        return 1.0 - (self.l1_hits + self.llc_hits) / self.accesses
-
     def clear(self) -> None:
         self.l1.clear()
         self.llc.clear()

@@ -19,7 +19,9 @@ a point's fault means the same on every route and executor.
   (commit d5cc2b2) under `tests/fixtures/legacy_checkpoints/`, made by
   running each sweep below once with `checkpoint=` on that commit, and
   one vector-backend input sweep written by `sweep_inputs`' own chunk
-  task before input sweeps joined the cell route (commit 8721640).
+  task before input sweeps joined the cell route (commit 8721640), and
+  one checkpointed `explore` run written while sweeps still took an
+  `entry` option (commit c41f614).
 """
 
 import dataclasses
@@ -481,7 +483,7 @@ class TestDefaultPoolExecutor:
         grid = {"bandwidth": [10e9, 20e9, 30e9, 40e9], "input:n": [100.0]}
         result = sweep_grid(None, BGQ, grid, program=program,
                             inputs=inputs, backend="scalar", workers=2,
-                            chunk_size=2, timeout=0.3,
+                            executor="pool", shards=2, timeout=0.3,
                             model_factory=_HangOn(30e9))
         assert [(f.index, f.error_type) for f in result.failures] == \
             [(2, "TaskTimeoutError")]
@@ -878,6 +880,30 @@ class TestLegacyCheckpoints:
         fresh = sweep_inputs(program, BGQ, axes, base_inputs=inputs)
         assert [dataclasses.asdict(p) for p in resumed.points] == \
             [dataclasses.asdict(p) for p in fresh.points]
+
+    def test_explore_resumes_everything(self, pedagogical, tmp_path):
+        # backend "vector" throughout, so every round of the run matches
+        # the checkpoint's one settings record
+        from repro.explore import explore
+        program, inputs = pedagogical
+        axes = {"bandwidth": [10e9, 20e9, 30e9, 40e9],
+                "frequency_hz": [1e9, 2e9],
+                "input:n": [64.0, 128.0, 256.0, 512.0]}
+
+        def run(**options):
+            return explore(axes, BGQ, ["runtime", "bandwidth:min"],
+                           program=program, inputs=inputs, budget=16,
+                           rounds=2, seed=3, backend="vector", **options)
+
+        path = _legacy(tmp_path, "explore.json")
+        resumed = run(checkpoint=path, resume=True)
+        assert resumed.evaluations == 16
+        stats = resumed.cache_stats
+        assert stats["lanes_vectorized"] == stats["lanes_fallback"] == 0
+        assert stats["bet_builds"] == stats["bet_replays"] == 0
+        assert [point.index for point in resumed.frontier] == [28, 12, 4]
+        assert [point.as_dict() for point in resumed.frontier] == \
+            [point.as_dict() for point in run().frontier]
 
     def test_sweep_machine_checkpoint_is_refused_with_a_code(
             self, pedagogical_bet, tmp_path):

@@ -434,7 +434,7 @@ class TestFingerprintPerSweep:
         calls = self._count_formats(monkeypatch)
         points = [{"n": float(n)} for n in range(10, 42)]
         result = sweep_inputs(program, BGQ, points, backend="scalar",
-                              executor="serial", chunk_size=8)
+                              executor="serial", shards=4)
         assert result.shard_stats["shards_planned"] == 4
         assert len(result.points) == 32
         assert calls == [program]

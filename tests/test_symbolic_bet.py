@@ -201,6 +201,32 @@ class TestSweepInputs:
         for stage in ("build", "rebind", "compile", "project", "total"):
             assert stage in result.timings
 
+    def test_warm_seeded_tape_serves_lane_arrays(self, machine):
+        # seeded as `repro serve --warm-cache` seeds it: the resident
+        # tape, bound once on the workload's default inputs
+        from repro.parallel.engine import _symbolic_for
+        program, inputs = load("cfd")
+        clear_symbolic_cache()
+        with _symbolic_for(SymbolicBET(program),
+                           program.fingerprint()) as resident:
+            resident.bind(dict(inputs))
+        name, base = next(iter(inputs.items()))
+        points = [{name: base * (1 + index / 8)} for index in range(8)]
+        result = sweep_inputs(program, machine, points, base_inputs=inputs)
+        assert result.backend == "vector"
+        assert result.cache_stats["bet_builds"] == 0
+        assert result.cache_stats["bet_batch_replays"] == 1
+
+    def test_scalar_then_lane_array_sweep_build_once(self, program,
+                                                      machine):
+        clear_symbolic_cache()
+        axes = {"n": [float(v) for v in range(16, 32)]}
+        base = {"m": 8.0, "pr": 0.3}
+        builds = [sweep_inputs(program, machine, axes, base_inputs=base,
+                               backend=backend).cache_stats["bet_builds"]
+                  for backend in ("scalar", "vector")]
+        assert builds == [1, 0]
+
     def test_failure_isolated_to_its_point(self, program, machine):
         result = sweep_inputs(
             program, machine,

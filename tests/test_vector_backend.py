@@ -189,11 +189,6 @@ class TestRebindBatch:
         with pytest.raises(ValueError):
             sym.rebind_batch({"n": []})
 
-    def test_rejects_build_budget(self, program):
-        sym = SymbolicBET(program, budget=10_000)
-        with pytest.raises(ValueError):
-            sym.rebind_batch({"n": [1.0, 2.0]})
-
 
 # -- backend dispatch ---------------------------------------------------------
 
