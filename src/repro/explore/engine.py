@@ -48,7 +48,8 @@ from ..errors import AnalysisError
 from ..hardware.machine import MachineModel, ensure_valid_machine
 from ..hardware.roofline import RooflineModel
 from ..parallel.engine import (
-    INPUT_PREFIX, GridPoint, _cell_machine, evaluate_cells,
+    INPUT_PREFIX, GridPoint, _cell_machine, _resolve_backend,
+    evaluate_cells,
 )
 from ..parallel.fault import overrides_key, sweep_key
 from ..rng import CounterRNG
@@ -257,7 +258,10 @@ def explore(axes: Dict[str, Sequence[float]],
         One :class:`~repro.parallel.SweepCheckpoint` file shared by all
         rounds, keyed by the space + workload + settings fingerprint;
         ``resume=True`` serves completed cells from disk while the
-        deterministic trajectory replays.
+        deterministic trajectory replays.  A checkpointed run resolves
+        ``backend="auto"`` once, from ``budget``: ``vector`` from
+        :data:`~repro.parallel.engine.VECTOR_MIN_LANES` evaluations, so
+        every round is stored under the same backend.
     """
     space = axes if isinstance(axes, GridSpace) else GridSpace(axes)
     if isinstance(objectives, (str, Objective)):
@@ -313,6 +317,10 @@ def explore(axes: Dict[str, Sequence[float]],
             "explore", space.fingerprint(), workload_id,
             tuple(sorted(base_inputs.items())), "main",
             repr(base_machine), k, seed)
+        # the checkpoint refuses rounds computed by different backends,
+        # so ``auto`` is resolved once for the whole run, from its
+        # budget, as the server resolves it for a checkpointed /sweep
+        backend = _resolve_backend(backend, budget)
 
     archive: Dict[int, Dict[str, Any]] = {}
     evaluated_order: List[int] = []
@@ -398,20 +406,21 @@ def explore(axes: Dict[str, Sequence[float]],
             models[objective.name] = model
 
         # candidate pool: seeded uniform sample of the unexplored space
-        # plus the lattice neighborhood of the current exact frontier
-        evaluated = set(archive)
+        # plus the lattice neighborhood of the current exact frontier,
+        # as one sorted array of distinct unevaluated indices
+        evaluated = archive.keys()
         rng = CounterRNG("candidates", seed, round_number)
-        pool = rng.sample_distinct(
+        sample = rng.sample_distinct(
             space.size, min(candidate_pool, space.size - len(evaluated)),
             exclude=evaluated)
         vectors = [archive[index]["canonical"] for index in order]
         front_local = pareto_indices(vectors)
-        for local in front_local:
-            for neighbor in space.neighbors(order[local]):
-                if neighbor not in evaluated:
-                    pool.append(neighbor)
-        pool = sorted(set(pool))
-        if not pool:
+        neighbors = [neighbor for local in front_local
+                     for neighbor in space.neighbors(order[local])
+                     if neighbor not in evaluated]
+        pool = np.sort(np.asarray(sample + neighbors, dtype=np.int64))
+        pool = pool[np.diff(pool, prepend=-1) > 0]
+        if not len(pool):
             break
 
         # score the whole pool: LCB hypervolume improvement plus an

@@ -46,11 +46,6 @@ SURROGATE_NAMES = ("ridge", "tree")
 #: when every bag agrees exactly (e.g. a constant objective)
 _STD_FLOOR = 1e-12
 
-#: elementwise Python ``pow``: C ``pow(x, 2.0)`` is not always the
-#: correctly rounded ``x * x``, and the variance is defined by the former
-_POW = np.frompyfunc(pow, 2, 1)
-
-
 def _feature_matrix(features: Sequence[Sequence[float]]) -> "np.ndarray":
     """``features`` as an ``(N, axes)`` float64 matrix."""
     matrix = np.asarray(features, dtype=np.float64)
@@ -75,13 +70,20 @@ def _poly_basis(coords: "np.ndarray") -> "np.ndarray":
 def _bagged_moments(votes: "np.ndarray") -> Tuple["np.ndarray",
                                                   "np.ndarray"]:
     """Per-column (mean, standard deviation) across the rows of
-    ``votes`` (one row per bag), accumulated bag by bag from zero."""
+    ``votes`` (one row per bag), accumulated bag by bag from zero.
+
+    Each squared deviation is the C library's ``pow(x, 2.0)``, as a
+    per-row Python ``(v - mean) ** 2`` computes it: ``np.float_power``
+    with a scalar exponent calls it per element.  ``x * x`` (what
+    ``np.square``, ``np.power(x, 2.0)`` and ``x ** 2`` compute on
+    arrays) is the correctly rounded square, which glibc's ``pow`` is
+    not always."""
     bags = len(votes)
     total = np.zeros(votes.shape[1])
     for vote in votes:
         total = total + vote
     mean = total / bags
-    squares = _POW(votes - mean, 2).astype(np.float64)
+    squares = np.float_power(votes - mean, 2.0)
     total = np.zeros(votes.shape[1])
     for square in squares:
         total = total + square

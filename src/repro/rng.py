@@ -1,4 +1,4 @@
-"""Deterministic SHA-256 counter-stream randomness.
+"""Deterministic counter-stream randomness: SHA-256 draws, SHAKE-256 blocks.
 
 Every stochastic-looking decision in this codebase must be reproducible:
 retry jitter, chaos schedules, the explorer's initial design and
@@ -16,6 +16,14 @@ to the seed key), which stays deterministic as long as the *order* of
 draws is deterministic — and, because each draw is independently keyed,
 two streams with different seeds never correlate.
 
+Where a consumer needs thousands of draws at once (the explorer's
+candidate pools), :meth:`CounterRNG.block` takes them from one
+SHAKE-256 output instead of one SHA-256 digest each: the key is the
+same ``<seed>:<counter>`` text, the output is read as big-endian 64-bit
+integers, and the block advances the counter by one.  SHAKE-256 is fixed
+by FIPS 202 and ships with :mod:`hashlib`, so a block is the same on
+every platform and numpy version.
+
 Consumers: :class:`~repro.parallel.RetryPolicy` backoff jitter,
 :meth:`~repro.parallel.ChaosSchedule.seeded`, and the
 :mod:`repro.explore` sampler and surrogates.
@@ -25,6 +33,8 @@ from __future__ import annotations
 
 import hashlib
 from typing import Any, List, Sequence
+
+import numpy as np
 
 __all__ = ["unit_fraction", "integer", "CounterRNG"]
 
@@ -74,7 +84,7 @@ class CounterRNG:
 
     @property
     def counter(self) -> int:
-        """Number of draws consumed so far."""
+        """Counter values consumed so far: one per draw or block."""
         return self._counter
 
     def _next(self) -> int:
@@ -108,19 +118,33 @@ class CounterRNG:
         self.shuffle(items)
         return items
 
+    def block(self, count: int) -> "np.ndarray":
+        """The next ``count`` draws as one uint64 array.
+
+        The draws are the first ``8 * count`` bytes of SHAKE-256 over
+        ``<seed>:<counter>``, read as big-endian 64-bit integers; the
+        whole block consumes one counter value."""
+        self._counter += 1
+        key = f"{self._seed}:{self._counter}".encode("utf-8")
+        return np.frombuffer(hashlib.shake_256(key).digest(8 * count),
+                             dtype=">u8")
+
     def sample_distinct(self, population: int, count: int,
                         exclude=None) -> List[int]:
         """``count`` distinct integers in [0, population), in draw order.
 
-        ``exclude`` is an optional membership container of indices never
-        to return.  Rejection-samples the stream, so it stays cheap while
-        ``count + len(exclude)`` is small relative to ``population``;
-        when more than half the population is requested it switches to a
-        shuffled enumeration instead.
+        ``exclude`` is an optional collection of distinct indices never
+        to return.  When at least half the available population is
+        requested the result is a shuffled enumeration.  Otherwise it
+        comes from :meth:`block` draws reduced modulo ``population``, a
+        block sized for the indices still missing at a time: each block
+        contributes, in draw order, the first occurrence of every value
+        neither excluded nor chosen from an earlier block, and the next
+        block tops up while duplicates and excluded values leave the
+        sample short.
         """
         excluded = exclude if exclude is not None else ()
-        available = population - (len(excluded)
-                                  if hasattr(excluded, "__len__") else 0)
+        available = population - len(excluded)
         count = min(count, max(0, available))
         if count <= 0:
             return []
@@ -129,14 +153,26 @@ class CounterRNG:
                           if index not in excluded]
             self.shuffle(candidates)
             return candidates[:count]
-        chosen: List[int] = []
-        seen = set()
-        # each miss consumes one draw; the loop is bounded because the
-        # target set is at most half the available population
-        while len(chosen) < count:
-            index = self.randint(population)
-            if index in seen or index in excluded:
-                continue
-            seen.add(index)
-            chosen.append(index)
-        return chosen
+        # excluded and chosen indices, sorted, ending in ``population``:
+        # no draw reaches that sentinel, so every search slot is valid
+        taken = np.sort(np.append(
+            np.fromiter(excluded, dtype=np.int64, count=len(excluded)),
+            population))
+        chosen: List["np.ndarray"] = []
+        found = 0
+        # a block is sized to land on as many free indices as are still
+        # missing; duplicates leave it short, and a smaller block tops
+        # it up (fewer than half of the free indices are wanted, so
+        # every block is expected to yield)
+        while found < count:
+            size = -(-(count - found) * population // (available - found))
+            draws = (self.block(size) % np.uint64(population)).astype(
+                np.int64)
+            values, first = np.unique(draws, return_index=True)
+            fresh = draws[np.sort(
+                first[taken[np.searchsorted(taken, values)] != values])]
+            chosen.append(fresh)
+            found += len(fresh)
+            taken = np.sort(np.concatenate([taken, fresh]))
+        return np.concatenate(chosen)[:count].tolist()
+

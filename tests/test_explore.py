@@ -305,6 +305,32 @@ class TestExplore:
                           model_factory=RooflineFactory(
                               ConstantCacheModel(miss_rate=0.5)))
 
+    def test_checkpointed_auto_backend_holds_across_rounds(
+            self, workload, tmp_path):
+        # 16 of 32 cells in two rounds: the initial design has 8 cells
+        # and a later round fewer, so resolving ``auto`` per round would
+        # store the rounds under two backends, which the checkpoint
+        # refuses (SKOP706)
+        program, inputs = workload
+        axes = {"bandwidth": [10e9, 20e9, 30e9, 40e9],
+                "input:n": [64.0, 128.0, 256.0, 512.0],
+                "frequency_hz": [1e9, 2e9]}
+        path = str(tmp_path / "explore.json")
+
+        def run(**options):
+            return explore(axes, BGQ, ["runtime"], program=program,
+                           inputs=inputs, budget=16, rounds=2,
+                           checkpoint=path, **options)
+
+        first = run()
+        assert first.evaluations == 16 and first.rounds == 2
+        resumed = run(resume=True)
+        assert resumed.evaluations == 16
+        assert resumed.cache_stats["bet_builds"] == 0
+        assert resumed.cache_stats["bet_replays"] == 0
+        assert [p.as_dict() for p in resumed.frontier] == \
+            [p.as_dict() for p in first.frontier]
+
     def test_three_objectives_monte_carlo_path(self, workload):
         program, inputs = workload
         result = explore(AXES, BGQ,

@@ -4,20 +4,29 @@ For a fixed seed the explorer's whole trajectory is a pure function of
 its arguments: the cells of every exact batch, the frontier, the
 hypervolume, the reference point and the surrogate-error trace.  Each
 configuration below hashes all of that into one SHA-256 digest and
-compares it with a value recorded before acquisition scored candidate
-pools as arrays, so any change to the sampler, the surrogates,
-acquisition scoring or batch selection that moves a single bit of the
-trajectory fails here; :func:`scoring_digest` pins the surrogate
-predictions and hypervolume improvements themselves the same way.
-The configurations cover both surrogate families, the 1-D
+compares it with a recorded value, so any change to the sampler, the
+surrogates, acquisition scoring or batch selection that moves a single
+bit of the trajectory fails here; :func:`scoring_digest` pins the
+surrogate predictions and hypervolume improvements themselves the same
+way.  The configurations cover both surrogate families, the 1-D
 closed-form, 2-D staircase and ≥3-D Monte-Carlo hypervolume paths, an
 axis objective to maximize, a machine-only space built from
 ``program=``, and the 10^6-cell benchmark space with full-size
 candidate pools.
 
+The six small-space digests and both scoring digests were recorded
+before acquisition scored candidate pools as arrays.  The three
+``bench-space-*`` digests were re-recorded when candidate pools moved
+from one SHA-256 digest per draw to SHAKE-256 block draws
+(:meth:`repro.rng.CounterRNG.block`): only a space large enough for
+``sample_distinct``'s rejection path draws a different pool, and only
+these three are.  The small spaces take its shuffled enumeration, which
+is unchanged.
+
 The second half of the module checks the array code against the
 per-candidate loops it replaced, on random (and tie-heavy) inputs, in
-any environment.
+any environment, and pins the ``pow`` squares of the bagged variance
+on votes where glibc's ``pow`` and ``x * x`` round apart.
 
 A digest is a property of the floating-point environment as much as of
 the code: the exact model, ``sum()`` over floats (compensated from
@@ -43,6 +52,7 @@ from repro.explore import (
     surrogate_by_name,
 )
 from repro.explore.acquire import _dominates
+from repro.explore.surrogate import _bagged_moments
 from repro.hardware import BGQ, XEON_E5_2420
 from repro.workloads import load
 
@@ -114,11 +124,11 @@ DIGESTS = {
     "machine-only-xeon":
         "a738792a147fd9ae58a2795fd492b7b8276c826ba4b3b511d64eb2789d3ae8c4",
     "bench-space-ridge":
-        "b42be53fddcdfa6f8951c4a71e1e16f0025c67c9ce87f71c14a026d0d31b0a4c",
+        "b2cbd47d2e26ced740ce8449f84a05e99de3cbc02b33978eee62df884e9c5044",
     "bench-space-tree":
-        "ea7ccc53baf57b5aae1ff70ff1163b0fa8a6e2e7107a5054de66984280d10292",
+        "275e0116383f1add8c4be1ab3f36b9fb45610aa079765fb4db658d2fe829293b",
     "bench-space-monte-carlo":
-        "5b906e1ec37ef6e75f1778fe9dde18775c13cf6a7ba5c48304a4a41247171a58",
+        "490fe5bb14e37e0ed2234c3a4fda2065ad9d53acc77c97ca33121fcb3d158a20",
 }
 
 #: SHA-256 of :func:`scoring_digest` per surrogate, recorded alongside
@@ -351,6 +361,34 @@ def training_sets(draw):
                             max_size=len(features)))
     queries = draw(_lattice(axes))
     return features, targets, queries
+
+
+#: one column of 8 bagged votes whose standard deviation through glibc's
+#: ``pow`` (0x1.5652f45968499p-1) is one ulp above the one through
+#: ``x * x`` (0x1.5652f45968498p-1)
+POW_VOTES = [float.fromhex(text) for text in (
+    "0x1.04af1aeceaba0p-1", "0x1.5d82d112a46edp-2", "-0x1.8ff029cc9022fp-1",
+    "0x1.a14a2ab4b3ad2p+0", "-0x1.188c85a51eebfp-2", "-0x1.24b5a9096f3fap-3",
+    "0x1.22932df343c7cp-1", "0x1.595feb0d20186p-2")]
+
+
+class TestBaggedVariance:
+    def test_moments_match_the_loop(self):
+        mean, std = _bagged_moments(np.asarray(POW_VOTES).reshape(-1, 1))
+        assert (mean[0], std[0]) == _loop_moments(POW_VOTES)
+
+    def test_deviations_are_squared_by_pow(self):
+        mean = _left_sum(POW_VOTES) / len(POW_VOTES)
+        product = math.sqrt(_left_sum((v - mean) * (v - mean)
+                                      for v in POW_VOTES) / len(POW_VOTES))
+        # IEEE arithmetic: the same double on every platform
+        assert product == float.fromhex("0x1.5652f45968498p-1")
+        through_pow = _loop_moments(POW_VOTES)[1]
+        if through_pow == product:
+            pytest.skip("this libm's pow squares these deviations as "
+                        "x * x does")
+        std = _bagged_moments(np.asarray(POW_VOTES).reshape(-1, 1))[1][0]
+        assert std == through_pow != product
 
 
 class TestArrayCodeMatchesLoops:

@@ -109,3 +109,45 @@ class TestCounterRNG:
         assert len(picked) == 8 == len(set(picked))
         everything = CounterRNG("dense", 1).sample_distinct(5, 99)
         assert sorted(everything) == list(range(5))
+
+
+#: the first four draws of SHAKE-256 over "block:0:1", which FIPS 202
+#: fixes on every platform
+FIRST_BLOCK = [0xdff8412d1782eede, 0xfd66d8d973ceac56,
+               0x8ea59fe1af469820, 0x1bdb0b7cbf469cc3]
+
+
+class TestBlockDraws:
+    def test_first_block_is_pinned(self):
+        rng = CounterRNG("block", 0)
+        assert rng.block(4).tolist() == FIRST_BLOCK
+        assert rng.counter == 1
+        # a longer block starts with the same draws
+        assert CounterRNG("block", 0).block(64)[:4].tolist() == FIRST_BLOCK
+
+    def test_blocks_advance_the_counter(self):
+        rng = CounterRNG("block", 0)
+        first, second = rng.block(8).tolist(), rng.block(8).tolist()
+        assert rng.counter == 2 and first != second
+
+    def test_candidate_pool_sized_draw(self):
+        exclude = set(range(3, 10 ** 6, 3907))
+        assert len(exclude) == 256
+        picked = CounterRNG("pool", 0).sample_distinct(
+            10 ** 6, 2048, exclude=exclude)
+        assert len(picked) == 2048 == len(set(picked))
+        assert all(0 <= index < 10 ** 6 for index in picked)
+        assert not exclude.intersection(picked)
+        assert picked == CounterRNG("pool", 0).sample_distinct(
+            10 ** 6, 2048, exclude=exclude)
+
+    def test_short_block_is_topped_up(self):
+        # 499 of 1000 excluded and 250 wanted, just under half of the 501
+        # left: the rejection path runs and its first block falls short
+        exclude = set(range(0, 998, 2))
+        rng = CounterRNG("top-up", 0)
+        picked = rng.sample_distinct(1000, 250, exclude=exclude)
+        assert rng.counter > 1
+        assert len(picked) == 250 == len(set(picked))
+        assert all(0 <= index < 1000 for index in picked)
+        assert not exclude.intersection(picked)
