@@ -52,6 +52,7 @@ from ..parallel.engine import (
     evaluate_cells,
 )
 from ..parallel.fault import overrides_key, sweep_key
+from ..parallel.lanes import check_parameter
 from ..rng import CounterRNG
 from ..skeleton.bst import Program
 from .acquire import (
@@ -270,6 +271,8 @@ def explore(axes: Dict[str, Sequence[float]],
         [spec.render() if isinstance(spec, Objective) else str(spec)
          for spec in objectives], space.names)
 
+    for name in space.names:
+        check_parameter(name)
     input_axes = [name for name in space.names
                   if name.startswith(INPUT_PREFIX)]
     if input_axes:
@@ -288,10 +291,6 @@ def explore(axes: Dict[str, Sequence[float]],
             raise AnalysisError("explore needs a program= or a built "
                                 "bet= for machine-only spaces")
         bet = build_bet(program, dict(inputs or {}))
-    for name in space.names:
-        if not name.startswith(INPUT_PREFIX) \
-                and not hasattr(base_machine, name):
-            raise AnalysisError(f"machine has no parameter {name!r}")
     if validate:
         ensure_valid_machine(base_machine)
     if budget < 2:
@@ -351,12 +350,13 @@ def explore(axes: Dict[str, Sequence[float]],
         diagnostics.extend(batch.diagnostics)
         result_backend = batch.backend
         result_executor = batch.executor
-        by_key = {overrides_key(point.overrides): point
-                  for point in batch.points}
-        for index, cell in zip(indices, cells):
-            point = by_key.get(overrides_key(cell))
-            if point is None:
+        # points come in cell order, failed cells left out
+        failed = {failure.index for failure in batch.failures}
+        points = iter(batch.points)
+        for slot, (index, cell) in enumerate(zip(indices, cells)):
+            if slot in failed:
                 continue                     # failed cell: not archived
+            point = next(points)
             values = _objective_values(parsed, cell, point)
             archive[index] = {
                 "cell": cell, "point": point, "values": values,
@@ -594,14 +594,13 @@ def verify_frontier(result: ExploreResult,
             base_machine, cells, bet=batch_bet, program=program,
             inputs=inputs, model_factory=model_factory, k=k,
             backend="vector", validate=False)
-        by_key = {overrides_key(point.overrides): point
-                  for point in batch.points}
-        for frontier_point in result.frontier:
-            point = by_key.get(overrides_key(frontier_point.cell))
-            if point is None:
-                raise AnalysisError(
-                    "grouped re-evaluation failed for frontier cell "
-                    f"{overrides_key(frontier_point.cell)}")
+        if batch.failures:
+            cell = result.frontier[batch.failures[0].index].cell
+            raise AnalysisError(
+                "grouped re-evaluation failed for frontier cell "
+                f"{overrides_key(cell)}")
+        # points come in cell order
+        for frontier_point, point in zip(result.frontier, batch.points):
             if (point.runtime != frontier_point.runtime
                     or point.memory_fraction
                     != frontier_point.memory_fraction):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -31,8 +30,9 @@ POSITIVE_FIELDS = (
     "cache_line", "div_cost", "mlp", "bandwidth_saturation_cores",
 )
 
-#: every numeric machine field: the ones pre-flight checks, and the ones a
-#: :class:`MachineLanes` view carries lane by lane
+#: every numeric machine field: the ones pre-flight checks, the ones a
+#: sweep cell may override, and the ones a :class:`MachineLanes` view
+#: carries lane by lane
 NUMERIC_FIELDS = POSITIVE_FIELDS + ("simd_efficiency",)
 
 
@@ -209,36 +209,38 @@ def ensure_valid_machine(machine) -> None:
     The pre-flight gate used by the roofline/ECM models, the analysis
     pipeline, and ``repro sweep`` — degenerate parameters surface as one
     readable report naming the offending fields, before any BET is built
-    or any math divides by them.
+    or any math divides by them.  A :class:`MachineLanes` view fails it
+    for each of its ``bad`` lanes.
     """
     if isinstance(machine, MachineLanes):
-        return          # built from machines that each passed this gate
-    issues = validate_machine(machine)
+        issues = [f"lane {lane} is not a valid machine"
+                  for lane in np.flatnonzero(machine.bad).tolist()]
+    else:
+        issues = validate_machine(machine)
     if issues:
         raise ValidationError(
-            issues, subject=getattr(machine, "name", "machine"))
+            issues, subject=getattr(machine, "name", "machine lanes"))
 
 
 # -- machine lanes ------------------------------------------------------------
 
-#: a machine's numeric field values, in :data:`NUMERIC_FIELDS` order
-numeric_values = attrgetter(*NUMERIC_FIELDS)
-
-
 class MachineLanes:
     """Several machines seen as one, lane by lane (DESIGN.md §15).
 
-    Lane ``i`` is ``machines[i]``: each numeric field that differs across
-    the machines is a float64 column with one entry per lane, and each
-    field they share keeps its one value.  The derived peaks and
-    :meth:`memory_cycles` are :class:`MachineModel`'s own, so a timing
-    model built over the view (RooflineModel, ECMModel and the cache
-    models, unchanged) evaluates every lane's machine at once with the
-    scalar arithmetic, lane-wise.  The view has no ``name``: a model
-    that reads it cannot run on lanes.
+    Lane ``i`` is ``base`` with the numeric machine fields of
+    ``overrides[i]`` applied (other keys, such as ``input:`` bindings,
+    are ignored): each field that differs across the lanes is a float64
+    column with one entry per lane, and each field they share keeps its
+    one value.  The derived peaks and :meth:`memory_cycles` are
+    :class:`MachineModel`'s own, so a timing model built over the view
+    (RooflineModel, ECMModel and the cache models, unchanged) evaluates
+    every lane's machine at once with the scalar arithmetic, lane-wise.
+    The view has no ``name``: a model that reads it cannot run on lanes.
 
-    Build it only from machines that passed :func:`ensure_valid_machine`
-    (the models' pre-flight accepts the view as is).
+    ``bad`` marks the lanes :class:`MachineModel` construction or
+    :func:`validate_machine` would refuse: a field non-finite or not
+    positive, ``simd_efficiency`` above 1, or ``llc_size`` below
+    ``l1_size``.  The models' pre-flight refuses a view with a bad lane.
     """
 
     cycle_time = MachineModel.cycle_time
@@ -249,17 +251,26 @@ class MachineLanes:
     ridge_intensity = MachineModel.ridge_intensity
     memory_cycles = MachineModel.memory_cycles
 
-    def __init__(self, machines: Sequence[MachineModel]):
-        if not machines:
+    def __init__(self, base: MachineModel,
+                 overrides: Sequence[Dict[str, float]]):
+        if not overrides:
             raise HardwareModelError("machine lanes need at least one "
-                                     "machine")
-        self.lanes = len(machines)
-        for name, values in zip(NUMERIC_FIELDS,
-                                zip(*map(numeric_values, machines))):
-            shared = values[0]
-            setattr(self, name,
-                    shared if values.count(shared) == self.lanes
-                    else np.array(values, dtype=np.float64))
+                                     "lane")
+        self.lanes = len(overrides)
+        varied = set().union(*overrides)
+        table = np.empty((len(NUMERIC_FIELDS), self.lanes))
+        for row, name in enumerate(NUMERIC_FIELDS):
+            value = getattr(base, name)
+            if name in varied:
+                values = [cell.get(name, value) for cell in overrides]
+                value = values[0]
+                if values.count(value) != self.lanes:
+                    value = np.array(values, dtype=np.float64)
+            setattr(self, name, value)
+            table[row] = value
+        self.bad = (~(np.isfinite(table) & (table > 0)).all(axis=0)
+                    | (self.simd_efficiency > 1.0)
+                    | (self.llc_size < self.l1_size))
 
     def tile(self, lo: int, hi: int) -> "MachineLanes":
         """Lanes ``lo:hi`` as a view of their own."""

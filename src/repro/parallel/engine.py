@@ -57,10 +57,12 @@ from ..analysis.sensitivity import project_with_model
 from ..analysis.vectorized import TreeBlocks, project_batch
 from ..bet import SymbolicBET, build_bet
 from ..bet.nodes import BETNode, render_tree
-from ..errors import AnalysisError, RetryExhaustedError, TaskTimeoutError
+from ..errors import (
+    AnalysisError, HardwareModelError, RetryExhaustedError, TaskTimeoutError,
+)
 from ..expressions import compile_stats, parser_stats
 from ..hardware.machine import (
-    MachineLanes, MachineModel, ensure_valid_machine, validate_machine,
+    MachineLanes, MachineModel, ensure_valid_machine,
 )
 from ..hardware.roofline import RooflineModel
 from ..skeleton.bst import Program
@@ -70,7 +72,8 @@ from .executors import (
 )
 from .pool import close_idle_pool
 from .lanes import (
-    INPUT_PREFIX, input_columns, plan_lanes, split_overrides,
+    INPUT_PREFIX, check_parameter, input_columns, plan_lanes,
+    split_overrides,
 )
 from .fault import (
     _ITEM_REPR_LIMIT, PointFailure, RetryPolicy, SweepCheckpoint,
@@ -227,12 +230,33 @@ def _python_scalar(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _python_cells(cells) -> List[Dict[str, Any]]:
-    """Each of ``cells`` (mappings) as a dict of :func:`_python_scalar`
-    values, the rule inlined: this runs once per value of a sweep."""
+def _enter_cells(cells) -> Tuple[List[Dict[str, Any]],
+                                  Dict[str, Dict[Any, None]]]:
+    """One pass over an explicit cell list, where it enters the engine:
+    ``(cells, union)``, each cell as a dict of :func:`_python_scalar`
+    values, and each name's values in first-appearance order, equal ones
+    (1 and 1.0) merged.  The first fault in cell order raises: a name
+    :func:`~.lanes.check_parameter` refuses, or a value that is not a
+    number."""
     generic = np.generic
-    return [{name: value.item() if isinstance(value, generic) else value
-             for name, value in dict(cell).items()} for cell in cells]
+    entered: List[Dict[str, Any]] = []
+    union: Dict[str, Dict[Any, None]] = {}
+    for cell in cells:
+        cell = dict(cell)
+        for name, value in cell.items():
+            if isinstance(value, generic):
+                value = cell[name] = value.item()
+            values = union.get(name)
+            if values is None:
+                check_parameter(name)
+                values = union[name] = {}
+            try:
+                values.setdefault(value)
+            except TypeError:
+                raise AnalysisError(f"cell value {value!r} of {name!r} "
+                                    "is not a number") from None
+        entered.append(cell)
+    return entered, union
 
 
 def _grid_cells(grid: Dict[str, Sequence[float]]) -> List[Dict[str, float]]:
@@ -266,49 +290,6 @@ def _grid_point(base_machine: MachineModel, overrides: Dict[str, float],
     point.__dict__.update(projection, overrides=overrides,
                           _base=base_machine)
     return point
-
-
-class _CellMachines:
-    """The machines a chunk's cells run on: one per distinct set of
-    machine overrides, built on first use.
-
-    :meth:`key` names a cell's set — its machine fields and values in
-    cell order, ``()`` for a cell that overrides none — and
-    :meth:`machine` builds the set's machine once: the base machine
-    itself for ``()``, else :func:`_cell_machine` of the machine fields
-    alone, so the name tag leaves out the cell's inputs.  A build that
-    raises is not kept; the next cell with that key raises again.
-    """
-
-    def __init__(self, base_machine: MachineModel):
-        self._machines: Dict[Tuple, MachineModel] = {(): base_machine}
-        self._fields: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        self._base = base_machine
-
-    def _fields_of(self, order: Tuple[str, ...]) -> Tuple[str, ...]:
-        fields = self._fields.get(order)
-        if fields is None:
-            fields = self._fields[order] = tuple(
-                name for name in order if not name.startswith(INPUT_PREFIX))
-        return fields
-
-    def key(self, cell: Dict[str, float]) -> Tuple:
-        fields = self._fields_of(tuple(cell))
-        return tuple([(name, cell[name]) for name in fields]) \
-            if fields else ()
-
-    def keys(self, cells: Sequence[Dict[str, float]]) -> List[Tuple]:
-        """:meth:`key` of every cell, in order."""
-        if not any(map(self._fields_of, dict.fromkeys(map(tuple, cells)))):
-            return [()] * len(cells)     # no cell overrides the machine
-        return list(map(self.key, cells))
-
-    def machine(self, key: Tuple) -> MachineModel:
-        machine = self._machines.get(key)
-        if machine is None:
-            machine = self._machines[key] = _cell_machine(self._base,
-                                                          dict(key))
-        return machine
 
 
 def _projection(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -460,13 +441,9 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
             for name, values in grid.items()}
     if not grid or any(len(values) == 0 for values in grid.values()):
         raise AnalysisError("grid needs at least one value per parameter")
-    input_axes = [name for name in grid if name.startswith(INPUT_PREFIX)]
     for parameter in grid:
-        if parameter.startswith(INPUT_PREFIX):
-            continue
-        if not hasattr(base_machine, parameter):
-            raise AnalysisError(
-                f"machine has no parameter {parameter!r}")
+        check_parameter(parameter)
+    input_axes = [name for name in grid if name.startswith(INPUT_PREFIX)]
     if input_axes and program is None:
         raise AnalysisError(
             f"grid axes {input_axes} sweep workload inputs; "
@@ -532,17 +509,10 @@ def evaluate_cells(base_machine: MachineModel,
     list, so different batches would otherwise refuse to share a file.
     Other parameters match :func:`sweep_grid`.
     """
-    cells = _python_cells(cells)
+    cells, union = _enter_cells(cells)
     if not cells:
         raise AnalysisError("evaluate_cells needs at least one cell")
-    input_names: set = set()
-    for cell in cells:
-        for name in cell:
-            if name.startswith(INPUT_PREFIX):
-                input_names.add(name)
-            elif not hasattr(base_machine, name):
-                raise AnalysisError(
-                    f"machine has no parameter {name!r}")
+    input_names = [name for name in union if name.startswith(INPUT_PREFIX)]
     if input_names and program is None:
         raise AnalysisError(
             f"cells override workload inputs {sorted(input_names)}; "
@@ -559,19 +529,9 @@ def evaluate_cells(base_machine: MachineModel,
                       repr(base_machine), tuple(keys), k)
             if input_names else
             sweep_key(render_tree(bet), repr(base_machine), tuple(keys), k))
-    # the axis union, for the result's informational grid field: values
-    # in first-appearance order, equal ones (1 and 1.0) merged
-    spec: Dict[str, Dict[float, None]] = {}
-    for cell in cells:
-        for name, value in cell.items():
-            try:
-                spec.setdefault(name, {}).setdefault(value)
-            except TypeError:
-                raise AnalysisError(f"cell value {value!r} of {name!r} "
-                                    "is not a number") from None
     return _evaluate_cell_list(
         cells, base_machine,
-        grid_spec={name: list(values) for name, values in spec.items()},
+        grid_spec={name: list(values) for name, values in union.items()},
         has_input_axes=bool(input_names), bet=bet, program=program,
         inputs=inputs, model_factory=model_factory, k=k, workers=workers,
         strict=strict, policy=policy, timeout=timeout,
@@ -1251,12 +1211,17 @@ def _input_combos(axes) -> Tuple[Dict[str, List[float]],
         values = list(itertools.product(*axes.values()))
         return (axes, [dict(zip(names, combo)) for combo in values],
                 [dict(zip(prefixed, combo)) for combo in values])
-    combos = _python_cells(axes)
+    generic = np.generic
+    combos, cells = [], []
+    for point in axes:
+        combo = {name: value.item() if isinstance(value, generic) else value
+                 for name, value in dict(point).items()}
+        combos.append(combo)
+        cells.append({INPUT_PREFIX + name: value
+                      for name, value in combo.items()})
     if not combos:
         raise AnalysisError("input sweep needs at least one point")
-    return {}, combos, [{INPUT_PREFIX + name: value
-                         for name, value in combo.items()}
-                        for combo in combos]
+    return {}, combos, cells
 
 
 def _batch_project(sym: SymbolicBET, factory: Callable, machine, k: int,
@@ -1390,18 +1355,16 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
         diagnostics=result.diagnostics)
 
 
-def _lane_batch(source, machines: _CellMachines, cells, base_inputs,
+def _lane_batch(source, base_machine: MachineModel, cells, base_inputs,
                 factory: Callable, k: int):
     """Evaluate one lane group's chunk of cells as one lane array
     (DESIGN.md §15).
 
-    Each distinct machine of the chunk (:class:`_CellMachines`) is built
-    once; the cells whose machine builds and passes its pre-flight are
-    the lanes.  Lanes that all run on one machine project on it, and
-    its timing model pre-flights it, as on the scalar route; lanes on
-    several machines project on one
-    :class:`~repro.hardware.MachineLanes`, whose models skip the
-    pre-flight, so each machine takes it here.  The lanes' inputs are
+    Lanes that override no machine field project on ``base_machine``
+    itself, whose timing model pre-flights it, as on the scalar route;
+    otherwise the lanes' machines are the columns of one
+    :class:`~repro.hardware.MachineLanes`, and a cell whose machine is
+    not valid (a ``bad`` lane) leaves the array.  The lanes' inputs are
     either the columns of one batch replay of ``source`` (a
     :class:`~repro.bet.SymbolicBET`) or, ``source`` being a built tree,
     that tree's own rows (:class:`~repro.analysis.vectorized.TreeBlocks`).
@@ -1409,35 +1372,24 @@ def _lane_batch(source, machines: _CellMachines, cells, base_inputs,
     ``projections`` in chunk order and ``counts`` the lane counters a
     tree batch adds to the chunk's stages (a replay counts its own).
     ``None`` marks a cell for the scalar attempt loop, which reproduces
-    its canonical result or error: a cell whose machine failed, a lane
-    the replay demoted, or every lane when the replay or the projection
-    raised.
+    its canonical result or error: a bad lane, a lane the replay
+    demoted, or every lane when the replay or the projection raised.
     """
-    keys = machines.keys(cells)
-    built: Dict[Tuple, Optional[MachineModel]] = {}
-    for key in dict.fromkeys(keys):
-        try:
-            built[key] = machines.machine(key)
-        except Exception:
-            built[key] = None
-    if len(built) > 1:
-        for key, machine in built.items():
-            if machine is not None and validate_machine(machine):
-                built[key] = None
     projections: List[Optional[Dict]] = [None] * len(cells)
-    lane_machines = [machine for machine in built.values()
-                     if machine is not None]
-    if not lane_machines:
-        return projections, 0.0, {}
     lanes = cells
     lane_index: Optional[List[int]] = None   # lanes are the whole chunk
-    if len(lane_machines) < len(built):
-        lane_index = [slot for slot, key in enumerate(keys)
-                      if built[key] is not None]
-        lanes = [cells[slot] for slot in lane_index]
-        keys = [keys[slot] for slot in lane_index]
-    machine = (lane_machines[0] if len(lane_machines) == 1
-               else MachineLanes([built[key] for key in keys]))
+    machine: Any = base_machine
+    if not all(name.startswith(INPUT_PREFIX)
+               for name in set().union(*cells)):
+        try:
+            machine = MachineLanes(base_machine, cells)
+            if machine.bad.any():
+                lane_index = np.flatnonzero(~machine.bad).tolist()
+                lanes = [cells[slot] for slot in lane_index]
+                machine = MachineLanes(base_machine, lanes)
+        except (HardwareModelError, OverflowError):
+            # no lane is left, or an int no float64 column holds
+            return projections, 0.0, {}
     counts: Dict[str, float] = {}
     if isinstance(source, SymbolicBET):
         cols = input_columns(lanes, base_inputs)
@@ -1470,10 +1422,11 @@ def _grid_chunk_task(payload):
     bind through (its resident copy under ``tape_key``), or the built
     tree machine-only cells re-project.  A chunk the planner cut as a
     lane-group slice (``batch``) is one lane array
-    (:func:`_lane_batch`).  Cells a lane array does not produce
-    run the scalar attempt loop, with one timing model per distinct
-    machine, where consecutive cells with identical input bindings
-    reuse the current tree without a rebind.
+    (:func:`_lane_batch`).  Cells a lane array does not produce run the
+    scalar attempt loop, with one machine (named for its machine fields
+    alone) and one timing model per distinct set of machine overrides,
+    where consecutive cells with identical input bindings reuse the
+    current tree without a rebind.
     """
     body, indices, policy, strict = payload
     (source, tape_key, base_machine, cells, base_inputs, model_factory,
@@ -1485,20 +1438,25 @@ def _grid_chunk_task(payload):
             source = sym
         before = _stage_snapshot(sym)
         factory = model_factory or RooflineModel
-        machines = _CellMachines(base_machine)
         done, project_seconds, counts = (
-            _lane_batch(source, machines, cells, base_inputs, factory, k)
+            _lane_batch(source, base_machine, cells, base_inputs, factory,
+                        k)
             if batch else (None, 0.0, {}))
+        machines: Dict[Tuple, MachineModel] = {(): base_machine}
         models: Dict[Tuple, Any] = {}
         bound_key: Any = None     # the input bindings ``bet`` was bound to
         bet = None if sym is not None else source
 
         def evaluate(cell):
             nonlocal bound_key, bet, project_seconds
-            key = machines.key(cell)
-            machine = machines.machine(key)
+            machine_part, input_part = split_overrides(cell)
+            key = tuple(machine_part.items())
+            machine = machines.get(key)
+            if machine is None:       # before the bind: its error first
+                machine = machines[key] = _cell_machine(base_machine,
+                                                        machine_part)
             if sym is not None:
-                inputs = {**base_inputs, **split_overrides(cell)[1]}
+                inputs = {**base_inputs, **input_part}
                 bound = tuple(sorted(inputs.items()))
                 if bet is None or bound != bound_key:
                     bet = None            # bind state unknown until it lands

@@ -34,8 +34,21 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..errors import AnalysisError
+from ..hardware.machine import NUMERIC_FIELDS
+
 #: axis-name prefix marking an input (workload) parameter in a mixed grid
 INPUT_PREFIX = "input:"
+
+
+def check_parameter(name: str) -> None:
+    """Refuse a name no cell may override: a cell sets workload inputs
+    (``input:<name>``) and numeric machine fields, not the machine's
+    ``name``, a derived property (``cycle_time``) or a method."""
+    if name not in NUMERIC_FIELDS and not name.startswith(INPUT_PREFIX):
+        raise AnalysisError(
+            f"machine has no parameter {name!r} (cells override "
+            f"{', '.join(NUMERIC_FIELDS)} or input:<name>)")
 
 
 def split_overrides(

@@ -60,7 +60,8 @@ from ..parallel.chaos import CHAOS_KINDS, ChaosSchedule
 from ..parallel.engine import (
     INPUT_PREFIX, VECTOR_MIN_LANES, VECTOR_MIN_POINTS, evaluate_cells,
 )
-from ..parallel.fault import overrides_key, sweep_key
+from ..parallel.fault import sweep_key
+from ..parallel.lanes import check_parameter
 from ..skeleton import parse_skeleton
 from ..validate import preflight
 from ..workloads import load as load_workload
@@ -428,6 +429,10 @@ class AnalysisService:
                 400, "'params' must map axis names to value lists")
         grid: Dict[str, List[float]] = {}
         for name, values in params.items():
+            try:
+                check_parameter(str(name))
+            except ReproError as exc:
+                raise ProtocolError(400, str(exc))
             if not isinstance(values, (list, tuple)) or not values:
                 raise ProtocolError(
                     400, f"axis {name!r} needs a non-empty value list")
@@ -1059,16 +1064,15 @@ class AnalysisService:
                  result, route_failures, state,
                  degraded: bool) -> None:
         """Distribute one chunk's outcome to every subscriber."""
-        points_by_key: Dict[str, Any] = {}
+        # points come in cell order, failed cells left out
+        points = iter(result.points if result is not None else ())
         failures_by_local: Dict[int, Any] = {}
         if result is not None:
-            points_by_key = {overrides_key(point.overrides): point
-                             for point in result.points}
             failures_by_local = {failure.index: failure
                                  for failure in result.failures}
         for local, (cell_index, cell) in enumerate(wanted):
-            cell_id = overrides_key(cell)
-            point = points_by_key.get(cell_id)
+            point = (None if local in failures_by_local
+                     else next(points, None))
             payload = (grid_point_to_dict(point)
                        if point is not None else None)
             for member, member_index in batch.routes[cell_index]:

@@ -22,8 +22,9 @@ from repro.analysis import block_metrics, hotspots, sensitivity, vectorized
 from repro.analysis.sensitivity import project_with_model
 from repro.analysis.vectorized import project_batch
 from repro.bet import SymbolicBET, build_bet
+from repro.errors import ValidationError
 from repro.hardware import (
-    BGQ, XEON_E5_2420, MachineLanes, RooflineModel,
+    BGQ, XEON_E5_2420, MachineLanes, RooflineModel, ensure_valid_machine,
 )
 from repro.hardware.cachemodel import (
     AnalyticCacheModel, ECMFactory, RooflineFactory,
@@ -133,8 +134,7 @@ def test_lane_tiles_match_one_pass(name, monkeypatch):
     batch = SymbolicBET(program).rebind_batch(
         cols, lane_index=range(lanes - 1, -1, -1))
     # one machine for every lane, and one machine per lane
-    lane_machines = MachineLanes([BGQ.with_overrides(**cell)
-                                  for cell in _machine_cells(BGQ, lanes)])
+    lane_machines = MachineLanes(BGQ, _machine_cells(BGQ, lanes))
     for machine in (BGQ, lane_machines):
         monkeypatch.setattr(vectorized, "TILE_ELEMENTS", 1 << 13)
         whole = project_batch(batch, RooflineModel, machine)
@@ -247,14 +247,16 @@ def _failure_rows(result):
             for failure in result.failures]
 
 
-@pytest.mark.parametrize("where", ["inputs", "tree"])
-def test_invalid_machine_lanes_fail_like_the_scalar_route(where):
-    # cores=0 fails building the cell machine, a NaN bandwidth fails its
-    # pre-flight: both leave the lane array, which still carries the rest
+def _point_rows(result):
+    return [(p.overrides, p.machine, p.runtime, p.ranking, p.top_label,
+             p.memory_fraction, p.completeness) for p in result.points]
+
+
+def _on_both_backends(cells, where):
+    """``evaluate_cells`` of ``cells`` on the scalar and vector backends,
+    with an ``input:n`` binding per lane (``where="inputs"``) or over the
+    prebuilt default tree."""
     program, inputs = load("pedagogical")
-    cells = _machine_cells(BGQ, 10)
-    cells[3] = {**cells[3], "cores": 0}
-    cells[7] = {**cells[7], "bandwidth": float("nan")}
     if where == "inputs":
         cells = [{**cell, "input:n": float(100 + 10 * lane)}
                  for lane, cell in enumerate(cells)]
@@ -266,17 +268,80 @@ def test_invalid_machine_lanes_fail_like_the_scalar_route(where):
         clear_symbolic_cache()
         results[backend] = evaluate_cells(BGQ, cells, backend=backend,
                                           **kwargs)
-    scalar, vector = results["scalar"], results["vector"]
+    return results["scalar"], results["vector"]
+
+
+#: one bad lane per rule of the lane mask, with the error the scalar
+#: route raises for it: building the cell machine refuses a field that is
+#: not positive, ``simd_efficiency`` above 1 and ``llc_size`` below
+#: ``l1_size``; its pre-flight refuses a field that is not finite
+BAD_LANES = {
+    3: ({"cores": 0}, "HardwareModelError"),
+    5: ({"simd_efficiency": 1.5}, "HardwareModelError"),
+    7: ({"bandwidth": float("nan")}, "ValidationError"),
+    9: ({"llc_size": 8192}, "HardwareModelError"),
+    11: ({"frequency_hz": float("inf")}, "ValidationError"),
+    12: ({"issue_width": -2}, "HardwareModelError"),
+}
+
+
+@pytest.mark.parametrize("where", ["inputs", "tree"])
+def test_invalid_machine_lanes_fail_like_the_scalar_route(where):
+    # every bad lane leaves the lane array, which still carries the rest
+    cells = _machine_cells(BGQ, 14)
+    for lane, (override, _) in BAD_LANES.items():
+        cells[lane] = {**cells[lane], **override}
+    scalar, vector = _on_both_backends(cells, where)
     assert _failure_rows(vector) == _failure_rows(scalar)
     assert [row[:2] for row in _failure_rows(vector)] == [
-        (3, "HardwareModelError"), (7, "ValidationError")]
-    assert [(p.overrides, p.machine, p.runtime, p.ranking,
-             p.memory_fraction) for p in vector.points] == \
-        [(p.overrides, p.machine, p.runtime, p.ranking,
-          p.memory_fraction) for p in scalar.points]
-    assert vector.cache_stats["lanes_vectorized"] == len(cells) - 2
+        (lane, error) for lane, (_, error) in BAD_LANES.items()]
+    assert _point_rows(vector) == _point_rows(scalar)
+    assert vector.cache_stats["lanes_vectorized"] == \
+        len(cells) - len(BAD_LANES)
     assert vector.cache_stats["lanes_fallback"] == 0
     assert vector.cache_stats["lane_groups"] == 1
+
+
+@pytest.mark.parametrize("where", ["inputs", "tree"])
+def test_a_chunk_of_bad_lanes_fails_like_the_scalar_route(where):
+    cells = _machine_cells(BGQ, 12)
+    for lane, (override, _) in enumerate(list(BAD_LANES.values()) * 2):
+        cells[lane] = {**cells[lane], **override}
+    scalar, vector = _on_both_backends(cells, where)
+    assert len(vector.failures) == len(cells) and not vector.points
+    assert _failure_rows(vector) == _failure_rows(scalar)
+    assert vector.cache_stats["lanes_vectorized"] == 0
+    assert vector.cache_stats["lane_groups"] == 0
+
+
+@pytest.mark.parametrize("where", ["inputs", "tree"])
+def test_lanes_on_one_set_of_overrides_match_the_scalar_route(where):
+    cells = [{"bandwidth": 2.8e10, "cores": 8, "simd_efficiency": 0.5}
+             for _ in range(10)]
+    scalar, vector = _on_both_backends(cells, where)
+    assert not vector.failures and not scalar.failures
+    assert _point_rows(vector) == _point_rows(scalar)
+    assert vector.cache_stats["lanes_vectorized"] == len(cells)
+    assert vector.cache_stats["lane_groups"] == 1
+
+
+def test_lanes_preflight_refuses_a_bad_lane():
+    good = MachineLanes(BGQ, _machine_cells(BGQ, 6))
+    assert good.bad.tolist() == [False] * 6
+    ensure_valid_machine(good)
+    for override, _ in BAD_LANES.values():
+        cells = _machine_cells(BGQ, 6)
+        cells[4] = {**cells[4], **override}
+        lanes = MachineLanes(BGQ, cells)
+        assert lanes.bad.tolist() == [False] * 4 + [True, False]
+        with pytest.raises(ValidationError,
+                           match="lane 4 is not a valid machine"):
+            ensure_valid_machine(lanes)
+        ensure_valid_machine(lanes.tile(0, 4))
+    # a bad field no lane overrides makes every lane bad
+    lanes = MachineLanes(replace(BGQ, bandwidth=float("nan")),
+                         [{"cores": 2}, {"cores": 4}])
+    assert lanes.bad.tolist() == [True, True]
 
 
 class _CoreBranchingModel(RooflineModel):

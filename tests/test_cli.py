@@ -75,6 +75,14 @@ class TestBasicCommands:
             assert code == 1
             assert "--cluster needs --executor multinode" in err
 
+    def test_sweep_refuses_a_derived_machine_property(self, capsys):
+        # cycle_time follows from frequency_hz: a sweep cannot set it,
+        # and says so instead of reporting every point failed
+        code, _, err = run_cli(capsys, "sweep", "pedagogical",
+                               "--param", "cycle_time=1e-9,2e-9")
+        assert code == 1
+        assert "machine has no parameter 'cycle_time'" in err
+
 
 BROKEN_SKELETON = """\
 def main(n)

@@ -532,6 +532,25 @@ class TestServiceEndpoints:
         assert status == 400
         assert "chaos" in body["error"]
 
+    def test_unknown_parameter_is_400_and_trips_no_breaker(self, server):
+        # a name no cell can override is the client's fault: refused at
+        # admission, it never reaches the engine, so it cannot count as
+        # an executor failure and degrade every tenant's sweeps
+        for name in ("frobnicate", "warp_factor", "flux", "cycle_time"):
+            status, _, body = http_json(
+                server.port, "POST", "/sweep",
+                {"workload": "pedagogical", "params": {name: [1.0, 2.0]}})
+            assert status == 400, body
+            assert f"machine has no parameter {name!r}" in body["error"]
+        status, _, stats = http_json(server.port, "GET", "/statsz")
+        assert stats["breaker"]["trips"] == 0
+        status, _, body = http_json(
+            server.port, "POST", "/sweep",
+            {"workload": "pedagogical", "tenant": "other",
+             "params": {"cores": [8, 16]}})
+        assert status == 200 and body["status"] == "ok"
+        assert not body["degraded"]
+
 
 class TestLoadShedding:
     def test_http_429_with_retry_after_when_saturated(self):

@@ -13,7 +13,8 @@ from repro.bet import build_bet
 from repro.errors import AnalysisError
 from repro.experiments import analyze, cache_stats, clear_cache
 from repro.experiments import pipeline
-from repro.hardware import BGQ, XEON_E5_2420
+from repro.explore import explore
+from repro.hardware import BGQ, XEON_E5_2420, RooflineModel
 from repro.parallel import (
     CacheStats, LRUCache, analyze_matrix, bet_cache_stats,
     build_bet_cached, clear_bet_cache, evaluate_cells, sweep_grid,
@@ -320,6 +321,40 @@ class TestSweepGrid:
     def test_rejects_unknown_parameter(self, pedagogical_bet):
         with pytest.raises(AnalysisError):
             sweep_grid(pedagogical_bet, BGQ, {"warp_drive": [1.0]})
+
+
+@pytest.mark.parametrize("name", ["cycle_time", "describe", "name"])
+@pytest.mark.parametrize("entry", ["sweep_grid", "evaluate_cells",
+                                   "explore"])
+def test_cells_override_only_numeric_fields_and_inputs(
+        pedagogical, pedagogical_bet, entry, name):
+    # a derived property, a method and the machine's name are all
+    # attributes of the machine, but no cell can set them: each entry
+    # point refuses them before it evaluates anything
+    program, inputs = pedagogical
+    models = []
+
+    def factory(machine):
+        models.append(machine)
+        return RooflineModel(machine)
+
+    runs = {
+        "sweep_grid": lambda: sweep_grid(
+            pedagogical_bet, BGQ, {"bandwidth": [1e10, 2e10],
+                                   name: [1.0, 2.0]},
+            model_factory=factory),
+        "evaluate_cells": lambda: evaluate_cells(
+            BGQ, [{"bandwidth": 1e10}, {name: 1.0}], bet=pedagogical_bet,
+            model_factory=factory),
+        "explore": lambda: explore(
+            {"bandwidth": [1e10, 2e10], name: [1.0, 2.0]}, BGQ, "runtime",
+            program=program, inputs=inputs, budget=4, rounds=1,
+            model_factory=factory),
+    }
+    with pytest.raises(AnalysisError,
+                       match=f"machine has no parameter '{name}'"):
+        runs[entry]()
+    assert models == []
 
 
 # -- numpy-typed axis values --------------------------------------------------

@@ -60,11 +60,13 @@ def _headline(name, payload):
             grouped = payload["grouped"]
             served = payload["served"]
             grids = payload["machine_grids"]
-            return (f"grouped {grouped['speedup']:.1f}x over scalar on "
+            return (f"grouped {grouped['grouped_s'] * 1e3:.1f} ms, "
+                    f"{grouped['speedup']:.1f}x over scalar on "
                     f"{grouped['cells']} mixed cells "
                     f"({int(grouped['lane_groups'])} groups, "
                     f"{int(grouped['lanes_fallback'])} fallback), "
-                    f"machine grids {grids['speedup']:.1f}x, "
+                    f"six machine grids {grids['lanes_s'] * 1e3:.1f} ms, "
+                    f"{grids['speedup']:.1f}x, "
                     f"served {served['speedup']:.1f}x")
         if name == "parse":
             return (f"parse at most {payload['max_ratio']:.2f}x build_bet "
