@@ -18,7 +18,7 @@ replay or over one prebuilt tree (:class:`TreeBlocks`), DESIGN.md §15.
 from __future__ import annotations
 
 from itertools import chain, compress
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from .. import arrayops as _aops
 from ..bet.nodes import BETNode
@@ -45,18 +45,15 @@ class TreeBlocks:
     ENRs, parallel widths and metric fields — taken from the tree's own
     scalar annotations, the values ``characterize`` reads, so every lane
     sees the same tree and only the machine varies across lanes.
-    ``lane_index`` maps lanes to caller positions as on a batch replay.
     """
 
-    __slots__ = ("root", "lanes", "bad", "lane_index", "memo", "blocks",
-                 "block_enr", "block_width")
+    __slots__ = ("root", "lanes", "bad", "memo", "blocks", "block_enr",
+                 "block_width")
 
-    def __init__(self, root: BETNode, lanes: int,
-                 lane_index: Optional[Sequence[int]] = None):
+    def __init__(self, root: BETNode, lanes: int):
         self.root = root
         self.lanes = lanes
         self.bad = _aops.np.zeros(lanes, dtype=bool)
-        self.lane_index = lane_index
         self.memo: Dict = {}
         self.blocks = list(root.blocks())
         self.block_enr = [node.enr for node in self.blocks]
@@ -193,30 +190,22 @@ def _block_totals(batch, model, columns, lo: int, hi: int):
     return np.where(finite, out, 0.0)
 
 
-def project_batch(batch, factory: Callable, machine, k: int = 10,
-                  out: Optional[List[Optional[Dict]]] = None
+def project_batch(batch, factory: Callable, machine, k: int = 10
                   ) -> List[Optional[Dict]]:
     """Project every lane of a :class:`~repro.bet.symbolic.BatchBET` (or
     a :class:`TreeBlocks`) on ``factory(machine)``.
 
-    Returns one ``project_with_model``-shaped dict per lane; lanes in the
-    batch's ``bad`` mask get ``None`` (the caller re-binds them through
-    the scalar path).  ``factory`` builds a block-time model whose
-    arithmetic is shape-polymorphic (RooflineModel and ECMModel both
-    are): the model is called once per tile of up to
+    Returns one ``project_with_model``-shaped dict per lane, in lane
+    order; lanes in the batch's ``bad`` mask get ``None`` (the caller
+    re-binds them through the scalar path).  ``factory`` builds a
+    block-time model whose arithmetic is shape-polymorphic
+    (RooflineModel and ECMModel both are): the model is called once per
+    tile of up to
     :data:`TILE_ELEMENTS` blocks × lanes, with every metric field a
     ``(blocks, lanes)`` array.  ``machine`` is one
     :class:`~repro.hardware.MachineModel` for every lane, or a
     :class:`~repro.hardware.MachineLanes` with one machine per lane; then
     each tile's model is built over that tile's slice of the columns.
-
-    When the batch carries a non-contiguous ``lane_index`` map and the
-    caller passes ``out`` (a pre-sized mutable list), each lane's
-    projection is additionally scattered to ``out[lane_index[i]]`` —
-    ``None`` for bad lanes — so a lane group gathered from a
-    heterogeneous cell list lands back in original cell order without a
-    caller-side permutation pass.  Without a ``lane_index``, lanes
-    scatter to their own position.
     """
     np = _aops.np
     plan = batch.memo.get(_SitePlan)
@@ -226,7 +215,6 @@ def project_batch(batch, factory: Callable, machine, k: int = 10,
     report = getattr(batch.root, "meta", None)
     completeness = getattr(report, "completeness", 1.0)
     bad = batch.bad.tolist()
-    lane_index = batch.lane_index
     spots = len(plan.sites)
     top = min(k, spots)
     results: List[Optional[Dict]] = []
@@ -270,9 +258,8 @@ def project_batch(batch, factory: Callable, machine, k: int = 10,
             firsts = plan.labels[order[0]].tolist() if spots \
                 else ["-"] * (hi - lo)
             for col in range(hi - lo):
-                lane = lo + col
                 projection = None
-                if not bad[lane]:
+                if not bad[lo + col]:
                     count = counts_row[col]
                     projection = {
                         "runtime": runtime_row[col],
@@ -282,7 +269,4 @@ def project_batch(batch, factory: Callable, machine, k: int = 10,
                         "completeness": completeness,
                     }
                 results.append(projection)
-                if out is not None:
-                    out[lane_index[lane] if lane_index is not None
-                        else lane] = projection
     return results

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import arrayops as _aops
 from ..arrayops import is_array, truthy, vmin, vmax, vwhere
@@ -307,7 +307,7 @@ class _Recorder:
                            for name, expr in program.params.items())
 
         def vop(R, S, er=er, param_fns=vparam_fns,
-                func_params=func_params, root=root):
+                func_params=func_params):
             inputs = R[0]
             env = {}
             for name, fn in param_fns:
@@ -321,7 +321,6 @@ class _Recorder:
                     # canonical ModelError for every lane
                     S.bad |= True
             R[er] = env
-            S.ctx[root] = env
         self.vemit(vop)
         self.bind_ctx(init_ctx, er, self.ONE)
         self._block_reset(root)
@@ -465,7 +464,8 @@ class _Recorder:
     def _emit_prob_context(self, node: BETNode,
                            regs: Tuple[Tuple[int, int], ...]) -> None:
         """Leaf annotation: prob = min(Σ pᵢ, 1), context = argmax-prob env
-        (first max wins, matching the builder's ``max``)."""
+        (first max wins, matching the builder's ``max``).  The vector twin
+        annotates the probability alone: a projection reads no context."""
         if len(regs) == 1:
             env_reg, prob_reg = regs[0]
 
@@ -474,10 +474,8 @@ class _Recorder:
                 node.context = R[env_reg]
             self.emit(op)
 
-            def vop(R, S, node=node, env_reg=env_reg,
-                    prob_reg=prob_reg):
+            def vop(R, S, node=node, prob_reg=prob_reg):
                 S.prob[node] = vmin(R[prob_reg], 1.0)
-                S.ctx[node] = R[env_reg]
             self.vemit(vop)
             return
 
@@ -499,20 +497,6 @@ class _Recorder:
             for env_reg, prob_reg in regs:
                 total = total + R[prob_reg]
             S.prob[node] = vmin(total, 1.0)
-            # argmax-prob env with first-max-wins (strict >), tracked
-            # as a per-lane index when probabilities are lane-varying
-            best_idx = 0
-            best_p = R[regs[0][1]]
-            for j in range(1, len(regs)):
-                p = R[regs[j][1]]
-                take = p > best_p
-                best_idx = vwhere(take, j, best_idx)
-                best_p = vwhere(take, p, best_p)
-            envs = tuple(R[env_reg] for env_reg, _ in regs)
-            if is_array(best_idx):
-                S.ctx[node] = _LaneSelect(envs, best_idx)
-            else:
-                S.ctx[node] = envs[best_idx]
         self.vemit(vop)
 
     def on_leaf(self, node: BETNode, contexts: List[Context],
@@ -810,7 +794,6 @@ class _Recorder:
                 sbase[11],
             ]
             S.prob[node] = R[prob_reg]
-            S.ctx[node] = env
         self.vemit(vop)
 
     def on_call(self, node: BETNode, ctx: Context, callee, statement,
@@ -850,7 +833,6 @@ class _Recorder:
                 env[param] = fn(caller_env, S.bad)
             R[dst_er] = env
             S.prob[node] = R[caller_pr]
-            S.ctx[node] = env
         self.vemit(vop)
         self.bind_ctx(entry_ctx, dst_er, self.ONE)
         self._block_reset(node)
@@ -893,7 +875,6 @@ class _Recorder:
                                     f_step(env, S.bad), S)
                     S.mark(truthy(trips > 0))
                     S.prob[node] = R[prob_reg]
-                    S.ctx[node] = env
                     S.num_iter[node] = _vfloat(trips)
                     R[trips_reg] = trips
             else:
@@ -944,7 +925,6 @@ class _Recorder:
                         body_env[var] = lo + step * (trips - 1) / 2
                     R[body_er] = body_env
                     S.prob[node] = R[prob_reg]
-                    S.ctx[node] = env
                     S.num_iter[node] = _vfloat(trips)
                     R[trips_reg] = trips
                 self.bind_ctx(body_ctx, body_er, self.ONE)
@@ -974,7 +954,6 @@ class _Recorder:
                 S.mark(truthy(trips < 0))
                 S.mark((trips <= 0) != zero_trip)
                 S.prob[node] = R[prob_reg]
-                S.ctx[node] = env
                 S.num_iter[node] = _vfloat(trips)
                 R[trips_reg] = trips
             if not zero_trip:
@@ -1174,7 +1153,6 @@ class _Recorder:
             R[rem] = rv - p_arm
             scale = R[pr] * p_arm
             S.prob[node] = scale
-            S.ctx[node] = R[er]
             R[scale_reg] = scale
         self.vemit(vop)
         # arm entry context: copy of the branch context env at full mass
@@ -1290,7 +1268,6 @@ class _Recorder:
             p = vmin(p, 1.0)
             R[escape_reg] = R[escape_reg] + R[prob_reg] * p
             S.prob[node] = R[prob_reg] * p
-            S.ctx[node] = env
             prob = R[prob_reg] * (1.0 - p)
             S.mark((prob < 0) | (prob > 1 + 1e-9))
             prob = vmin(prob, 1.0)
@@ -1305,14 +1282,15 @@ class _Recorder:
 class _BatchSink:
     """Annotation sink for one batch replay.
 
-    The vector twins never touch the shared tree; every per-node
-    annotation lands here, keyed by node.  ``bad`` is the lane mask of
-    sweep points whose vector evaluation may diverge from the scalar
+    The vector twins never touch the shared tree; the annotations a
+    projection reads — probabilities, trip counts and metric
+    accumulators — land here, keyed by node.  ``bad`` is the lane mask
+    of sweep points whose vector evaluation may diverge from the scalar
     builder — those lanes are re-bound through the scalar path, so
     marking a lane is always *safe*, never wrong.
     """
 
-    __slots__ = ("lanes", "bad", "prob", "num_iter", "metrics", "ctx")
+    __slots__ = ("lanes", "bad", "prob", "num_iter", "metrics")
 
     def __init__(self, lanes: int):
         self.lanes = lanes
@@ -1320,26 +1298,11 @@ class _BatchSink:
         self.prob: Dict[BETNode, Any] = {}
         self.num_iter: Dict[BETNode, Any] = {}
         self.metrics: Dict[BETNode, list] = {}
-        self.ctx: Dict[BETNode, Any] = {}
 
     def mark(self, mask) -> None:
         """Merge a divergence mask (Python bool or lane array) into
         ``bad``."""
         self.bad |= mask
-
-
-class _LaneSelect:
-    """Deferred per-lane context choice (argmax over candidate envs).
-
-    Materialized lazily by :meth:`BatchBET.context_at`: ``envs[index[i]]``
-    is lane *i*'s environment.
-    """
-
-    __slots__ = ("envs", "index")
-
-    def __init__(self, envs, index):
-        self.envs = envs
-        self.index = index
 
 
 class SymbolicBET:
@@ -1383,16 +1346,6 @@ class SymbolicBET:
         """Tree from the most recent bind (``None`` before the first)."""
         return self._root
 
-    def input_names(self) -> Tuple[str, ...]:
-        """The input parameter names of ``main``.
-
-        The bindable surface of :meth:`bind` / :meth:`rebind_batch` —
-        callers that construct input axes programmatically (the sweep
-        CLI, the :mod:`repro.explore` space validation) check axis names
-        against this instead of discovering a typo deep inside a build.
-        """
-        return tuple(self.program.entry.params)
-
     def bind(self, inputs: Optional[Dict[str, float]] = None) -> BETNode:
         """Evaluate the BET for ``inputs``; replay when the shape holds."""
         inputs = dict(inputs or {})
@@ -1415,9 +1368,7 @@ class SymbolicBET:
     #: alias — the sweep engine calls this per point
     rebind = bind
 
-    def rebind_batch(self, inputs: Dict[str, Any],
-                     lane_index: Optional[Sequence[int]] = None
-                     ) -> "BatchBET":
+    def rebind_batch(self, inputs: Dict[str, Any]) -> "BatchBET":
         """Replay the annotation tape once for a whole input sweep.
 
         ``inputs`` maps each input name to a 1-D sequence of values; lane
@@ -1429,14 +1380,6 @@ class SymbolicBET:
         are bit-identical to a fresh scalar build per point.  With no
         tape recorded yet, it first records one on lane 0's inputs; a
         tape a :meth:`bind` recorded serves as it is.
-
-        ``lane_index`` is an optional non-contiguous index map: entry
-        *i* names the caller-side position lane *i* came from (a lane
-        group gathered from a heterogeneous cell list is not contiguous
-        in its chunk).  It is carried on the returned batch for
-        :func:`~repro.analysis.vectorized.project_batch` to scatter
-        results back into original order; it never affects the lane
-        arithmetic itself.
         """
         np = _aops.np
         if not inputs:
@@ -1456,13 +1399,6 @@ class SymbolicBET:
             cols[name] = col
         if lanes < 1:
             raise ValueError("batch rebind needs at least one lane")
-        index_map: Optional[Tuple[int, ...]] = None
-        if lane_index is not None:
-            index_map = tuple(int(position) for position in lane_index)
-            if len(index_map) != lanes:
-                raise ValueError(
-                    f"lane_index has {len(index_map)} entries for "
-                    f"{lanes} lanes")
         if self._recorder is None:
             # a builder error for lane 0 propagates exactly as a scalar
             # bind would raise it
@@ -1478,22 +1414,18 @@ class SymbolicBET:
             memo = self._recorder.memo
             try:
                 self._recorder.replay_batch(cols, sink)
-                batch = BatchBET(self._root, sink, cols,
-                                 lane_index=index_map, memo=memo)
+                batch = BatchBET(self._root, sink, memo=memo)
             except Exception:
                 # unexpected replay failure: every lane takes the scalar
                 # path, which reproduces the canonical result or error
                 sink.bad |= True
                 try:
-                    batch = BatchBET(self._root, sink, cols,
-                                     lane_index=index_map, memo=memo)
+                    batch = BatchBET(self._root, sink, memo=memo)
                 except Exception:
                     sink.prob.clear()
                     sink.num_iter.clear()
                     sink.metrics.clear()
-                    sink.ctx.clear()
-                    batch = BatchBET(self._root, sink, cols,
-                                     lane_index=index_map, memo=memo)
+                    batch = BatchBET(self._root, sink, memo=memo)
         fallback = int(np.count_nonzero(sink.bad))
         self.stats["batch_replays"] += 1
         self.stats["batch_seconds"] += perf_counter() - started
@@ -1542,9 +1474,6 @@ class BatchBET:
     absent from the sink are input-independent — their recorded scalar
     annotations hold for every lane.  ``bad`` flags lanes that must be
     re-bound through the scalar path instead of read from here.
-    ``lane_index`` (optional) maps lane *i* to the caller-side position
-    it was gathered from; consumers use it to scatter per-lane results
-    back into non-contiguous original order.
 
     ``blocks`` lists the tree's code blocks in pre-order (the order of
     :meth:`BETNode.blocks`), with each block's ENR in ``block_enr`` and
@@ -1554,19 +1483,15 @@ class BatchBET:
     depends on the tree's structure alone.
     """
 
-    __slots__ = ("root", "sink", "cols", "lanes", "bad", "lane_index",
-                 "memo", "blocks", "block_enr", "block_width", "_enr")
+    __slots__ = ("root", "sink", "lanes", "bad", "memo", "blocks",
+                 "block_enr", "block_width", "_enr")
 
     def __init__(self, root: BETNode, sink: _BatchSink,
-                 cols: Dict[str, Any],
-                 lane_index: Optional[Tuple[int, ...]] = None,
                  memo: Optional[Dict] = None):
         self.root = root
         self.sink = sink
-        self.cols = cols
         self.lanes = sink.lanes
         self.bad = sink.bad
-        self.lane_index = lane_index
         self.memo = {} if memo is None else memo
         self._enr: Dict[BETNode, Any] = {}
         self.blocks: List[BETNode] = []
@@ -1606,15 +1531,3 @@ class BatchBET:
         if fields is None:
             return _metrics_base(node.own_metrics)
         return fields
-
-    def context_at(self, node: BETNode, lane: int) -> Dict:
-        """Materialize lane *lane*'s environment for ``node``."""
-        ctx = self.sink.ctx.get(node)
-        if ctx is None:
-            return dict(node.context)
-        if isinstance(ctx, _LaneSelect):
-            ctx = ctx.envs[int(ctx.index[lane])]
-        out = {}
-        for key, value in ctx.items():
-            out[key] = float(value[lane]) if is_array(value) else value
-        return out

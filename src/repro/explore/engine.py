@@ -52,7 +52,7 @@ from ..parallel.engine import (
     evaluate_cells,
 )
 from ..parallel.fault import overrides_key, sweep_key
-from ..parallel.lanes import check_parameter
+from ..parallel.lanes import check_inputs, check_parameter, split_overrides
 from ..rng import CounterRNG
 from ..skeleton.bst import Program
 from .acquire import (
@@ -151,17 +151,6 @@ class ExploreResult:
                 for objective in self.objectives)
             lines.append(f"{values}  {overrides_key(point.cell)}")
         return "\n".join(lines)
-
-
-def _split_cell(cell: Dict[str, float]) -> Tuple[Dict[str, float],
-                                                 Dict[str, float]]:
-    """(machine overrides, input bindings) halves of one cell."""
-    machine_part = {name: value for name, value in cell.items()
-                    if not name.startswith(INPUT_PREFIX)}
-    input_part = {name[len(INPUT_PREFIX):]: value
-                  for name, value in cell.items()
-                  if name.startswith(INPUT_PREFIX)}
-    return machine_part, input_part
 
 
 def _objective_values(objectives: Sequence[Objective],
@@ -280,12 +269,7 @@ def explore(axes: Dict[str, Sequence[float]],
             raise AnalysisError(
                 f"axes {input_axes} sweep workload inputs; pass "
                 "program= (and optionally inputs=) to explore")
-        known = set(program.entry.params)
-        for name in input_axes:
-            if name[len(INPUT_PREFIX):] not in known:
-                raise AnalysisError(
-                    f"axis {name!r} names no input of 'main'; "
-                    f"inputs: {sorted(known)}")
+        check_inputs(program, input_axes)
     elif bet is None:
         if program is None:
             raise AnalysisError("explore needs a program= or a built "
@@ -544,7 +528,7 @@ def verify_frontier(result: ExploreResult,
     Returns the number of points verified.
     """
     for frontier_point in result.frontier:
-        machine_part, input_part = _split_cell(frontier_point.cell)
+        _, input_part = split_overrides(frontier_point.cell)
         machine = _cell_machine(base_machine, frontier_point.cell)
         if program is not None:
             fresh_bet = build_bet(program,

@@ -72,8 +72,8 @@ from .executors import (
 )
 from .pool import close_idle_pool
 from .lanes import (
-    INPUT_PREFIX, check_parameter, input_columns, plan_lanes,
-    split_overrides,
+    INPUT_PREFIX, check_inputs, check_parameter, input_columns,
+    plan_lanes, split_overrides,
 )
 from .fault import (
     _ITEM_REPR_LIMIT, PointFailure, RetryPolicy, SweepCheckpoint,
@@ -444,11 +444,13 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
     for parameter in grid:
         check_parameter(parameter)
     input_axes = [name for name in grid if name.startswith(INPUT_PREFIX)]
-    if input_axes and program is None:
-        raise AnalysisError(
-            f"grid axes {input_axes} sweep workload inputs; "
-            "pass program= (and optionally inputs=) to sweep_grid")
-    if not input_axes and bet is None:
+    if input_axes:
+        if program is None:
+            raise AnalysisError(
+                f"grid axes {input_axes} sweep workload inputs; "
+                "pass program= (and optionally inputs=) to sweep_grid")
+        check_inputs(program, input_axes)
+    elif bet is None:
         raise AnalysisError("sweep_grid needs a built BET for "
                             "machine-only grids")
     if checkpoint and not checkpoint_key:
@@ -513,11 +515,13 @@ def evaluate_cells(base_machine: MachineModel,
     if not cells:
         raise AnalysisError("evaluate_cells needs at least one cell")
     input_names = [name for name in union if name.startswith(INPUT_PREFIX)]
-    if input_names and program is None:
-        raise AnalysisError(
-            f"cells override workload inputs {sorted(input_names)}; "
-            "pass program= (and optionally inputs=) to evaluate_cells")
-    if not input_names and bet is None:
+    if input_names:
+        if program is None:
+            raise AnalysisError(
+                f"cells override workload inputs {sorted(input_names)}; "
+                "pass program= (and optionally inputs=) to evaluate_cells")
+        check_inputs(program, input_names)
+    elif bet is None:
         raise AnalysisError("evaluate_cells needs a built BET for "
                             "machine-only cells")
     keys = None
@@ -1224,31 +1228,6 @@ def _input_combos(axes) -> Tuple[Dict[str, List[float]],
     return {}, combos, cells
 
 
-def _batch_project(sym: SymbolicBET, factory: Callable, machine, k: int,
-                   cols, lane_index=None, out=None):
-    """Batch-replay ``cols`` and project every lane on ``machine`` (one
-    machine, or a :class:`~repro.hardware.MachineLanes`).
-
-    Returns ``(projections, project_seconds)``, or ``None`` when the
-    replay or the projection raises; the caller then reruns every lane
-    on the scalar loop.  A projection that raises after the replay
-    counted its lanes as vectorized (a user model whose arithmetic is
-    not shape-polymorphic, say ``if metrics.flops > 0``) recounts them
-    as fallback, since that is the route they take.
-    """
-    try:
-        batch = sym.rebind_batch(cols, lane_index=lane_index)
-    except Exception:
-        return None
-    started = time.perf_counter()
-    try:
-        projections = project_batch(batch, factory, machine, k, out=out)
-    except Exception:
-        sym.demote_batch(batch)
-        return None
-    return projections, time.perf_counter() - started
-
-
 def _default_input_key(program: Program, machine: MachineModel,
                        axes: Dict[str, List[float]],
                        combos: List[Dict[str, float]],
@@ -1331,6 +1310,7 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
         serial run ships one chunk.
     """
     axes_dict, combos, cells = _input_combos(axes)
+    check_inputs(program, set().union(*cells))
     base = dict(base_inputs or {})
     if checkpoint and not checkpoint_key:
         checkpoint_key = _default_input_key(program, machine, axes_dict,
@@ -1377,41 +1357,48 @@ def _lane_batch(source, base_machine: MachineModel, cells, base_inputs,
     """
     projections: List[Optional[Dict]] = [None] * len(cells)
     lanes = cells
-    lane_index: Optional[List[int]] = None   # lanes are the whole chunk
+    slots: Sequence[int] = range(len(cells))   # each lane's chunk position
     machine: Any = base_machine
     if not all(name.startswith(INPUT_PREFIX)
                for name in set().union(*cells)):
         try:
             machine = MachineLanes(base_machine, cells)
             if machine.bad.any():
-                lane_index = np.flatnonzero(~machine.bad).tolist()
-                lanes = [cells[slot] for slot in lane_index]
+                slots = np.flatnonzero(~machine.bad).tolist()
+                lanes = [cells[slot] for slot in slots]
                 machine = MachineLanes(base_machine, lanes)
         except (HardwareModelError, OverflowError):
             # no lane is left, or an int no float64 column holds
             return projections, 0.0, {}
     counts: Dict[str, float] = {}
-    if isinstance(source, SymbolicBET):
-        cols = input_columns(lanes, base_inputs)
-        batched = (None if cols is None else _batch_project(
-            source, factory, machine, k, cols, lane_index=lane_index,
-            out=projections))
-    else:
+    replay = isinstance(source, SymbolicBET)
+    cols = input_columns(lanes, base_inputs) if replay else None
+    if replay and cols is None:
+        return projections, 0.0, counts
+    batch = None
+    try:
+        batch = (source.rebind_batch(cols) if replay
+                 else TreeBlocks(source, len(lanes)))
         started = time.perf_counter()
-        try:
-            project_batch(TreeBlocks(source, len(lanes),
-                                     lane_index=lane_index),
-                          factory, machine, k, out=projections)
-        except Exception:
-            batched = None
+        results = project_batch(batch, factory, machine, k)
+        seconds = time.perf_counter() - started
+    except Exception:
+        # every lane reruns on the scalar loop and counts as fallback: a
+        # replay recounts the lanes it counted as vectorized, a tree's
+        # are counted here.  A projection raises for a user model whose
+        # arithmetic is not shape-polymorphic, say
+        # ``if metrics.flops > 0``.
+        if not replay:
             counts["bet_lanes_fallback"] = float(len(lanes))
-        else:
-            batched = (projections, time.perf_counter() - started)
-            counts["bet_lanes_vectorized"] = float(len(lanes))
-    if batched is None:
-        return [None] * len(cells), 0.0, counts
+        elif batch is not None:
+            source.demote_batch(batch)
+        return projections, 0.0, counts
+    if not replay:
+        counts["bet_lanes_vectorized"] = float(len(lanes))
     counts["lane_groups"] = 1.0
-    return projections, batched[1], counts
+    for slot, projection in zip(slots, results):
+        projections[slot] = projection
+    return projections, seconds, counts
 
 
 def _grid_chunk_task(payload):

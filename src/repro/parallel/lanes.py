@@ -32,7 +32,7 @@ cell order through the chunk's explicit index list (see
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from ..hardware.machine import NUMERIC_FIELDS
@@ -49,6 +49,23 @@ def check_parameter(name: str) -> None:
         raise AnalysisError(
             f"machine has no parameter {name!r} (cells override "
             f"{', '.join(NUMERIC_FIELDS)} or input:<name>)")
+
+
+def check_inputs(program, names: Iterable[str]) -> None:
+    """Refuse an ``input:`` name that ``program`` does not take.
+
+    An input binds a top-level ``param`` (overriding its default) or a
+    parameter of ``main``.  Any other name would bind as an unused extra,
+    so a typo would read as an input the model does not depend on.
+    Names without the prefix are :func:`check_parameter`'s to judge.
+    """
+    known = {*program.params, *program.entry.params}
+    for name in names:
+        if (name.startswith(INPUT_PREFIX)
+                and name[len(INPUT_PREFIX):] not in known):
+            raise AnalysisError(
+                f"axis {name!r} names no input of the program (its "
+                f"params and main's parameters: {sorted(known)})")
 
 
 def split_overrides(

@@ -58,10 +58,10 @@ from ..hardware.cachemodel import (
 from ..parallel.cache import LRUCache
 from ..parallel.chaos import CHAOS_KINDS, ChaosSchedule
 from ..parallel.engine import (
-    INPUT_PREFIX, VECTOR_MIN_LANES, VECTOR_MIN_POINTS, evaluate_cells,
+    INPUT_PREFIX, VECTOR_MIN_POINTS, _resolve_backend, evaluate_cells,
 )
 from ..parallel.fault import sweep_key
-from ..parallel.lanes import check_parameter
+from ..parallel.lanes import check_inputs, check_parameter
 from ..skeleton import parse_skeleton
 from ..validate import preflight
 from ..workloads import load as load_workload
@@ -459,6 +459,10 @@ class AnalysisService:
             preflight(program, inputs, machine)
         except ReproError as exc:
             raise ProtocolError(400, f"preflight failed: {exc}")
+        try:
+            check_inputs(program, grid)
+        except ReproError as exc:
+            raise ProtocolError(400, str(exc))
         backend = str(payload.get("backend", "auto"))
         if backend not in ("auto", "scalar", "vector"):
             raise ProtocolError(400, f"unknown backend {backend!r}")
@@ -1049,10 +1053,8 @@ class AnalysisService:
                     checkpoint=plan.checkpoint,
                     checkpoint_key=plan.checkpoint_key,
                     resume=plan.resume or chunk_index > 0)
-                if plan.backend == "auto":
-                    kwargs["backend"] = (
-                        "vector" if len(plan.cells) >= VECTOR_MIN_LANES
-                        else "scalar")
+                kwargs["backend"] = _resolve_backend(plan.backend,
+                                                     len(plan.cells))
         bet = None
         if not has_input_axes:
             bet = self._bet_for(plan.program, plan.inputs,

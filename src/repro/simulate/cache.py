@@ -104,7 +104,6 @@ class CacheSimulator:
         self.llc = _LRULevel(llc_size)
         self.accesses = 0.0
         self.l1_hits = 0.0
-        self.llc_hits = 0.0
 
     def access(self, region: str, footprint: float,
                elements: float) -> Tuple[float, float, float]:
@@ -121,7 +120,6 @@ class CacheSimulator:
         f_dram = max(1.0 - f_l1 - f_llc, 0.0)
         self.accesses += elements
         self.l1_hits += elements * f_l1
-        self.llc_hits += elements * f_llc
         return f_l1, f_llc, f_dram
 
     @property
@@ -133,4 +131,4 @@ class CacheSimulator:
     def clear(self) -> None:
         self.l1.clear()
         self.llc.clear()
-        self.accesses = self.l1_hits = self.llc_hits = 0.0
+        self.accesses = self.l1_hits = 0.0

@@ -21,6 +21,7 @@ import pytest
 from repro.analysis import block_metrics, hotspots, sensitivity, vectorized
 from repro.analysis.sensitivity import project_with_model
 from repro.analysis.vectorized import project_batch
+from repro.arrayops import UNSAFE_LIMIT
 from repro.bet import SymbolicBET, build_bet
 from repro.errors import ValidationError
 from repro.hardware import (
@@ -124,15 +125,13 @@ def test_batch_matches_scalar_with_a_compensated_builtin_sum(monkeypatch):
 @pytest.mark.parametrize("name", ["pedagogical", "sord"])
 def test_lane_tiles_match_one_pass(name, monkeypatch):
     # a wide batch is projected in lane tiles; seven lanes per tile
-    # (the last one short) must give what one pass over all lanes gives,
-    # scattered through a lane index map the same way
+    # (the last one short) must give what one pass over all lanes gives
     program, inputs = load(name)
     axis = next(iter(inputs))
     lanes = 30
     cols = {key: [float(value)] * lanes for key, value in inputs.items()}
     cols[axis] = [float(round(inputs[axis] * s)) for s in _scales(lanes)]
-    batch = SymbolicBET(program).rebind_batch(
-        cols, lane_index=range(lanes - 1, -1, -1))
+    batch = SymbolicBET(program).rebind_batch(cols)
     # one machine for every lane, and one machine per lane
     lane_machines = MachineLanes(BGQ, _machine_cells(BGQ, lanes))
     for machine in (BGQ, lane_machines):
@@ -140,10 +139,7 @@ def test_lane_tiles_match_one_pass(name, monkeypatch):
         whole = project_batch(batch, RooflineModel, machine)
         monkeypatch.setattr(vectorized, "TILE_ELEMENTS",
                             7 * len(batch.blocks))
-        scattered = [None] * lanes
-        assert project_batch(batch, RooflineModel, machine,
-                             out=scattered) == whole
-        assert scattered == whole[::-1]
+        assert project_batch(batch, RooflineModel, machine) == whole
 
 
 # -- machine lanes ------------------------------------------------------------
@@ -300,6 +296,32 @@ def test_invalid_machine_lanes_fail_like_the_scalar_route(where):
         len(cells) - len(BAD_LANES)
     assert vector.cache_stats["lanes_fallback"] == 0
     assert vector.cache_stats["lane_groups"] == 1
+
+
+def test_bad_machine_lanes_and_replay_fallback_lanes_in_one_chunk():
+    # a bad machine lane leaves the array before the replay, a lane the
+    # replay marks bad stays in it: lanes 6 and 12 sit at batch positions
+    # 5 and 10, and every result must still land on its own cell
+    program, inputs = load("pedagogical")
+    cells = [{**cell, "input:n": float(100 + 10 * lane)}
+             for lane, cell in enumerate(_machine_cells(BGQ, 14))]
+    for lane in (3, 9):
+        cells[lane]["cores"] = 0
+    for lane in (6, 12):
+        cells[lane]["input:n"] = UNSAFE_LIMIT + 2.0 * lane
+    results = {}
+    for backend in ("scalar", "vector"):
+        clear_symbolic_cache()
+        results[backend] = evaluate_cells(BGQ, cells, backend=backend,
+                                          program=program, inputs=inputs)
+    scalar, vector = results["scalar"], results["vector"]
+    assert [row[:2] for row in _failure_rows(vector)] == [
+        (3, "HardwareModelError"), (9, "HardwareModelError")]
+    assert _failure_rows(vector) == _failure_rows(scalar)
+    assert len(vector.points) == 12
+    assert _point_rows(vector) == _point_rows(scalar)
+    assert vector.cache_stats["lanes_vectorized"] == 10
+    assert vector.cache_stats["lanes_fallback"] == 2
 
 
 @pytest.mark.parametrize("where", ["inputs", "tree"])

@@ -83,6 +83,12 @@ class TestBasicCommands:
         assert code == 1
         assert "machine has no parameter 'cycle_time'" in err
 
+    def test_sweep_refuses_an_undeclared_input(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "pedagogical",
+                               "--param", "input:frobnicate=1,2")
+        assert code == 1
+        assert "'input:frobnicate' names no input" in err
+
 
 BROKEN_SKELETON = """\
 def main(n)

@@ -551,6 +551,26 @@ class TestServiceEndpoints:
         assert status == 200 and body["status"] == "ok"
         assert not body["degraded"]
 
+    def test_undeclared_input_is_400_and_trips_no_breaker(self, server):
+        # an input the program does not take is refused at admission
+        # too: refused inside the engine, each request would count as an
+        # executor failure, and three open the breaker for every tenant
+        for _ in range(3):
+            status, _, body = http_json(
+                server.port, "POST", "/sweep",
+                {"workload": "pedagogical",
+                 "params": {"input:frobnicate": [1.0, 2.0]}})
+            assert status == 400, body
+            assert "'input:frobnicate' names no input" in body["error"]
+        status, _, stats = http_json(server.port, "GET", "/statsz")
+        assert stats["breaker"]["trips"] == 0
+        status, _, body = http_json(
+            server.port, "POST", "/sweep",
+            {"workload": "pedagogical", "tenant": "other",
+             "params": {"input:n": [64, 128]}})
+        assert status == 200 and body["status"] == "ok"
+        assert not body["degraded"]
+
 
 class TestLoadShedding:
     def test_http_429_with_retry_after_when_saturated(self):

@@ -13,13 +13,14 @@ from repro.bet import build_bet
 from repro.errors import AnalysisError
 from repro.experiments import analyze, cache_stats, clear_cache
 from repro.experiments import pipeline
-from repro.explore import explore
+from repro.explore import explore, verify_frontier
 from repro.hardware import BGQ, XEON_E5_2420, RooflineModel
 from repro.parallel import (
     CacheStats, LRUCache, analyze_matrix, bet_cache_stats,
     build_bet_cached, clear_bet_cache, evaluate_cells, sweep_grid,
     sweep_inputs,
 )
+from repro.skeleton import parse_skeleton
 from repro.workloads import load
 
 
@@ -355,6 +356,73 @@ def test_cells_override_only_numeric_fields_and_inputs(
                        match=f"machine has no parameter '{name}'"):
         runs[entry]()
     assert models == []
+
+
+@pytest.mark.parametrize("entry", ["sweep_grid", "evaluate_cells",
+                                   "sweep_inputs", "sweep_inputs_points"])
+def test_input_axes_name_inputs_of_the_program(pedagogical, entry):
+    # an input the program does not take would bind as an unused extra,
+    # so a typo would read as an input the model ignores: each entry
+    # point refuses it, naming the axis, before it evaluates anything
+    program, inputs = pedagogical
+    models = []
+
+    def factory(machine):
+        models.append(machine)
+        return RooflineModel(machine)
+
+    runs = {
+        "sweep_grid": lambda: sweep_grid(
+            None, BGQ, {"input:frobnicate": [1.0, 2.0, 3.0]},
+            program=program, inputs=inputs, model_factory=factory),
+        "evaluate_cells": lambda: evaluate_cells(
+            BGQ, [{"input:n": 64.0}, {"input:frobnicate": 1.0}],
+            program=program, inputs=inputs, model_factory=factory),
+        "sweep_inputs": lambda: sweep_inputs(
+            program, BGQ, {"frobnicate": [1.0, 2.0]}, base_inputs=inputs,
+            model_factory=factory),
+        "sweep_inputs_points": lambda: sweep_inputs(
+            program, BGQ, [{"n": 64.0}, {"frobnicate": 2.0}],
+            base_inputs=inputs, model_factory=factory),
+    }
+    with pytest.raises(AnalysisError,
+                       match="'input:frobnicate' names no input"):
+        runs[entry]()
+    assert models == []
+
+
+#: ``alpha`` is a top-level param that ``main`` does not list
+TOP_LEVEL_PARAM = """\
+param alpha = 2
+
+def main(n)
+  for i = 0 : n
+    comp alpha * n flops
+  end
+end
+"""
+
+
+def test_a_top_level_param_is_an_input_axis():
+    # inputs override params (docs/skop-language.md), so an input axis
+    # may name one: the grid and the explorer both bind it, alike
+    program = parse_skeleton(TOP_LEVEL_PARAM)
+    inputs = {"n": 16}
+    axes = {"input:alpha": [1, 2, 3, 4], "bandwidth": [1e10, 2e10]}
+    grid = sweep_grid(None, BGQ, axes, program=program, inputs=inputs)
+    assert not grid.failures
+    runtimes = {(point.overrides["input:alpha"],
+                 point.overrides["bandwidth"]): point.runtime
+                for point in grid.points}
+    assert runtimes[1, 1e10] < runtimes[4, 1e10]
+    result = explore(axes, BGQ, ["runtime", "input:alpha:max"],
+                     program=program, inputs=inputs, budget=8, rounds=0)
+    assert result.evaluations == 8 and not result.failures
+    assert verify_frontier(result, BGQ, program=program,
+                           inputs=inputs) == len(result.frontier) > 0
+    for point in result.frontier:
+        assert point.runtime == runtimes[point.cell["input:alpha"],
+                                         point.cell["bandwidth"]]
 
 
 # -- numpy-typed axis values --------------------------------------------------

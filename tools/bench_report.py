@@ -71,6 +71,13 @@ def _headline(name, payload):
         if name == "parse":
             return (f"parse at most {payload['max_ratio']:.2f}x build_bet "
                     f"on {len(payload['workloads'])} workloads")
+        if name == "perfbench":
+            return "; ".join(
+                f"{workload} ops/s {rate['base']['median']:.4g} -> "
+                f"{rate['head']['median']:.4g} "
+                f"({rate['wins']}/{rate['pairs']}, {rate['verdict']})"
+                for workload, entry in payload["workloads"].items()
+                for rate in [entry["metrics"]["ops_per_s"]])
         if name == "cachemodel":
             return f"{len(payload.get('workloads', []))} workloads, " \
                    f"{payload.get('elapsed_s', 0.0):.1f}s"
