@@ -208,9 +208,9 @@ def sweep_machine(bet: BETNode,
     if not values:
         raise AnalysisError("sweep needs at least one value")
     if checkpoint and not checkpoint_key:
-        # this sweep's own key, not evaluate_cells' cell-list key: a
-        # checkpoint written under other settings must be refused with
-        # SKOP706, not mistaken for a different sweep
+        # this sweep's own key, not evaluate_cells' cell-list key, so
+        # the files written before sweep_machine joined the cell route
+        # still resume
         checkpoint_key = sweep_key(render_tree(bet), repr(base_machine),
                                    parameter, tuple(values), k)
     perf_before = _perf_counters()

@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "sweep into supervised shards with "
                                    "work-stealing, crash recovery, and "
                                    "poison-shard quarantine (default: "
-                                   "legacy in-process dispatch)")
+                                   "in-process dispatch, or a process "
+                                   "pool with --workers)")
     sweep_parser.add_argument("--shards", type=int, default=None,
                               metavar="N",
                               help="shard count for --executor (default: "

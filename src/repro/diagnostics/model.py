@@ -91,7 +91,7 @@ CODES: Dict[str, str] = {
     "SKOP703": "shard quarantined after retry exhaustion",
     "SKOP704": "corrupt shard result envelope detected",
     "SKOP705": "worker heartbeat lost; declared dead",
-    "SKOP706": "checkpoint written under different evaluation settings",
+    "SKOP706": "checkpoint written under a different cache model",
     # -- 71x: analysis service (admission, breaker, streaming) ----------
     "SKOP710": "request shed by admission control (queue full)",
     "SKOP711": "request deadline exceeded; partial results returned",

@@ -48,8 +48,7 @@ from ..errors import AnalysisError
 from ..hardware.machine import MachineModel, ensure_valid_machine
 from ..hardware.roofline import RooflineModel
 from ..parallel.engine import (
-    INPUT_PREFIX, GridPoint, _cell_machine, _resolve_backend,
-    evaluate_cells,
+    INPUT_PREFIX, GridPoint, _cell_machine, evaluate_cells,
 )
 from ..parallel.fault import overrides_key, sweep_key
 from ..parallel.lanes import check_inputs, check_parameter, split_overrides
@@ -248,10 +247,7 @@ def explore(axes: Dict[str, Sequence[float]],
         One :class:`~repro.parallel.SweepCheckpoint` file shared by all
         rounds, keyed by the space + workload + settings fingerprint;
         ``resume=True`` serves completed cells from disk while the
-        deterministic trajectory replays.  A checkpointed run resolves
-        ``backend="auto"`` once, from ``budget``: ``vector`` from
-        :data:`~repro.parallel.engine.VECTOR_MIN_LANES` evaluations, so
-        every round is stored under the same backend.
+        deterministic trajectory replays.
     """
     space = axes if isinstance(axes, GridSpace) else GridSpace(axes)
     if isinstance(objectives, (str, Objective)):
@@ -300,10 +296,6 @@ def explore(axes: Dict[str, Sequence[float]],
             "explore", space.fingerprint(), workload_id,
             tuple(sorted(base_inputs.items())), "main",
             repr(base_machine), k, seed)
-        # the checkpoint refuses rounds computed by different backends,
-        # so ``auto`` is resolved once for the whole run, from its
-        # budget, as the server resolves it for a checkpointed /sweep
-        backend = _resolve_backend(backend, budget)
 
     archive: Dict[int, Dict[str, Any]] = {}
     evaluated_order: List[int] = []

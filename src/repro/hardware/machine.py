@@ -224,6 +224,15 @@ def ensure_valid_machine(machine) -> None:
 
 # -- machine lanes ------------------------------------------------------------
 
+def _lane_float(value) -> float:
+    """``float(value)``, or inf for an int beyond float64's range: no
+    machine field holds it, so its lane is ``bad``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 class MachineLanes:
     """Several machines seen as one, lane by lane (DESIGN.md §15).
 
@@ -239,8 +248,9 @@ class MachineLanes:
 
     ``bad`` marks the lanes :class:`MachineModel` construction or
     :func:`validate_machine` would refuse: a field non-finite or not
-    positive, ``simd_efficiency`` above 1, or ``llc_size`` below
-    ``l1_size``.  The models' pre-flight refuses a view with a bad lane.
+    positive (an int beyond float64's range reads as inf),
+    ``simd_efficiency`` above 1, or ``llc_size`` below ``l1_size``.
+    The models' pre-flight refuses a view with a bad lane.
     """
 
     cycle_time = MachineModel.cycle_time
@@ -265,9 +275,15 @@ class MachineLanes:
                 values = [cell.get(name, value) for cell in overrides]
                 value = values[0]
                 if values.count(value) != self.lanes:
-                    value = np.array(values, dtype=np.float64)
+                    try:
+                        value = np.array(values, dtype=np.float64)
+                    except OverflowError:
+                        value = np.array([_lane_float(v) for v in values])
+            try:
+                table[row] = value
+            except OverflowError:       # one such int, shared by the lanes
+                value = table[row] = _lane_float(value)
             setattr(self, name, value)
-            table[row] = value
         self.bad = (~(np.isfinite(table) & (table > 0)).all(axis=0)
                     | (self.simd_efficiency > 1.0)
                     | (self.llc_size < self.l1_size))

@@ -608,8 +608,7 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
     if checkpoint:
         ckpt = SweepCheckpoint.load(
             checkpoint, checkpoint_key, resume=resume,
-            settings=_checkpoint_settings(backend, model_factory,
-                                          resolved_executor))
+            settings={"cache_model": factory_tag(model_factory)})
         if keys is None:
             keys = list(map(overrides_key, labels))
         for index, key in enumerate(keys):
@@ -720,9 +719,7 @@ def _evaluate_cell_list(cells: List[Dict[str, float]],
 #: are faster.  One crossover decides both (:func:`_resolve_backend`,
 #: :func:`_min_group_lanes`).  Measured on BG/Q roofline (DESIGN.md
 #: §10), the batch route is no slower than the scalar loop from 4-6
-#: points on the bundled workloads and takes about half its time at 8;
-#: it stays at 8 so the 4-6-point checkpoints written by earlier
-#: releases (recorded under the scalar backend) still resume.
+#: points on the bundled workloads and takes about half its time at 8.
 VECTOR_MIN_LANES = 8
 
 #: lanes per chunk below which a vector-backend pool run does not split
@@ -793,27 +790,6 @@ def _min_group_lanes(backend: str) -> int:
     small."""
     return VECTOR_MIN_LANES if backend == "auto" else 1
 
-
-def _checkpoint_settings(backend: str,
-                         model_factory: Optional[Callable],
-                         resolved_executor: Optional[SweepExecutor],
-                         ) -> Dict[str, str]:
-    """Evaluation-semantics fingerprint stored inside a checkpoint.
-
-    A resumed run must produce points comparable with the stored ones,
-    so the checkpoint refuses (``SKOP706``) to merge across a change of
-    backend, cache model, or executor kind — the dimensions that decide
-    *how* a point's numbers were computed, as opposed to *which* points
-    (those live in the sweep key).  The backend is recorded post-
-    resolution: ``auto`` that resolved to ``vector`` is the same
-    semantics as an explicit ``vector``.
-    """
-    return {
-        "backend": backend,
-        "cache_model": factory_tag(model_factory),
-        "executor": resolved_executor.name if resolved_executor is not None
-        else "legacy",
-    }
 
 #: resident symbolic trees, least recently used first: pool workers
 #: persist across chunks and sweeps, so one recorded build serves every
@@ -1367,8 +1343,7 @@ def _lane_batch(source, base_machine: MachineModel, cells, base_inputs,
                 slots = np.flatnonzero(~machine.bad).tolist()
                 lanes = [cells[slot] for slot in slots]
                 machine = MachineLanes(base_machine, lanes)
-        except (HardwareModelError, OverflowError):
-            # no lane is left, or an int no float64 column holds
+        except HardwareModelError:     # no lane is left
             return projections, 0.0, {}
     counts: Dict[str, float] = {}
     replay = isinstance(source, SymbolicBET)

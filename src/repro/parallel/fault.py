@@ -20,8 +20,10 @@ instead of aborting:
   behaviour is reproducible (no RNG state, no wall-clock dependence in
   tests: the ``sleep`` callable is injectable);
 * **checkpoint/resume** — :class:`SweepCheckpoint` persists completed
-  points as JSON keyed by a sweep fingerprint, so an interrupted grid
-  restarts where it left off (``repro sweep --checkpoint PATH --resume``);
+  points as JSON keyed by a sweep fingerprint and tagged with the cache
+  model that computed them, so an interrupted grid restarts where it
+  left off (``repro sweep --checkpoint PATH --resume``) under any
+  backend or executor;
 * **fault injection** — :class:`FaultInjector` and :class:`CallRecorder`
   deterministically fail or hang the Nth call of any wrapped callable, so
   the tests exercise every failure path without flaky sleeps.
@@ -254,7 +256,8 @@ class SweepCheckpoint:
     main file falls back to the ``.bak`` snapshot (or an empty
     checkpoint) with a ``SKOP701`` diagnostic on ``self.diagnostics``
     instead of raising; only a *valid* file belonging to a different
-    sweep or format version is a :class:`~repro.errors.CheckpointError`.
+    sweep, format version or cache model is a
+    :class:`~repro.errors.CheckpointError`.
     """
 
     VERSION = 1
@@ -295,8 +298,11 @@ class SweepCheckpoint:
         Returns ``("ok", payload)`` (its ``completed`` an object),
         ``("missing", None)``, ``("corrupt", reason)``, or raises
         :class:`~repro.errors.CheckpointError` for a *valid* file with
-        the wrong version, key, or evaluation settings (salvaging those
-        would silently mix sweeps).
+        the wrong version or key, or with a stored setting that differs
+        from one in ``settings`` (salvaging those would silently mix
+        sweeps).  Only the names in ``settings`` are compared: a name
+        the file stores and the run does not pass is ignored, and so is
+        a file with no ``settings`` at all.
         """
         if not os.path.exists(path):
             return ("missing", None)
@@ -317,14 +323,11 @@ class SweepCheckpoint:
                 "sweep (program, machine, or grid changed); delete it or "
                 "drop --resume")
         stored = payload.get("settings")
-        if (settings and isinstance(stored, dict)
-                and stored != dict(settings)):
-            drift = sorted(set(stored) | set(settings))
-            changes = "; ".join(
-                f"{name}: {stored.get(name, '<unset>')} -> "
-                f"{settings.get(name, '<unset>')}"
-                for name in drift
-                if stored.get(name) != settings.get(name))
+        changes = "; ".join(
+            f"{name}: {stored.get(name, '<unset>')} -> {value}"
+            for name, value in sorted((settings or {}).items())
+            if isinstance(stored, dict) and stored.get(name) != value)
+        if changes:
             raise CheckpointError(
                 f"[SKOP706] checkpoint {path} was written under "
                 f"different evaluation settings ({changes}); its points "
@@ -359,11 +362,14 @@ class SweepCheckpoint:
         the first write).  ``resume=True`` loads completed points; a
         corrupt or truncated file is salvaged from the ``.bak`` snapshot
         (with a ``SKOP701`` diagnostic) rather than raised, while a
-        valid file written by a different sweep configuration, format
-        version, or evaluation ``settings`` fingerprint (``SKOP706``)
-        still raises :class:`~repro.errors.CheckpointError` — points
-        computed under a different backend, cache model, or executor are
-        not comparable and must never be silently merged.
+        valid file written by a different sweep configuration or format
+        version, or under a different value of one of ``settings`` (the
+        engine passes the cache model: ``SKOP706``), still raises
+        :class:`~repro.errors.CheckpointError` — points computed under
+        another cache model are not comparable and must never be
+        silently merged.  A file that already holds every setting this
+        run names needs no rewrite, so a resume that computes nothing
+        writes nothing.
         """
         checkpoint = cls(path, key, settings=settings)
         problem = checkpoint._path_problem()
@@ -386,7 +392,10 @@ class SweepCheckpoint:
                                           settings=settings)
         if state == "ok":
             checkpoint.completed = value["completed"]
-            checkpoint._saved = value == checkpoint._snapshot()
+            stored = value.get("settings")
+            checkpoint._saved = all(isinstance(stored, dict)
+                                    and name in stored
+                                    for name in checkpoint.settings)
             return checkpoint
         if state == "missing" and not os.path.exists(
                 checkpoint.backup_path):

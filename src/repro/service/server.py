@@ -58,7 +58,7 @@ from ..hardware.cachemodel import (
 from ..parallel.cache import LRUCache
 from ..parallel.chaos import CHAOS_KINDS, ChaosSchedule
 from ..parallel.engine import (
-    INPUT_PREFIX, VECTOR_MIN_POINTS, _resolve_backend, evaluate_cells,
+    INPUT_PREFIX, VECTOR_MIN_POINTS, evaluate_cells,
 )
 from ..parallel.fault import sweep_key
 from ..parallel.lanes import check_inputs, check_parameter
@@ -75,8 +75,9 @@ from .http11 import (
     stream_head_bytes,
 )
 
-#: checkpoint names a client may use (a single path component)
-_CHECKPOINT_NAME = re.compile(r"^[A-Za-z0-9._-]{1,80}$")
+#: checkpoint names a client may use (a single path component that
+#: names a file: not ``.`` or ``..``, and no trailing newline)
+_CHECKPOINT_NAME = re.compile(r"(?!\.\.?\Z)[A-Za-z0-9._-]{1,80}\Z")
 
 
 @dataclass
@@ -536,6 +537,13 @@ class AnalysisService:
         except asyncio.QueueFull:
             self._drop_client(request, "send buffer full")
 
+    def _report(self, member: ServiceRequest, st: Dict[str, Any],
+                diagnostic: Diagnostic) -> None:
+        """Add one diagnostic to a sweep member's summary and stream."""
+        entry = diagnostic.as_dict()
+        st["diagnostics"].append(entry)
+        self._emit_line(member, {"event": "diagnostic", "diagnostic": entry})
+
     def _drop_client(self, request: ServiceRequest, why: str) -> None:
         if request.dropped:
             return
@@ -871,10 +879,7 @@ class AnalysisService:
                         "SKOP711",
                         f"request {member.id} passed its deadline; "
                         "returning the points computed so far")
-                    st["diagnostics"].append(diagnostic.as_dict())
-                    self._emit_line(member, {
-                        "event": "diagnostic",
-                        "diagnostic": diagnostic.as_dict()})
+                    self._report(member, st, diagnostic)
             if self.draining:
                 drained = True
                 break
@@ -926,10 +931,7 @@ class AnalysisService:
                            "with the same checkpoint name"
                            if checkpointed else
                            "partial results returned")))
-                    st["diagnostics"].append(diagnostic.as_dict())
-                    self._emit_line(member, {
-                        "event": "diagnostic",
-                        "diagnostic": diagnostic.as_dict()})
+                    self._report(member, st, diagnostic)
         elapsed = self._now() - started
         for member in group:
             self._finish_sweep(member, state[member.id],
@@ -962,7 +964,9 @@ class AnalysisService:
         """One chunk evaluation with breaker accounting.
 
         Returns ``(result, failures)``; ``(None, None)`` signals "the
-        breaker just tripped — retry this chunk degraded".
+        breaker just tripped — retry this chunk degraded".  The engine's
+        diagnostics for the chunk (a salvaged or unwritable checkpoint)
+        reach every member of ``group``, once per code and message.
         """
         probe = route == PROBE
         degraded = route == DEGRADED
@@ -987,11 +991,7 @@ class AnalysisService:
                                 "circuit breaker open after executor "
                                 f"failures ({exc!r}); serving degraded "
                                 "constant-cache-model answers"))
-                            st["diagnostics"].append(
-                                diagnostic.as_dict())
-                            self._emit_line(member, {
-                                "event": "diagnostic",
-                                "diagnostic": diagnostic.as_dict()})
+                            self._report(member, st, diagnostic)
                     return None, None
             return None, [("error", type(exc).__name__, str(exc))]
         stats = getattr(result, "cache_stats", None) or {}
@@ -1000,6 +1000,13 @@ class AnalysisService:
             value = int(stats.get(name, 0))
             if value:
                 self._count(name, value)
+        for diagnostic in result.diagnostics:
+            for member in group:
+                st = state[member.id]
+                if not any((seen["code"], seen["message"])
+                           == (diagnostic.code, diagnostic.message)
+                           for seen in st["diagnostics"]):
+                    self._report(member, st, diagnostic)
         if not degraded:
             infra = self._infra_noise(result)
             self.breaker.record(not infra, probe=probe)
@@ -1022,26 +1029,20 @@ class AnalysisService:
 
         Normal mode uses the configured executor/backend/cache model;
         degraded mode forces the in-process serial path with the
-        constant cache model (``model_factory=None``).  A checkpointed
-        plan resolves ``auto`` once, from its whole cell list, so every
-        chunk (and a resumed request) writes the checkpoint under one
-        backend: a short last chunk resolved on its own would be refused
-        with SKOP706.
+        constant cache model (``model_factory=None``).
         """
         cfg = self.config
         kwargs: Dict[str, Any] = dict(
             k=plan.k, program=plan.program, inputs=plan.inputs,
-            validate=False)
+            backend=plan.backend, validate=False)
         has_input_axes = any(
             name.startswith(INPUT_PREFIX)
             for cell in cells for name in cell)
         if degraded:
-            kwargs.update(model_factory=None, workers=1,
-                          backend=plan.backend)
+            kwargs.update(model_factory=None, workers=1)
         else:
             kwargs.update(model_factory=plan.model_factory,
-                          workers=cfg.engine_workers,
-                          backend=plan.backend)
+                          workers=cfg.engine_workers)
             executor = cfg.executor
             if plan.chaos is not None and executor is None:
                 executor = "serial"
@@ -1053,8 +1054,6 @@ class AnalysisService:
                     checkpoint=plan.checkpoint,
                     checkpoint_key=plan.checkpoint_key,
                     resume=plan.resume or chunk_index > 0)
-                kwargs["backend"] = _resolve_backend(plan.backend,
-                                                     len(plan.cells))
         bet = None
         if not has_input_axes:
             bet = self._bet_for(plan.program, plan.inputs,
@@ -1089,10 +1088,7 @@ class AnalysisService:
                             f"request {member.id}: served degraded "
                             "constant-cache-model points while the "
                             "breaker is open")
-                        st["diagnostics"].append(diagnostic.as_dict())
-                        self._emit_line(member, {
-                            "event": "diagnostic",
-                            "diagnostic": diagnostic.as_dict()})
+                        self._report(member, st, diagnostic)
                     entry = dict(payload)
                     if degraded:
                         entry["degraded"] = True

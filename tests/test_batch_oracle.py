@@ -337,6 +337,25 @@ def test_a_chunk_of_bad_lanes_fails_like_the_scalar_route(where):
 
 
 @pytest.mark.parametrize("where", ["inputs", "tree"])
+def test_an_int_beyond_float64_marks_only_its_own_lane(where):
+    # the one lane whose bandwidth no float64 holds is bad, and the other
+    # eleven stay in the lane array; a chunk whose every lane shares
+    # such an int fails lane by lane, as the scalar route does
+    cells = _machine_cells(BGQ, 12)
+    cells[5] = {**cells[5], "bandwidth": 10 ** 400}
+    scalar, vector = _on_both_backends(cells, where)
+    assert _failure_rows(vector) == _failure_rows(scalar) == [
+        (5, "OverflowError", "int too large to convert to float")]
+    assert _point_rows(vector) == _point_rows(scalar)
+    assert vector.cache_stats["lanes_vectorized"] == 11
+    shared = [{**cell, "bandwidth": 10 ** 400} for cell in cells]
+    scalar, vector = _on_both_backends(shared, where)
+    assert len(vector.failures) == len(cells) and not vector.points
+    assert _failure_rows(vector) == _failure_rows(scalar)
+    assert vector.cache_stats["lanes_vectorized"] == 0
+
+
+@pytest.mark.parametrize("where", ["inputs", "tree"])
 def test_lanes_on_one_set_of_overrides_match_the_scalar_route(where):
     cells = [{"bandwidth": 2.8e10, "cores": 8, "simd_efficiency": 0.5}
              for _ in range(10)]

@@ -41,8 +41,7 @@ import pytest
 from repro.analysis.sensitivity import sweep_machine
 from repro.bet import build_bet
 from repro.errors import (
-    CheckpointError, EnvelopeCorruptError, RetryExhaustedError,
-    TaskTimeoutError,
+    EnvelopeCorruptError, RetryExhaustedError, TaskTimeoutError,
 )
 from repro.hardware import BGQ, RooflineModel
 from repro.parallel import (
@@ -905,19 +904,78 @@ class TestLegacyCheckpoints:
         assert [point.as_dict() for point in resumed.frontier] == \
             [point.as_dict() for point in run().frontier]
 
-    def test_sweep_machine_checkpoint_is_refused_with_a_code(
-            self, pedagogical_bet, tmp_path):
+    def test_sweep_machine_resumes_everything(self, pedagogical_bet,
+                                              tmp_path):
+        # written before sweep_machine joined the cell route, with a
+        # cache model and no backend or executor in its settings
         path = _legacy(tmp_path, "sweep_machine.json")
-        with pytest.raises(CheckpointError, match="SKOP706"):
-            sweep_machine(pedagogical_bet, BGQ, "bandwidth",
-                          [10e9, 20e9, 30e9], checkpoint=path, resume=True)
+        values = [10e9, 20e9, 30e9]
+        resumed = sweep_machine(pedagogical_bet, BGQ, "bandwidth", values,
+                                checkpoint=path, resume=True)
+        assert resumed.timings["resumed"] == 3.0
+        fresh = sweep_machine(pedagogical_bet, BGQ, "bandwidth", values)
+        assert [dataclasses.asdict(p) for p in resumed.points] == \
+            [dataclasses.asdict(p) for p in fresh.points]
 
-    def test_runs_without_an_executor_still_record_legacy(
-            self, pedagogical_bet, tmp_path):
+    @pytest.mark.parametrize("options", [{"workers": 2},
+                                         {"executor": "serial"}],
+                             ids=["workers", "executor"])
+    def test_new_files_record_only_the_cache_model(
+            self, pedagogical_bet, tmp_path, options):
         import json
         path = str(tmp_path / "grid.json")
         sweep_grid(pedagogical_bet, BGQ, self.GRID, checkpoint=path,
-                   workers=2)
+                   **options)
         with open(path, encoding="utf-8") as handle:
             settings = json.load(handle)["settings"]
-        assert settings["executor"] == "legacy"
+        assert settings == {"cache_model": "default"}
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+    def test_a_full_resume_writes_nothing(self, pedagogical,
+                                          pedagogical_bet, tmp_path, name):
+        # each fixture's settings hold names this run does not pass (a
+        # backend, an executor), and the resume computes no point: the
+        # file is already what it would write, so it is not rewritten
+        from repro.explore import explore
+        program, inputs = pedagogical
+        path = _legacy(tmp_path, name)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        resumes = {
+            "evaluate_cells.json": lambda: evaluate_cells(
+                BGQ, [{"bandwidth": 10e9, "input:n": 100.0},
+                      {"bandwidth": 20e9, "input:n": 300.0},
+                      {"bandwidth": 10e9, "input:n": 500.0},
+                      {"frequency_hz": 2e9, "input:n": 100.0}],
+                program=program, inputs=inputs, checkpoint=path,
+                resume=True),
+            "explore.json": lambda: explore(
+                {"bandwidth": [10e9, 20e9, 30e9, 40e9],
+                 "frequency_hz": [1e9, 2e9],
+                 "input:n": [64.0, 128.0, 256.0, 512.0]},
+                BGQ, ["runtime", "bandwidth:min"], program=program,
+                inputs=inputs, budget=16, rounds=2, seed=3,
+                backend="vector", checkpoint=path, resume=True),
+            "sweep_grid.json": lambda: sweep_grid(
+                pedagogical_bet, BGQ, self.GRID, checkpoint=path,
+                resume=True),
+            "sweep_grid_mixed.json": lambda: sweep_grid(
+                None, BGQ, {"input:n": [100.0, 200.0],
+                            "bandwidth": [10e9, 20e9, 30e9]},
+                program=program, inputs=inputs, checkpoint=path,
+                resume=True),
+            "sweep_inputs.json": lambda: sweep_inputs(
+                program, BGQ, {"n": [64.0, 128.0, 256.0, 512.0, 1024.0]},
+                base_inputs=inputs, checkpoint=path, resume=True),
+            "sweep_inputs_vector.json": lambda: sweep_inputs(
+                program, BGQ, {"n": [32.0, 64.0, 96.0, 128.0, 192.0,
+                                     256.0, 384.0, 512.0]},
+                base_inputs=inputs, checkpoint=path, resume=True),
+            "sweep_machine.json": lambda: sweep_machine(
+                pedagogical_bet, BGQ, "bandwidth", [10e9, 20e9, 30e9],
+                checkpoint=path, resume=True),
+        }
+        resumes[name]()
+        assert not os.path.exists(path + ".bak")
+        with open(path, "rb") as handle:
+            assert handle.read() == before

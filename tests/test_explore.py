@@ -291,7 +291,7 @@ class TestExplore:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         assert len(payload["completed"]) == first.evaluations
-        assert payload["settings"]["backend"]
+        assert payload["settings"]["cache_model"] == "default"
 
     def test_checkpoint_refuses_different_settings(self, workload,
                                                    tmp_path):
@@ -326,6 +326,29 @@ class TestExplore:
         assert first.evaluations == 16 and first.rounds == 2
         resumed = run(resume=True)
         assert resumed.evaluations == 16
+        assert resumed.cache_stats["bet_builds"] == 0
+        assert resumed.cache_stats["bet_replays"] == 0
+        assert [p.as_dict() for p in resumed.frontier] == \
+            [p.as_dict() for p in first.frontier]
+
+    def test_checkpoint_resumes_under_another_backend(self, workload,
+                                                      tmp_path):
+        # a backend is not part of a checkpoint's identity: every round
+        # of the vector run is served from disk to the scalar one
+        program, inputs = workload
+        axes = {"bandwidth": [10e9, 20e9, 30e9, 40e9],
+                "input:n": [64.0, 128.0, 256.0, 512.0],
+                "frequency_hz": [1e9, 2e9]}
+        path = str(tmp_path / "explore.json")
+
+        def run(**options):
+            return explore(axes, BGQ, ["runtime"], program=program,
+                           inputs=inputs, budget=16, rounds=2,
+                           checkpoint=path, **options)
+
+        first = run(backend="vector")
+        resumed = run(backend="scalar", resume=True)
+        assert resumed.evaluations == first.evaluations == 16
         assert resumed.cache_stats["bet_builds"] == 0
         assert resumed.cache_stats["bet_replays"] == 0
         assert [p.as_dict() for p in resumed.frontier] == \

@@ -4,9 +4,11 @@ checkpoint/resume, and the fault-injection harness itself — plus the
 acceptance scenarios from the issue (poisoned grid, kill-and-resume).
 """
 
+import json
 import os
 import pickle
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -16,8 +18,10 @@ from repro.errors import CheckpointError, ReproError, RetryExhaustedError
 from repro.hardware import BGQ, RooflineModel
 from repro.parallel import (
     NO_RETRY, CallRecorder, FaultInjector, PointFailure, RetryPolicy,
-    SweepCheckpoint, overrides_key, run_point, sweep_grid, sweep_key,
+    SweepCheckpoint, clear_symbolic_cache, evaluate_cells, overrides_key,
+    run_point, sweep_grid, sweep_inputs, sweep_key,
 )
+from repro.parallel.chaos import ChaosEvent, ChaosSchedule
 from repro.workloads import load
 
 
@@ -493,30 +497,6 @@ class TestCheckpointSettingsFingerprint:
                        resume=True)
         assert "cache_model" in str(err.value)
 
-    def test_different_executor_refused(self, pedagogical_bet, tmp_path):
-        path = str(tmp_path / "grid.json")
-        sweep_grid(pedagogical_bet, BGQ, self.GRID, checkpoint=path,
-                   executor="serial")
-        with pytest.raises(CheckpointError, match="SKOP706") as err:
-            sweep_grid(pedagogical_bet, BGQ, self.GRID, checkpoint=path,
-                       resume=True, executor="pool")
-        assert "executor" in str(err.value)
-
-    def test_different_backend_refused(self, tmp_path):
-        pytest.importorskip("numpy")
-        from repro.parallel import clear_symbolic_cache, sweep_inputs
-        from repro.workloads import load
-        program, inputs = load("pedagogical")
-        path = str(tmp_path / "inputs.json")
-        axes = {"n": [float(v) for v in range(8, 16)]}
-        clear_symbolic_cache()
-        sweep_inputs(program, BGQ, axes, base_inputs=inputs,
-                     backend="vector", checkpoint=path)
-        with pytest.raises(CheckpointError, match="SKOP706") as err:
-            sweep_inputs(program, BGQ, axes, base_inputs=inputs,
-                         backend="scalar", checkpoint=path, resume=True)
-        assert "vector -> scalar" in str(err.value)
-
     def test_same_settings_resume(self, pedagogical_bet, tmp_path):
         path = str(tmp_path / "grid.json")
         first = sweep_grid(pedagogical_bet, BGQ, self.GRID,
@@ -557,6 +537,109 @@ class TestCheckpointSettingsFingerprint:
             AnalyticCacheModel(l1_size=32768, llc_size=2 ** 20)))
         # reprs with memory addresses fall back to the type name
         assert factory_tag(object()) == "builtins.object"
+
+
+class TestCrossRouteResume:
+    """Every route computes the fresh-build oracle's points bit for bit,
+    so a checkpoint written under one backend or executor resumes under
+    any other: the stored points are served and only the rest computed.
+
+    The interrupted run is the quarantine of
+    ``test_chaos.py::test_chaotic_interrupted_resume_is_bit_identical``:
+    nine points in three serial shards, the middle shard killed on every
+    attempt, so its three points fail and the other six are on disk.
+    """
+
+    BANDWIDTHS = [10e9 + 5e9 * lane for lane in range(9)]
+
+    @staticmethod
+    def _interrupted(run, path):
+        """Run ``run`` with one shard quarantined; the points on disk."""
+        chaos = ChaosSchedule([ChaosEvent("kill", shard=1, attempt=attempt)
+                               for attempt in range(1, 8)])
+        wounded = run(executor="serial", shards=3, chaos=chaos,
+                      checkpoint=path)
+        assert len(wounded.failures) == 3
+        assert wounded.shard_stats["shards_quarantined"] == 1.0
+        with open(path, encoding="utf-8") as handle:
+            on_disk = len(json.load(handle)["completed"])
+        assert on_disk == 6
+        return on_disk
+
+    @pytest.mark.parametrize("first, then", [("vector", "scalar"),
+                                             ("scalar", "vector")])
+    def test_input_sweep_resumes_under_another_backend(self, tmp_path,
+                                                       first, then):
+        program, inputs = load("pedagogical")
+        axes = {"n": [float(n) for n in range(64, 73)]}
+
+        def run(**options):
+            return sweep_inputs(program, BGQ, axes, base_inputs=inputs,
+                                **options)
+
+        path = str(tmp_path / "inputs.json")
+        clear_symbolic_cache()
+        on_disk = self._interrupted(
+            lambda **options: run(backend=first, **options), path)
+        resumed = run(backend=then, checkpoint=path, resume=True)
+        assert resumed.backend == then and not resumed.failures
+        assert resumed.timings["resumed"] == on_disk
+        assert [asdict(p) for p in resumed.points] == \
+            [asdict(p) for p in run(backend=then).points]
+
+    def test_mixed_cells_resume_under_another_backend(self, tmp_path):
+        program, inputs = load("pedagogical")
+        cells = [{"bandwidth": bandwidth, "input:n": 64.0 + 32 * lane}
+                 for lane, bandwidth in enumerate(self.BANDWIDTHS)]
+
+        def run(**options):
+            return evaluate_cells(BGQ, cells, program=program,
+                                  inputs=inputs, **options)
+
+        path = str(tmp_path / "cells.json")
+        clear_symbolic_cache()
+        on_disk = self._interrupted(
+            lambda **options: run(backend="vector", **options), path)
+        resumed = run(backend="scalar", checkpoint=path, resume=True)
+        assert resumed.backend == "scalar" and not resumed.failures
+        assert resumed.timings["resumed"] == on_disk
+        assert [asdict(p) for p in resumed.points] == \
+            [asdict(p) for p in run(backend="scalar").points]
+
+    def test_machine_grid_resumes_under_another_backend(
+            self, pedagogical_bet, tmp_path):
+        grid = {"bandwidth": self.BANDWIDTHS}
+
+        def run(**options):
+            return sweep_grid(pedagogical_bet, BGQ, grid, **options)
+
+        path = str(tmp_path / "grid.json")
+        on_disk = self._interrupted(
+            lambda **options: run(backend="scalar", **options), path)
+        resumed = run(backend="vector", checkpoint=path, resume=True)
+        assert resumed.backend == "vector" and not resumed.failures
+        assert resumed.timings["resumed"] == on_disk
+        assert [asdict(p) for p in resumed.points] == \
+            [asdict(p) for p in run(backend="vector").points]
+
+    @pytest.mark.parametrize("executor, workers", [("pool", 2), (None, 1)],
+                             ids=["serial-pool", "serial-none"])
+    def test_resume_under_another_executor(self, pedagogical_bet,
+                                           tmp_path, executor, workers):
+        grid = {"bandwidth": self.BANDWIDTHS}
+
+        def run(**options):
+            return sweep_grid(pedagogical_bet, BGQ, grid, **options)
+
+        path = str(tmp_path / "grid.json")
+        on_disk = self._interrupted(run, path)
+        resumed = run(executor=executor, workers=workers, checkpoint=path,
+                      resume=True)
+        assert resumed.executor == (executor or "")
+        assert not resumed.failures
+        assert resumed.timings["resumed"] == on_disk
+        assert [asdict(p) for p in resumed.points] == \
+            [asdict(p) for p in run().points]
 
 
 def _grid_default_key(bet, grid, k=10):

@@ -969,6 +969,60 @@ class TestCheckpointedChunks:
             handle.stop()
 
 
+    def test_a_salvaged_checkpoint_reaches_the_client(self, tmp_path):
+        # 2-cell steps write the file more than once, so its .bak holds
+        # the points before the last write; a resumed request after the
+        # main file is corrupted salvages them and says so
+        grid = {"bandwidth": [1e10, 2e10, 3e10, 4e10]}
+        payload = {"workload": "pedagogical", "params": grid,
+                   "checkpoint": "salvage"}
+        direct = json.dumps(direct_grid_points("pedagogical", grid),
+                            sort_keys=True)
+        handle = start_in_thread(ServiceConfig(
+            port=0, dispatchers=1, chunk_cells=2,
+            checkpoint_dir=str(tmp_path)))
+        try:
+            status, _, body = http_json(handle.port, "POST", "/sweep",
+                                        payload, timeout=120)
+            assert status == 200 and body["diagnostics"] == []
+            (tmp_path / "salvage").write_text("{nope", encoding="utf-8")
+            status, _, body = http_json(
+                handle.port, "POST", "/sweep", {**payload, "resume": True},
+                timeout=120)
+            (tmp_path / "salvage").write_text("{nope", encoding="utf-8")
+            events = http_stream(
+                handle.port, "/sweep",
+                {**payload, "resume": True, "stream": True}, timeout=120)
+        finally:
+            handle.stop()
+        assert status == 200 and body["status"] == "ok"
+        assert [d["code"] for d in body["diagnostics"]] == ["SKOP701"]
+        assert "salvaged" in body["diagnostics"][0]["message"]
+        assert json.dumps(body["points"], sort_keys=True) == direct
+        streamed = [event["diagnostic"] for event in events
+                    if event.get("event") == "diagnostic"]
+        assert [d["code"] for d in streamed] == ["SKOP701"]
+        summary = events[-1]
+        assert summary["event"] == "summary"
+        assert summary["diagnostics"] == streamed
+        assert json.dumps(summary["points"], sort_keys=True) == direct
+
+    def test_a_name_that_is_not_a_file_is_400(self, tmp_path):
+        handle = start_in_thread(ServiceConfig(
+            port=0, dispatchers=1, checkpoint_dir=str(tmp_path)))
+        try:
+            for name in (".", "..", "ck\n"):
+                status, _, body = http_json(
+                    handle.port, "POST", "/sweep",
+                    {"workload": "pedagogical", "params": {"cores": [8]},
+                     "checkpoint": name})
+                assert status == 400, name
+                assert "bad checkpoint name" in body["error"]
+        finally:
+            handle.stop()
+        assert os.listdir(tmp_path) == []
+
+
 class TestLaneCountersServed:
     def test_vector_sweep_reports_lane_counters(self, tmp_path):
         handle = start_in_thread(ServiceConfig(
